@@ -68,12 +68,16 @@ def rse_to_assigned(X, centroids, labels) -> np.ndarray:
     return ((X - C) ** 2).sum(axis=1) / denom
 
 
-def _pairwise_sq_dists(X, C) -> np.ndarray:
-    d2 = (
-        (X**2).sum(axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + (C**2).sum(axis=1)[None, :]
-    )
+def _pairwise_sq_dists(X, C, xx=None) -> np.ndarray:
+    """Squared distances of every row of X to every row of C; ``xx`` is
+    ``(X**2).sum(axis=1)`` when the caller already holds it."""
+    if xx is None:
+        xx = (X**2).sum(axis=1)
+    # in place, but the same roundings as xx - 2.0 * (X @ C.T) + cc
+    d2 = X @ C.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += (C**2).sum(axis=1)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -94,11 +98,19 @@ def _kmeans_pp_init(X, k, rng) -> np.ndarray:
     return np.array(centers)
 
 
-def _group_means(X, labels, k, d2min):
+def _group_sums(XT, labels, k) -> np.ndarray:
+    """(k, d) per-cluster row sums of X, given its C-contiguous transpose XT.
+
+    np.bincount adds each bin's weights in row order, so every sum is
+    accumulated member by member in row order, independent of k.
+    """
+    return np.stack([np.bincount(labels, weights=col, minlength=k) for col in XT], axis=1)
+
+
+def _group_means(X, XT, labels, k, d2min):
     """Deterministic per-cluster means; empty clusters relocate to the
     points currently farthest from their assigned centers."""
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
+    sums = _group_sums(XT, labels, k)
     counts = np.bincount(labels, minlength=k)
     centers = np.empty_like(sums)
     nonzero = counts > 0
@@ -120,25 +132,27 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
     """
     centers = np.array(centers, dtype=float)
     k = len(centers)
+    XT = np.ascontiguousarray(X.T)
+    xx = (X**2).sum(axis=1)
     prev_inertia = np.inf
     labels = np.zeros(len(X), dtype=np.int64)
     relocated = False
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(X, centers)
+        d2 = _pairwise_sq_dists(X, centers, xx)
         labels = d2.argmin(axis=1)
         d2min = d2[np.arange(len(X)), labels]
         inertia = float(d2min.sum())
-        centers, _, empties = _group_means(X, labels, k, d2min)
+        centers, _, empties = _group_means(X, XT, labels, k, d2min)
         relocated = len(empties) > 0
         if not relocated and prev_inertia - inertia <= rel_tol * max(inertia, 1e-300):
             break
         prev_inertia = inertia
     if relocated:
         # a relocated center has no members yet; give it one settling pass
-        d2 = _pairwise_sq_dists(X, centers)
+        d2 = _pairwise_sq_dists(X, centers, xx)
         labels = d2.argmin(axis=1)
         d2min = d2[np.arange(len(X)), labels]
-        centers, counts, empties = _group_means(X, labels, k, d2min)
+        centers, counts, empties = _group_means(X, XT, labels, k, d2min)
         if len(empties):
             keep = np.flatnonzero(counts > 0)
             remap = np.full(k, -1, dtype=np.int64)
@@ -208,8 +222,7 @@ class ClusterModel:
         """Largest |centroid - mean(members)| entry, for invariant checks."""
         X = self.table.values
         k = self.n_clusters
-        sums = np.zeros((k, X.shape[1]))
-        np.add.at(sums, self.labels, X)
+        sums = _group_sums(np.ascontiguousarray(X.T), self.labels, k)
         counts = np.bincount(self.labels, minlength=k)
         means = sums / counts[:, None]
         return float(np.abs(means - self.centroids).max())
@@ -254,11 +267,14 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
             )
             break
         bad_clusters = set(np.unique(labels[violating]).tolist())
+        # a stable sort keeps each cluster's members in row order
+        by_label = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[by_label], np.arange(len(centers) + 1))
         new_centers = []
         for c in range(len(centers)):
-            members = X[labels == c]
-            if c in bad_clusters and len(members) >= 2:
-                sub, _, _ = kmeans(members, 2, n_init=1, max_iter=max_iter,
+            lo, hi = bounds[c], bounds[c + 1]
+            if c in bad_clusters and hi - lo >= 2:
+                sub, _, _ = kmeans(X[by_label[lo:hi]], 2, n_init=1, max_iter=max_iter,
                                    rel_tol=rel_tol, rng=rng)
                 new_centers.extend(sub)
             else:
@@ -315,7 +331,6 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
 
     violating = rse_to_assigned(X, centroids, labels) > theta
     viol_count = int(violating.sum())
-    prev_rate = viol_count / n
 
     d2 = _pairwise_sq_dists(centroids, centroids)
     np.fill_diagonal(d2, np.inf)
@@ -352,13 +367,6 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
         d2[p, p + 1:] = dp[p + 1:]
         d2[:p, p] = dp[:p]
         merges += 1
-        rate = viol_count / n
-        if rate < prev_rate - 1e-12:
-            warnings.warn(
-                "violation rate decreased along the merge path; "
-                "label consolidation should be monotone"
-            )
-        prev_rate = rate
 
     meta = dict(model.meta)
     meta.update(

@@ -134,10 +134,9 @@ def truncate(model: ClusterModel, v: float) -> ClusterDictionary:
         rate = viol_count / n
         rounds += 1
 
-    kwh = np.zeros(len(centroids))
-    np.add.at(kwh, labels, model.table.day_total_kwh)
-    disc = np.zeros(len(centroids))
-    np.add.at(disc, labels, model.table.discretionary_kwh)
+    k = len(centroids)
+    kwh = np.bincount(labels, weights=model.table.day_total_kwh, minlength=k)
+    disc = np.bincount(labels, weights=model.table.discretionary_kwh, minlength=k)
     order = np.lexsort((ids, -kwh))
     provenance = {
         "theta": theta,

@@ -452,9 +452,11 @@ def stage_analyze(config: RunConfig, manifest: Manifest | None = None) -> StageR
         if config.weather:
             weather, _ = read_weather(config.weather)
         frame = analytics.build_frame(assignments, weather)
+        with open(dict_path, encoding="utf-8") as fh:
+            dictionary_digest = json.load(fh)["digest"]
         provenance = {
             "run_id": run_id_for(config),
-            "dictionary_digest": json.load(open(dict_path, encoding="utf-8"))["digest"],
+            "dictionary_digest": dictionary_digest,
             "params": config.effective_params(),
         }
 

@@ -1,8 +1,13 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from loadshapes.cluster import (
     ClusterModel,
+    _group_means,
+    _pairwise_sq_dists,
     adaptive_kmeans,
     hierarchical_merge,
     kmeans,
@@ -10,13 +15,15 @@ from loadshapes.cluster import (
     rse,
     save_model,
 )
+from loadshapes.dictionary import truncate
 from loadshapes.errors import (
     CorruptArtifactError,
     DegenerateCenterError,
     EmptyInputError,
     VersionMismatchError,
 )
-from loadshapes.preprocess import ShapeTable
+from loadshapes.preprocess import ShapeTable, preprocess_days
+from loadshapes.synthetic import GeneratorConfig, generate_synthetic
 
 
 def unit_shapes(rng, n):
@@ -125,6 +132,65 @@ def two_group_table(rng, n_per=40, spread=0.002):
     )
     truth = np.array([0] * n_per + [1] * n_per)
     return X, truth
+
+
+def add_at_group_means(X, labels, k, d2min):
+    """Reference for _group_means: unbuffered np.add.at row sums."""
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, labels, X)
+    counts = np.bincount(labels, minlength=k)
+    centers = np.empty_like(sums)
+    nonzero = counts > 0
+    centers[nonzero] = sums[nonzero] / counts[nonzero, None]
+    empties = np.flatnonzero(~nonzero)
+    order = np.argsort(-d2min, kind="stable")
+    for slot, e in enumerate(empties):
+        centers[e] = X[order[slot]]
+    return centers, counts, empties
+
+
+@pytest.mark.parametrize("n,k,used", [(3600, 100, 100), (2400, 10, 7), (500, 40, 25)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_group_means_bit_identical_to_add_at(n, k, used, order):
+    rng = np.random.default_rng(n + k)
+    X = np.asarray(unit_shapes(rng, n) * rng.gamma(2.0, size=(n, 1)), order=order)
+    labels = rng.integers(0, used, n)  # clusters used..k-1 stay empty
+    d2min = rng.random(n)
+    got = _group_means(X, np.ascontiguousarray(X.T), labels, k, d2min)
+    want = add_at_group_means(X, labels, k, d2min)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_pairwise_sq_dists_bit_identical_to_expanded_form():
+    rng = np.random.default_rng(23)
+    X = unit_shapes(rng, 700)
+    C = unit_shapes(rng, 31)
+    xx = (X**2).sum(axis=1)
+    want = np.maximum(xx[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :], 0.0)
+    assert np.array_equal(_pairwise_sq_dists(X, C), want)
+    assert np.array_equal(_pairwise_sq_dists(X, C, xx), want)
+
+
+def test_cluster_chain_golden_digest():
+    # sha256 of the adaptive -> merge -> truncate outputs on one seeded,
+    # outlier-heavy corpus (10 split rounds, 29 merges, 2 truncation
+    # rounds). Any change to summation order or tie handling in the
+    # clustering code shows here as a new digest.
+    config = GeneratorConfig(archetypes=5, households=24, days=60, noise_level=0.05,
+                             outlier_rate=0.27, fuzz_rate=0.04)
+    table = preprocess_days(generate_synthetic(config, seed=2021).days)[0]
+    model = adaptive_kmeans(table, theta=0.3, k_init=10, seed=7)
+    merged = hierarchical_merge(model, max_violation=0.05)
+    dic = truncate(merged, 0.30)
+    h = hashlib.sha256()
+    for a in (model.labels, model.centroids, merged.labels, merged.centroids,
+              merged.ids, dic.values, dic.member_counts, dic.member_kwh,
+              dic.member_discretionary_kwh):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == (
+        "dd7876236080233c8a4fec5275128eeed36d09892821574bad1d4c5523bcad3a"
+    )
 
 
 def test_adaptive_two_well_separated_groups():
@@ -257,6 +323,22 @@ def test_merge_three_cluster_toy_against_brute_force():
     assert merge_rate(labels, (1, 2)) >= 0.05
     after_first = np.where(labels == 1, 0, labels)
     assert merge_rate(after_first, (0, 2)) >= 0.05
+
+
+def test_merge_that_lowers_violations_is_silent_and_exact():
+    # the merged weighted mean fits one of the two shapes that violated
+    # their own cluster means: 2/8 violations before the merge, 1/8 after
+    rng = np.random.default_rng(9)
+    X = unit_shapes(rng, 8)
+    model = _model_from(X, [0, 0, 0, 0, 1, 1, 1, 1], 2, theta=0.26)
+    assert model.violation_rate == 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merged = hierarchical_merge(model, max_violation=0.5)
+    assert merged.n_clusters == 1
+    assert merged.violation_rate == 0.125
+    brute = [rse(x, merged.centroids[0]) > 0.26 for x in X]
+    assert sum(brute) == 1
 
 
 def test_merge_tie_breaks_to_lowest_id_pair():
