@@ -435,7 +435,12 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
         key = (table.household_ids[i], table.dates[i].isoformat())
         if key not in keys:
             raise CorruptArtifactError(f"labels file missing shape key {key}")
-        labels[i] = position[keys[key]]
+        cid = keys[key]
+        if cid not in position:
+            raise CorruptArtifactError(
+                f"labels file names cluster id {cid}, which model.json lacks"
+            )
+        labels[i] = position[cid]
     model = ClusterModel(
         table=table,
         centroids=centroids,

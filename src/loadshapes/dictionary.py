@@ -222,14 +222,15 @@ class AssignmentTable:
                 raise CorruptArtifactError(
                     "assignments and shapes row counts differ"
                 )
-            for i in (0, len(table) - 1) if len(table) else ():
-                if (
-                    shapes.household_ids[i] != table.household_ids[i]
-                    or shapes.dates[i] != table.dates[i]
-                ):
-                    raise CorruptArtifactError(
-                        "assignments and shapes rows are not aligned"
-                    )
+            misaligned = np.flatnonzero(
+                (shapes.household_ids != table.household_ids)
+                | (shapes.dates != table.dates)
+            )
+            if len(misaligned):
+                raise CorruptArtifactError(
+                    "assignments and shapes rows are not aligned "
+                    f"(first at data row {misaligned[0] + 1})"
+                )
             table.day_total_kwh = shapes.day_total_kwh.copy()
             table.discretionary_kwh = shapes.discretionary_kwh.copy()
         return table

@@ -214,12 +214,21 @@ def _read_meter_wide(path):
                     f"{path}:{row_no}: duplicate (household_id, date) {key}"
                 )
             seen.add(key)
-            kwh = np.array(
-                [
-                    _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
-                    for t in range(HOURS_PER_DAY)
-                ]
-            )
+            # Whole-row fast path; any empty, malformed, negative or
+            # non-finite cell sends the row through the per-cell parser,
+            # which marks it missing and writes the diagnostics.
+            try:
+                kwh = np.array(list(map(float, row[2:])))
+                clean = bool(((kwh >= 0.0) & (kwh < np.inf)).all())
+            except ValueError:
+                clean = False
+            if not clean:
+                kwh = np.array(
+                    [
+                        _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
+                        for t in range(HOURS_PER_DAY)
+                    ]
+                )
             days.append(LoadDay(household_id, date, kwh))
     return days, diagnostics
 
@@ -270,12 +279,12 @@ def _read_meter_long(path):
     return days, diagnostics
 
 
-def _format_float(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
-
-
 def write_meter_corpus(days, path, schema: str = "wide") -> None:
-    """Write LoadDay records back to CSV (round-trip counterpart of the readers)."""
+    """Write LoadDay records back to CSV (round-trip counterpart of the readers).
+
+    Readings are written as the ``repr`` of Python floats (shortest text that
+    parses back to the same double); missing (NaN) readings as empty cells.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if schema == "wide":
@@ -283,19 +292,15 @@ def write_meter_corpus(days, path, schema: str = "wide") -> None:
             for day in days:
                 writer.writerow(
                     [day.household_id, day.date.isoformat()]
-                    + [_format_float(v) for v in day.kwh]
+                    + ["" if v != v else repr(v) for v in day.kwh.tolist()]
                 )
         elif schema == "long":
             writer.writerow(LONG_HEADER)
             for day in days:
-                for t in range(HOURS_PER_DAY):
+                for t, v in enumerate(day.kwh.tolist(), start=1):
                     writer.writerow(
-                        [
-                            day.household_id,
-                            day.date.isoformat(),
-                            t + 1,
-                            _format_float(day.kwh[t]),
-                        ]
+                        [day.household_id, day.date.isoformat(), t,
+                         "" if v != v else repr(v)]
                     )
         else:
             raise ValueError(f"unknown meter schema '{schema}'")

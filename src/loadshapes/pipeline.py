@@ -6,6 +6,11 @@ to its artifacts; re-running with an identical entry and intact outputs
 skips the stage. A failing stage removes its partial outputs and surfaces
 a stage-named error.
 
+``run_pipeline`` parses shapes.csv at most once: ingest keeps the table it
+wrote, and the later stages look it up by the sha256 of shapes.csv that the
+manifest check has just computed. A stage run on its own, or a run whose
+shapes.csv changed on disk, misses and parses the file.
+
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
 """
@@ -29,7 +34,7 @@ from .dictionary import (
     save_dictionary,
     truncate,
 )
-from .errors import ConfigError, StageError
+from .errors import ConfigError, EmptyInputError, StageError
 from .ingest import SeasonCalendar, read_meter_corpus, read_survey, read_weather
 from .preprocess import ShapeTable, preprocess_days, subsample, SUBSAMPLE_ALGORITHM
 
@@ -259,7 +264,7 @@ def _execute(stage: str, manifest: Manifest, params: dict, inputs: list,
     if cached == entry and outputs_ok:
         return StageResult(stage, "cached")
     try:
-        fn()
+        fn(entry["inputs"])
     except StageError:
         raise
     except Exception as exc:
@@ -283,7 +288,8 @@ def run_id_for(config: RunConfig) -> str:
     return _params_hash(payload)[:12]
 
 
-def stage_ingest(config: RunConfig, manifest: Manifest | None = None) -> StageResult:
+def stage_ingest(config: RunConfig, manifest: Manifest | None = None,
+                 shapes_memo: dict | None = None) -> StageResult:
     config.validate()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,7 +307,7 @@ def stage_ingest(config: RunConfig, manifest: Manifest | None = None) -> StageRe
         "meter_schema": config.meter_schema,
     }
 
-    def fn():
+    def fn(digests):
         days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
         report_payload = {
             "meter_rows": len(days),
@@ -334,6 +340,8 @@ def stage_ingest(config: RunConfig, manifest: Manifest | None = None) -> StageRe
         with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
             json.dump(report_payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        if shapes_memo is not None:
+            shapes_memo[_file_digest(out / "shapes.csv")] = table.freeze()
 
     return _execute("ingest", manifest, params, inputs, out, fn)
 
@@ -355,7 +363,8 @@ def _load_subsample(shapes: ShapeTable, labels_path) -> ShapeTable:
     return shapes.take(np.array(rows, dtype=np.int64))
 
 
-def stage_cluster(config: RunConfig, manifest: Manifest | None = None) -> StageResult:
+def stage_cluster(config: RunConfig, manifest: Manifest | None = None,
+                  shapes_memo: dict | None = None) -> StageResult:
     config.validate()
     out = Path(config.out)
     manifest = manifest or Manifest(out)
@@ -369,8 +378,8 @@ def stage_cluster(config: RunConfig, manifest: Manifest | None = None) -> StageR
         "subsample_algorithm": SUBSAMPLE_ALGORITHM,
     }
 
-    def fn():
-        table = ShapeTable.read_csv(shapes_path)
+    def fn(digests):
+        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
         n = config.sample
         if n > len(table):
             warnings.warn(
@@ -387,7 +396,8 @@ def stage_cluster(config: RunConfig, manifest: Manifest | None = None) -> StageR
     return _execute("cluster", manifest, params, [shapes_path], out, fn)
 
 
-def stage_truncate(config: RunConfig, manifest: Manifest | None = None) -> StageResult:
+def stage_truncate(config: RunConfig, manifest: Manifest | None = None,
+                   shapes_memo: dict | None = None) -> StageResult:
     config.validate()
     out = Path(config.out)
     manifest = manifest or Manifest(out)
@@ -396,8 +406,8 @@ def stage_truncate(config: RunConfig, manifest: Manifest | None = None) -> Stage
     labels_path = _require_artifact(out, "labels.csv", "truncate")
     params = {"truncate_violation": config.truncate_violation}
 
-    def fn():
-        table = ShapeTable.read_csv(shapes_path)
+    def fn(digests):
+        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
         sub = _load_subsample(table, labels_path)
         model = load_model(model_path, labels_path, sub)
         dictionary = truncate(model, config.truncate_violation)
@@ -409,7 +419,8 @@ def stage_truncate(config: RunConfig, manifest: Manifest | None = None) -> Stage
     )
 
 
-def stage_assign(config: RunConfig, manifest: Manifest | None = None) -> StageResult:
+def stage_assign(config: RunConfig, manifest: Manifest | None = None,
+                 shapes_memo: dict | None = None) -> StageResult:
     config.validate()
     out = Path(config.out)
     manifest = manifest or Manifest(out)
@@ -417,8 +428,8 @@ def stage_assign(config: RunConfig, manifest: Manifest | None = None) -> StageRe
     dict_path = _require_artifact(out, "dictionary.json", "assign")
     params: dict = {}
 
-    def fn():
-        table = ShapeTable.read_csv(shapes_path)
+    def fn(digests):
+        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
         dictionary = load_dictionary(dict_path)
         assignments = assign_all(table, dictionary, workers=config.threads)
         assignments.write_csv(out / "assignments.csv")
@@ -426,7 +437,8 @@ def stage_assign(config: RunConfig, manifest: Manifest | None = None) -> StageRe
     return _execute("assign", manifest, params, [shapes_path, dict_path], out, fn)
 
 
-def stage_analyze(config: RunConfig, manifest: Manifest | None = None) -> StageResult:
+def stage_analyze(config: RunConfig, manifest: Manifest | None = None,
+                  shapes_memo: dict | None = None) -> StageResult:
     config.validate()
     out = Path(config.out)
     manifest = manifest or Manifest(out)
@@ -444,8 +456,8 @@ def stage_analyze(config: RunConfig, manifest: Manifest | None = None) -> StageR
         "seed": config.seed,
     }
 
-    def fn():
-        shapes = ShapeTable.read_csv(shapes_path)
+    def fn(digests):
+        shapes = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
         dictionary = load_dictionary(dict_path)
         assignments = AssignmentTable.read_csv(assign_path, shapes)
         weather = None
@@ -516,7 +528,7 @@ def stage_analyze(config: RunConfig, manifest: Manifest | None = None) -> StageR
                             entropies, profiles, indicator, seed=config.seed
                         )
                     )
-                except Exception:
+                except EmptyInputError:
                     continue  # indicator unusable on this corpus
         analytics.write_char_deltas_csv(deltas, out / "char_deltas.csv", provenance)
 
@@ -558,9 +570,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out)
+    shapes_memo: dict = {}  # sha256 of shapes.csv -> ShapeTable, this run only
     result = RunResult(run_id=run_id_for(config))
     for stage in PIPELINE_STAGES:
         if stage not in config.stages:
             continue
-        result.results.append(_STAGE_FNS[stage](config, manifest))
+        result.results.append(_STAGE_FNS[stage](config, manifest, shapes_memo))
     return result

@@ -146,6 +146,14 @@ class ShapeTable:
             self.discretionary_kwh[idx],
         )
 
+    def freeze(self) -> "ShapeTable":
+        """Mark every column read-only, so a table shared between pipeline
+        stages cannot be changed by one of them; returns the table."""
+        for column in (self.values, self.household_ids, self.dates,
+                       self.day_total_kwh, self.discretionary_kwh):
+            column.flags.writeable = False
+        return self
+
     @classmethod
     def from_shapes(cls, shapes) -> "ShapeTable":
         shapes = list(shapes)
@@ -173,7 +181,20 @@ class ShapeTable:
                 )
 
     @classmethod
-    def read_csv(cls, path) -> "ShapeTable":
+    def read_csv(cls, path, memo: dict | None = None,
+                 digest: str | None = None) -> "ShapeTable":
+        """The table in ``path``. With ``memo`` (sha256 -> table) and
+        ``digest`` (the sha256 of ``path``), a table already remembered under
+        ``digest`` is returned without parsing the file; a parsed one is made
+        read-only and remembered, so the stages of one run share it."""
+        if memo is None:
+            return cls._parse_csv(path)
+        if digest not in memo:
+            memo[digest] = cls._parse_csv(path).freeze()
+        return memo[digest]
+
+    @classmethod
+    def _parse_csv(cls, path) -> "ShapeTable":
         household_ids, dates, totals, discs, values = [], [], [], [], []
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

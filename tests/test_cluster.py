@@ -420,3 +420,19 @@ def test_violation_rate_recomputed_not_cached():
     # shrink theta: recomputation must see new violations immediately
     model.theta = 1e-9
     assert model.violation_rate > 0.0
+
+
+def test_model_labels_naming_unknown_cluster_rejected(tmp_path):
+    rng = np.random.default_rng(22)
+    X = unit_shapes(rng, 20)
+    from loadshapes.cluster import _bare_table
+
+    table = _bare_table(X)
+    model = adaptive_kmeans(table, theta=0.5, k_init=2, seed=4)
+    save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
+    lines = (tmp_path / "labels.csv").read_text().splitlines(keepends=True)
+    hid, date, _ = lines[3].rstrip("\r\n").split(",")
+    lines[3] = f"{hid},{date},9999\r\n"
+    (tmp_path / "labels.csv").write_text("".join(lines))
+    with pytest.raises(CorruptArtifactError, match="9999"):
+        load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)

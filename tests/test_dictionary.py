@@ -302,3 +302,22 @@ def test_assignments_csv_round_trip(tmp_path):
     assert np.array_equal(back.distances, out.distances)
     assert np.array_equal(back.rses, out.rses)
     assert np.array_equal(back.day_total_kwh, table.day_total_kwh)
+
+
+def test_assignments_read_rejects_misaligned_middle_row(tmp_path):
+    rng = np.random.default_rng(36)
+    X = unit_shapes(rng, 5)
+    table = ShapeTable(
+        X,
+        ["H0", "H1", "H2", "H3", "H4"],
+        [dt.date(2011, 7, 1)] * 5,
+        np.ones(5),
+        np.ones(5),
+    )
+    path = tmp_path / "assignments.csv"
+    assign_all(table, small_dictionary()).write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2], lines[4] = lines[4], lines[2]  # swap data rows 2 and 4; ends intact
+    path.write_text("".join(lines))
+    with pytest.raises(CorruptArtifactError, match="aligned"):
+        AssignmentTable.read_csv(path, table)

@@ -1,7 +1,12 @@
+import csv
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshapes.errors import (
     DuplicateRecordError,
@@ -9,11 +14,14 @@ from loadshapes.errors import (
     UnknownIndicatorError,
 )
 from loadshapes.ingest import (
+    HOURS_PER_DAY,
     INDICATOR_VOCABULARY,
+    WIDE_HEADER,
     HouseholdProfile,
     LoadDay,
     SeasonCalendar,
     WeatherDay,
+    _parse_kwh_cell,
     read_meter_corpus,
     read_survey,
     read_weather,
@@ -102,6 +110,44 @@ def test_bad_date_rejected_with_row_number(tmp_path):
     assert diags[0].row == 2 and "date" in diags[0].message
 
 
+_ODD_CELLS = st.sampled_from(
+    ["", " ", " 1.5 ", "nan", "NaN", "inf", "-inf", "-1", "-0.0", "0",
+     "1e400", "abc", "1_0", "0x1", "\u00a02.5", "1.5e-3"]
+)
+
+
+@st.composite
+def meter_rows(draw):
+    """24 readings, mostly clean, with up to three odd cells."""
+    cells = draw(st.lists(st.floats(min_value=0, max_value=1e6).map(repr),
+                          min_size=HOURS_PER_DAY, max_size=HOURS_PER_DAY))
+    for t in draw(st.lists(st.integers(0, HOURS_PER_DAY - 1), max_size=3)):
+        cells[t] = draw(_ODD_CELLS)
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(meter_rows(), min_size=1, max_size=4))
+def test_whole_row_parse_matches_per_cell_parse(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "meter.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(WIDE_HEADER)
+            for i, cells in enumerate(rows):
+                writer.writerow([f"H{i}", "2011-06-01"] + cells)
+        days, diags = read_meter_corpus(path)
+    expected_diags = []
+    for row_no, (cells, day) in enumerate(zip(rows, days), start=2):
+        expected = np.array(
+            [_parse_kwh_cell(c, row_no, f"h{t + 1}", expected_diags)
+             for t, c in enumerate(cells)]
+        )
+        assert day.kwh.tobytes() == expected.tobytes()
+    assert len(days) == len(rows)
+    assert diags == expected_diags
+
+
 def test_long_reader_matches_wide_reader(tmp_path):
     # round-trip oracle: the same generated corpus written in both layouts
     # parses to identical LoadDays
@@ -156,6 +202,23 @@ def test_meter_round_trip_preserves_values(tmp_path):
     back, _ = read_meter_corpus(path)
     assert back[0].key == days[0].key
     assert np.array_equal(back[0].kwh, kwh, equal_nan=True)
+
+
+def test_meter_writer_text_is_repr_of_each_reading(tmp_path):
+    kwh = np.array([np.nan, 0.1, -0.0, 1e-300, 2.5e17, 1 / 3, np.inf] + [0.5] * 17)
+    days = [LoadDay("H,1", D(2011, 6, 1), kwh), LoadDay("H2", D(2011, 6, 2), kwh[::-1])]
+    for schema in ("wide", "long"):
+        path = tmp_path / f"{schema}.csv"
+        write_meter_corpus(days, path, schema)
+        cells = [[] for _ in days]
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for row in reader:
+                day_index = 0 if row[0] == "H,1" else 1
+                cells[day_index] += row[2:] if schema == "wide" else row[3:]
+        for day, written in zip(days, cells):
+            assert written == ["" if np.isnan(x) else repr(float(x)) for x in day.kwh]
 
 
 def test_loadday_requires_24_slots():

@@ -1,12 +1,24 @@
 import filecmp
 import json
+import shutil
 import warnings
 
+import numpy as np
 import pytest
 
+from loadshapes import analytics
 from loadshapes.cli import main
-from loadshapes.errors import ConfigError, StageError
-from loadshapes.pipeline import RunConfig, run_pipeline, stage_analyze
+from loadshapes.errors import ConfigError, EmptyInputError, StageError
+from loadshapes.pipeline import (
+    RunConfig,
+    run_pipeline,
+    stage_analyze,
+    stage_assign,
+    stage_cluster,
+    stage_ingest,
+    stage_truncate,
+)
+from loadshapes.preprocess import ShapeTable
 from loadshapes.synthetic import GeneratorConfig, generate_synthetic
 
 SMOKE_CFG = GeneratorConfig(
@@ -21,6 +33,15 @@ def smoke_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     corpus = generate_synthetic(SMOKE_CFG, seed=3)
     return corpus.write(out)
+
+
+# every artifact except the manifest, which records paths
+ARTIFACTS = (
+    "shapes.csv", "model.json", "labels.csv", "dictionary.json",
+    "assignments.csv", "entropy_by_stratum.csv", "coverage_curve.csv",
+    "taxonomy.csv", "household_entropy.csv", "char_deltas.csv",
+    "occurrence_map.csv",
+)
 
 
 def smoke_config(paths, out, **kw):
@@ -156,12 +177,7 @@ def test_manifest_excluded_from_determinism_but_artifacts_match(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_pipeline(config2)
-    for name in (
-        "shapes.csv", "model.json", "labels.csv", "dictionary.json",
-        "assignments.csv", "entropy_by_stratum.csv", "coverage_curve.csv",
-        "taxonomy.csv", "household_entropy.csv", "char_deltas.csv",
-        "occurrence_map.csv",
-    ):
+    for name in ARTIFACTS:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
@@ -252,3 +268,119 @@ def test_pipeline_stage_selector_subset(smoke_corpus, tmp_path):
     assert [r.stage for r in result.results] == ["ingest"]
     assert (out / "shapes.csv").exists()
     assert not (out / "model.json").exists()
+
+
+@pytest.fixture
+def shape_reads(monkeypatch):
+    """Paths that ShapeTable.read_csv parses while the test runs."""
+    calls = []
+    parse = ShapeTable._parse_csv
+
+    def counted(cls, path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(ShapeTable, "_parse_csv", classmethod(counted))
+    return calls
+
+
+def _data_rows(path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for line in fh if not line.startswith("#")) - 1
+
+
+def test_run_parses_shapes_csv_at_most_once(smoke_corpus, tmp_path, shape_reads):
+    out = tmp_path / "memo"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(smoke_config(smoke_corpus, out, sample=500))
+        assert shape_reads == []  # every stage takes the table ingest wrote
+
+        # ingest cached: cluster parses shapes.csv, the later stages reuse it
+        result = run_pipeline(smoke_config(smoke_corpus, out, sample=500, theta=0.25))
+        assert [r.status for r in result.results] == ["cached"] + ["ran"] * 4
+        assert len(shape_reads) == 1
+
+        shape_reads.clear()
+        config = smoke_config(smoke_corpus, out, sample=500, theta=0.25,
+                              truncate_violation=0.2)
+        assert stage_truncate(config).status == "ran"
+        assert len(shape_reads) == 1
+
+
+def test_stage_by_stage_run_matches_pipeline_artifacts(smoke_corpus, smoke_run, tmp_path):
+    # each standalone stage parses shapes.csv; the pipeline hands its table on
+    _, piped, _ = smoke_run
+    out = tmp_path / "staged"
+    config = smoke_config(smoke_corpus, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in (stage_ingest, stage_cluster, stage_truncate, stage_assign,
+                      stage_analyze):
+            assert stage(config).status == "ran"
+    for name in ARTIFACTS:
+        assert filecmp.cmp(piped / name, out / name, shallow=False), name
+
+
+def _keep_every_other_shape(path) -> int:
+    table = ShapeTable.read_csv(path)
+    table.take(np.arange(0, len(table), 2)).write_csv(path)
+    return (len(table) + 1) // 2
+
+
+def test_rewritten_shapes_reach_later_stages_within_a_run(
+    smoke_corpus, tmp_path, shape_reads
+):
+    out = tmp_path / "tamper"
+    config = smoke_config(smoke_corpus, out, sample=300)
+    memo: dict = {}
+    stage_ingest(config, shapes_memo=memo)
+    kept = _keep_every_other_shape(out / "shapes.csv")
+    shape_reads.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in (stage_cluster, stage_truncate, stage_assign, stage_analyze):
+            assert stage(config, shapes_memo=memo).status == "ran"
+    assert len(shape_reads) == 1  # the digest changed: cluster misses the memo
+    assert _data_rows(out / "assignments.csv") == kept
+    assert len(memo) == 2
+    for table in memo.values():
+        assert not any(column.flags.writeable for column in (
+            table.values, table.household_ids, table.dates,
+            table.day_total_kwh, table.discretionary_kwh))
+
+
+def test_rewritten_shapes_reach_later_stages_of_next_run(smoke_corpus, tmp_path):
+    out = tmp_path / "tamper2"
+    config = smoke_config(smoke_corpus, out, sample=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(config)
+        kept = _keep_every_other_shape(out / "shapes.csv")
+        result = run_pipeline(config)
+    assert [r.status for r in result.results] == ["cached"] + ["ran"] * 4
+    assert _data_rows(out / "assignments.csv") == kept
+
+
+@pytest.mark.parametrize("error", [EmptyInputError("too few households"),
+                                   RuntimeError("boom")])
+def test_analyze_skips_only_unusable_indicators(
+    smoke_corpus, smoke_run, tmp_path, monkeypatch, error
+):
+    _, out, _ = smoke_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    config = smoke_config(smoke_corpus, copy)
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(analytics, "characteristic_entropy_delta", fail)
+    if isinstance(error, EmptyInputError):
+        assert stage_analyze(config).status == "ran"
+        assert _data_rows(copy / "char_deltas.csv") == 0
+    else:
+        with pytest.raises(StageError, match="boom") as err:
+            stage_analyze(config)
+        assert err.value.stage == "analyze"
+        assert not (copy / "char_deltas.csv").exists()

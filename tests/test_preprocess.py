@@ -1,7 +1,11 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshapes.errors import ZeroDiscretionaryError
 from loadshapes.ingest import LoadDay
@@ -165,6 +169,74 @@ def test_shape_table_csv_round_trip_lossless(tmp_path):
     assert np.array_equal(back.discretionary_kwh, table.discretionary_kwh)
     assert list(back.household_ids) == list(table.household_ids)
     assert list(back.dates) == list(table.dates)
+
+
+# household ids with the characters CSV must quote: comma, quote, CR, LF
+_HOUSEHOLD_IDS = st.text(
+    alphabet=st.sampled_from(list('ab ,"\'\r\n;\t\u00e9\u4e2d')), max_size=8
+)
+_FLOATS = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def shape_tables(draw):
+    n = draw(st.integers(0, 6))
+    return ShapeTable(
+        np.array(
+            draw(st.lists(st.lists(_FLOATS, min_size=24, max_size=24),
+                          min_size=n, max_size=n)),
+            dtype=float,
+        ).reshape(n, 24),
+        draw(st.lists(_HOUSEHOLD_IDS, min_size=n, max_size=n)),
+        draw(st.lists(st.dates(), min_size=n, max_size=n)),
+        draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+        draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape_tables())
+def test_shape_table_csv_round_trip_is_byte_exact(table):
+    # the pipeline hands the table ingest wrote to later stages instead of
+    # re-reading shapes.csv, so the file must read back to the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shapes.csv"
+        table.write_csv(path)
+        back = ShapeTable.read_csv(path)
+    for column in ("values", "day_total_kwh", "discretionary_kwh"):
+        a, b = getattr(back, column), getattr(table, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+    assert back.household_ids.dtype == back.dates.dtype == object
+    assert list(back.household_ids) == list(table.household_ids)
+    assert list(back.dates) == list(table.dates)
+
+
+def test_freeze_makes_every_column_read_only():
+    table = ShapeTable(np.ones((2, 24)) / 24, ["H1", "H2"], [D, D], [1.0, 2.0], [0.5, 1.0])
+    assert table.freeze() is table
+    for column in (table.values, table.household_ids, table.dates,
+                   table.day_total_kwh, table.discretionary_kwh):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    assert table.take([1, 0]).values.flags.writeable  # copies stay writable
+
+
+def test_read_csv_with_memo_parses_each_digest_once(tmp_path, monkeypatch):
+    table = ShapeTable(np.ones((2, 24)) / 24, ["H1", "H2"], [D, D], [1.0, 2.0], [0.5, 1.0])
+    path = tmp_path / "shapes.csv"
+    table.write_csv(path)
+    parsed = []
+    parse = ShapeTable._parse_csv
+    monkeypatch.setattr(ShapeTable, "_parse_csv",
+                        classmethod(lambda cls, p: parsed.append(p) or parse(p)))
+    memo: dict = {}
+    first = ShapeTable.read_csv(path, memo, "d1")
+    assert ShapeTable.read_csv(path, memo, "d1") is first
+    assert not first.values.flags.writeable
+    assert ShapeTable.read_csv(path, memo, "d2") is not first  # new content
+    assert ShapeTable.read_csv(path).values.flags.writeable  # no memo: own copy
+    assert len(parsed) == 3
+    assert np.array_equal(first.values, table.values)
 
 
 def test_subsample_identity_and_determinism():
