@@ -29,7 +29,6 @@ from .analytics import (
     temperature_quartiles,
 )
 from .cluster import (
-    Centroid,
     ClusterModel,
     adaptive_kmeans,
     hierarchical_merge,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentTable",
-    "Centroid",
     "CharacteristicDelta",
     "CleaningReport",
     "ClusterDictionary",

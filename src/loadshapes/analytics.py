@@ -117,18 +117,6 @@ def day_type_strata() -> list[Stratum]:
     return [make(n) for n in ("weekday", "weekend")]
 
 
-def daily_strata(dates) -> list[Stratum]:
-    unique_dates = sorted(set(dates))
-
-    def make(day):
-        return Stratum(
-            "day", day.isoformat(),
-            lambda f, d=day: np.array([x == d for x in f.date], dtype=bool),
-        )
-
-    return [make(d) for d in unique_dates]
-
-
 def temperature_quartiles(weather, dates, mode: str = "empirical",
                           boundaries=None):
     """Four left-closed temperature strata T_1..T_4 over the given dates.
@@ -627,13 +615,18 @@ def write_taxonomy_csv(taxonomy: PeakTaxonomy, path, provenance: dict) -> None:
             )
 
 
-def write_household_entropy_csv(entropies: dict, path, provenance: dict) -> None:
+def write_household_entropy_csv(entropies: dict, summer_entropies: dict, path,
+                                provenance: dict) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_provenance(fh, provenance)
         writer = csv.writer(fh)
-        writer.writerow(["household_id", "entropy"])
+        writer.writerow(["household_id", "entropy", "entropy_summer"])
         for hid in sorted(entropies):
-            writer.writerow([hid, repr(float(entropies[hid]))])
+            summer = summer_entropies.get(hid)
+            writer.writerow(
+                [hid, repr(float(entropies[hid])),
+                 "" if summer is None else repr(float(summer))]
+            )
 
 
 def write_char_deltas_csv(deltas, path, provenance: dict) -> None:

@@ -1,37 +1,23 @@
 """Command line entry point.
 
-Subcommands: ``run`` (full pipeline), the single stages ``ingest``,
-``cluster``, ``truncate``, ``assign``, ``analyze``, and ``synth`` for
-generating synthetic corpora. Options may come from a flat key=value
-config file (--config); explicit flags win over file values.
+Subcommands: ``run`` (full pipeline), one per pipeline stage (``ingest``,
+``cluster``, ``truncate``, ``assign``, ``analyze``, taken from the
+pipeline's stage table), and ``synth`` for generating synthetic corpora.
+Options may come from a flat key=value config file (--config); explicit
+flags win over file values. Synth flags and file values are cast by the
+same config reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
+from dataclasses import replace
 
+from .config import parse_fields
 from .errors import ConfigError, GeneratorConfigError, LoadShapesError
-from .pipeline import (
-    Manifest,
-    RunConfig,
-    run_pipeline,
-    stage_analyze,
-    stage_assign,
-    stage_cluster,
-    stage_ingest,
-    stage_truncate,
-)
+from .pipeline import _STAGE_FNS, PIPELINE_STAGES, RunConfig, run_pipeline
 from .synthetic import GeneratorConfig, generate_synthetic
-
-_STAGE_COMMANDS = {
-    "ingest": stage_ingest,
-    "cluster": stage_cluster,
-    "truncate": stage_truncate,
-    "assign": stage_assign,
-    "analyze": stage_analyze,
-}
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -80,12 +66,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_bias(pairs) -> dict:
+    """``--bias name=value`` flags as ``bias.name`` config-file keys."""
     bias = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise GeneratorConfigError(f"--bias expects name=value, got '{pair}'")
         name, value = pair.split("=", 1)
-        bias[name.strip()] = float(value)
+        bias[f"bias.{name.strip()}"] = value.strip()
     return bias
 
 
@@ -99,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the full pipeline")
     _add_run_options(run)
 
-    for name in _STAGE_COMMANDS:
+    for name in PIPELINE_STAGES:
         stage = sub.add_parser(name, help=f"run only the {name} stage")
         _add_run_options(stage)
 
@@ -107,18 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--config", help="generator key=value config file")
     synth.add_argument("--out", required=True, help="directory for the corpus files")
     synth.add_argument("--seed", type=int, required=True)
-    synth.add_argument("--households", type=int)
-    synth.add_argument("--days", type=int)
-    synth.add_argument("--archetypes", type=int)
+    # generator flags stay text here and are cast like config-file values
+    synth.add_argument("--households")
+    synth.add_argument("--days")
+    synth.add_argument("--archetypes")
     synth.add_argument("--start-date", dest="start_date")
-    synth.add_argument("--noise", dest="noise_level", type=float)
-    synth.add_argument(
-        "--temperature-response", dest="temperature_response", type=float
-    )
-    synth.add_argument("--outlier-rate", dest="outlier_rate", type=float)
-    synth.add_argument("--fuzz-rate", dest="fuzz_rate", type=float)
-    synth.add_argument("--bad-day-rate", dest="bad_day_rate", type=float)
-    synth.add_argument("--base-entropy", dest="base_entropy", type=float)
+    synth.add_argument("--noise", dest="noise_level")
+    synth.add_argument("--temperature-response", dest="temperature_response")
+    synth.add_argument("--outlier-rate", dest="outlier_rate")
+    synth.add_argument("--fuzz-rate", dest="fuzz_rate")
+    synth.add_argument("--bad-day-rate", dest="bad_day_rate")
+    synth.add_argument("--base-entropy", dest="base_entropy")
     synth.add_argument(
         "--bias", action="append",
         help="entropy bias as indicator=value (repeatable)",
@@ -131,26 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     if args.config:
         config = GeneratorConfig.from_file(args.config)
     else:
         config = GeneratorConfig()
-    updates = {}
-    for name in (
-        "households", "days", "archetypes", "noise_level",
-        "temperature_response", "outlier_rate", "fuzz_rate",
-        "bad_day_rate", "base_entropy",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if args.start_date:
-        updates["start_date"] = dt.date.fromisoformat(args.start_date)
-    bias = _parse_bias(args.bias)
-    if bias:
-        updates["entropy_bias"] = {**config.entropy_bias, **bias}
+    raw = {
+        key: value
+        for key, value in vars(args).items()
+        if key in GeneratorConfig.__dataclass_fields__ and value is not None
+    }
+    updates = parse_fields(
+        GeneratorConfig, {**raw, **_parse_bias(args.bias)}, GeneratorConfigError
+    )
+    if "entropy_bias" in updates:
+        updates["entropy_bias"] = {**config.entropy_bias, **updates["entropy_bias"]}
     config = replace(config, **updates)
     config.validate()
     corpus = generate_synthetic(config, args.seed)
@@ -174,11 +154,7 @@ def main(argv=None) -> int:
                 print(f"{stage_result.stage}: {stage_result.status}")
             print(f"run_id: {result.run_id}")
             return 0
-        from pathlib import Path
-
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        stage_result = _STAGE_COMMANDS[args.command](config, Manifest(out))
+        stage_result = _STAGE_FNS[args.command](config)
         print(f"{stage_result.stage}: {stage_result.status}")
         return 0
     except (ConfigError, GeneratorConfigError) as exc:

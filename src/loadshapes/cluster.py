@@ -37,14 +37,6 @@ DEFAULT_REL_TOL = 1e-6
 DEFAULT_MAX_SPLIT_ROUNDS = 200
 
 
-@dataclass(frozen=True)
-class Centroid:
-    """A cluster center: mean of member shapes plus its member count."""
-
-    values: np.ndarray
-    member_count: int
-
-
 def rse(shape, center) -> float:
     """Relative squared error of a shape against a cluster center.
 
@@ -207,9 +199,6 @@ class ClusterModel:
     @property
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)
-
-    def centroid(self, position: int) -> Centroid:
-        return Centroid(self.centroids[position].copy(), int(self.counts[position]))
 
     def rse_per_shape(self) -> np.ndarray:
         return rse_to_assigned(self.table.values, self.centroids, self.labels)

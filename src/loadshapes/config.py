@@ -1,0 +1,94 @@
+"""Flat ``key=value`` config files for the run and generator dataclasses.
+
+One ``key=value`` per line; blank lines and ``#`` comments are skipped.
+Each key names a dataclass field and its text is cast by that field's
+annotation: ``int``, ``float``, ``str``, an ISO ``dt.date``, or a
+comma-separated ``tuple``; ``X | None`` casts as ``X``. A ``dict[str, T]``
+field takes one line per entry, ``<prefix>.<name>=value``, where the prefix
+is the field's ``metadata["key"]`` (the field name by default). A new field
+needs no parser change.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import datetime as dt
+import types
+import typing
+
+
+def _cast(hint, text: str):
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if hint is tuple:
+        return tuple(s.strip() for s in text.split(",") if s.strip())
+    if hint is dt.date:
+        return dt.date.fromisoformat(text)
+    return hint(text)
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value if isinstance(value, str) else repr(value)
+
+
+def parse_fields(cls, raw: dict, error) -> dict:
+    """Constructor arguments for dataclass ``cls`` from ``{key: text}``.
+
+    An unknown key or a value its field type cannot take raises ``error``
+    naming the key.
+    """
+    hints = typing.get_type_hints(cls)
+    scalars, prefixes = {}, {}
+    for f in dataclasses.fields(cls):
+        if typing.get_origin(hints[f.name]) is dict:
+            prefixes[f.metadata.get("key", f.name)] = f.name
+        else:
+            scalars[f.name] = hints[f.name]
+    values: dict = {}
+    for key, text in raw.items():
+        prefix, _, entry = key.partition(".")
+        if key not in scalars and not (entry and prefix in prefixes):
+            raise error(f"unknown config key '{key}'")
+        try:
+            if key in scalars:
+                values[key] = _cast(scalars[key], text)
+            else:
+                name = prefixes[prefix]
+                item_hint = typing.get_args(hints[name])[1]
+                values.setdefault(name, {})[entry] = _cast(item_hint, text)
+        except ValueError as exc:
+            raise error(f"config key '{key}': bad value '{text}'") from exc
+    return values
+
+
+def read_config(cls, path, error) -> dict:
+    """Constructor arguments for dataclass ``cls`` from the file at ``path``."""
+    raw: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{line_no}: expected key=value")
+            key, text = (s.strip() for s in line.split("=", 1))
+            raw[key] = text
+    return parse_fields(cls, raw, error)
+
+
+def write_config(obj, path) -> None:
+    """Write every field of ``obj`` except ``None`` ones, in field order;
+    ``read_config`` reads the file back equal (floats as their ``repr``)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, dict):
+                prefix = f.metadata.get("key", f.name)
+                for name in sorted(value):
+                    fh.write(f"{prefix}.{name}={_format(value[name])}\n")
+            elif value is not None:
+                fh.write(f"{f.name}={_format(value)}\n")

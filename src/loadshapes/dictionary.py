@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Centroid, ClusterModel, _pairwise_sq_dists, rse_to_assigned
+from .cluster import ClusterModel, _pairwise_sq_dists, rse_to_assigned
 from .errors import (
     CorruptArtifactError,
     EmptyInputError,
@@ -57,10 +57,6 @@ class ClusterDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def shape(self, dictionary_id: int) -> Centroid:
-        pos = int(np.flatnonzero(self.ids == dictionary_id)[0])
-        return Centroid(self.values[pos].copy(), int(self.member_counts[pos]))
 
     def validate(self) -> None:
         sums = self.values.sum(axis=1)

@@ -1,10 +1,16 @@
 """End-to-end pipeline with reproducible, resumable stages.
 
-Stages: ingest -> cluster -> truncate -> assign -> analyze. Each stage
-records a parameter hash and input-file digests in run_manifest.json next
-to its artifacts; re-running with an identical entry and intact outputs
-skips the stage. A failing stage removes its partial outputs and surfaces
-a stage-named error.
+Stages: ingest -> cluster -> truncate -> assign -> analyze, declared once in
+the ``STAGES`` table. Each entry names the upstream artifacts the stage
+needs, the outputs it writes, the ``effective_params()`` keys it hashes,
+the config input files it reads, and its body. One runner does the rest for
+every stage: it validates the config, checks upstream artifacts ("run X
+first") and input files, records a parameter hash and input-file digests in
+run_manifest.json next to the artifacts, and skips the stage when that entry
+and the outputs are intact. A failing stage removes its partial outputs and
+surfaces a stage-named error. ``run_pipeline`` and the CLI stage commands
+both call the stage functions in ``_STAGE_FNS``, which are made from the
+table.
 
 ``run_pipeline`` parses shapes.csv at most once: ingest keeps the table it
 wrote, and the later stages look it up by the sha256 of shapes.csv that the
@@ -17,16 +23,20 @@ so identical configs and inputs reproduce outputs bit for bit.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import analytics
 from .cluster import adaptive_kmeans, hierarchical_merge, load_model, save_model
+from .config import read_config
 from .dictionary import (
     AssignmentTable,
     assign_all,
@@ -35,32 +45,211 @@ from .dictionary import (
     truncate,
 )
 from .errors import ConfigError, EmptyInputError, StageError
-from .ingest import SeasonCalendar, read_meter_corpus, read_survey, read_weather
+from .ingest import (
+    INDICATOR_VOCABULARY,
+    SeasonCalendar,
+    read_meter_corpus,
+    read_survey,
+    read_weather,
+)
 from .preprocess import ShapeTable, preprocess_days, subsample, SUBSAMPLE_ALGORITHM
 
 MANIFEST_NAME = "run_manifest.json"
 
-PIPELINE_STAGES = ("ingest", "cluster", "truncate", "assign", "analyze")
 
-STAGE_OUTPUTS = {
-    "ingest": ("shapes.csv", "cleaning_report.csv", "ingest_report.json"),
-    "cluster": ("model.json", "labels.csv"),
-    "truncate": ("dictionary.json",),
-    "assign": ("assignments.csv",),
-    "analyze": (
-        "entropy_by_stratum.csv",
-        "coverage_curve.csv",
-        "taxonomy.csv",
-        "household_entropy.csv",
-        "char_deltas.csv",
-        "occurrence_map.csv",
-    ),
-}
+# Stage bodies, in pipeline order. Each gets the config, the output
+# directory and the shape table (None for ingest), and writes its outputs;
+# ingest returns the table it wrote, so a run can hand it to later stages.
+
+def _ingest(config: RunConfig, out: Path, shapes: None) -> ShapeTable:
+    days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
+    read = {"meter": (days, meter_diags)}
+    if config.weather:
+        read["weather"] = read_weather(config.weather)
+    if config.survey:
+        read["survey"] = read_survey(config.survey)
+    report_payload = {}
+    for kind, (rows, diags) in read.items():
+        report_payload[f"{kind}_rows"] = len(rows)
+        report_payload[f"{kind}_diagnostics"] = [
+            {"row": d.row, "message": d.message} for d in diags
+        ]
+    table, report = preprocess_days(days)
+    report_payload["cleaning"] = {
+        "input": report.n_input,
+        "dropped_missing_hours": report.dropped_missing_hours,
+        "dropped_low_demand": report.dropped_low_demand,
+        "dropped_zero_discretionary": report.dropped_zero_discretionary,
+        "retained": report.retained,
+    }
+    table.write_csv(out / "shapes.csv")
+    report.write_csv(out / "cleaning_report.csv")
+    with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
+        json.dump(report_payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return table
+
+
+def _cluster(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
+    n = config.sample
+    if n > len(shapes):
+        warnings.warn(f"sample {n} exceeds corpus size {len(shapes)}; clamping")
+        n = len(shapes)
+    sub = subsample(shapes, n, config.seed)
+    model = adaptive_kmeans(
+        sub, theta=config.theta, k_init=config.k_init, seed=config.seed
+    )
+    model = hierarchical_merge(model, config.merge_violation)
+    save_model(model, out / "model.json", out / "labels.csv")
+
+
+def _load_subsample(shapes: ShapeTable, labels_path) -> ShapeTable:
+    """Rows of the shape table matching labels.csv, in labels order."""
+    index = {
+        (shapes.household_ids[i], shapes.dates[i].isoformat()): i
+        for i in range(len(shapes))
+    }
+    rows = []
+    with open(labels_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            rows.append(index[(row[0], row[1])])
+    return shapes.take(np.array(rows, dtype=np.int64))
+
+
+def _truncate(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
+    sub = _load_subsample(shapes, out / "labels.csv")
+    model = load_model(out / "model.json", out / "labels.csv", sub)
+    dictionary = truncate(model, config.truncate_violation)
+    dictionary.provenance["run_id"] = run_id_for(config)
+    save_dictionary(dictionary, out / "dictionary.json")
+
+
+def _assign(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
+    dictionary = load_dictionary(out / "dictionary.json")
+    assignments = assign_all(shapes, dictionary, workers=config.threads)
+    assignments.write_csv(out / "assignments.csv")
+
+
+def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
+    dictionary = load_dictionary(out / "dictionary.json")
+    assignments = AssignmentTable.read_csv(out / "assignments.csv", shapes)
+    weather = None
+    if config.weather:
+        weather, _ = read_weather(config.weather)
+    frame = analytics.build_frame(assignments, weather)
+    with open(out / "dictionary.json", encoding="utf-8") as fh:
+        dictionary_digest = json.load(fh)["digest"]
+    provenance = {
+        "run_id": run_id_for(config),
+        "dictionary_digest": dictionary_digest,
+        "params": config.effective_params(),
+    }
+
+    strata = analytics.day_type_strata() + analytics.season_strata()
+    quartile_note = None
+    mode, fixed_bounds = config.quartile_spec()
+    summer_dates = sorted(
+        {d for d in frame.date if SeasonCalendar.season(d) == "summer"}
+    )
+    if weather is not None and summer_dates:
+        try:
+            temp_strata, bounds = analytics.temperature_quartiles(
+                weather, summer_dates, mode=mode, boundaries=fixed_bounds
+            )
+            strata += temp_strata
+            provenance["temperature_boundaries"] = list(bounds)
+        except ValueError as exc:
+            quartile_note = str(exc)
+    else:
+        quartile_note = "no weather or no summer dates"
+    if quartile_note:
+        provenance["temperature_strata_skipped"] = quartile_note
+
+    report = analytics.stratified_entropy(frame, strata)
+    analytics.write_entropy_csv(report, out / "entropy_by_stratum.csv", provenance)
+
+    curve = analytics.coverage_curve(
+        assignments, dictionary, weight=config.coverage_weight
+    )
+    analytics.write_coverage_csv(curve, out / "coverage_curve.csv", provenance)
+
+    taxonomy = analytics.peak_taxonomy(dictionary)
+    analytics.write_taxonomy_csv(taxonomy, out / "taxonomy.csv", provenance)
+
+    entropies = analytics.household_entropy(frame)
+    summer_mask = np.array(
+        [SeasonCalendar.season(d) == "summer" for d in frame.date], dtype=bool
+    )
+    summer_entropies = (
+        analytics.household_entropy(frame, summer_mask)
+        if summer_mask.any()
+        else {}
+    )
+    analytics.write_household_entropy_csv(
+        entropies, summer_entropies, out / "household_entropy.csv", provenance
+    )
+
+    deltas = []
+    if config.survey:
+        profiles, _ = read_survey(config.survey)
+        for indicator in INDICATOR_VOCABULARY:
+            try:
+                deltas.append(
+                    analytics.characteristic_entropy_delta(
+                        entropies, profiles, indicator, seed=config.seed
+                    )
+                )
+            except EmptyInputError:
+                continue  # indicator unusable on this corpus
+    analytics.write_char_deltas_csv(deltas, out / "char_deltas.csv", provenance)
+
+    top = [int(c) for c in curve.cluster_ids[:3]]
+    provenance["occurrence_targets"] = top
+    occ = analytics.occurrence_map(frame, top, dictionary)
+    analytics.write_occurrence_csv(occ, out / "occurrence_map.csv", provenance)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table."""
+
+    name: str
+    requires: tuple  # upstream artifacts in the output directory
+    outputs: tuple
+    params: tuple  # effective_params() keys in the stage's params hash
+    sources: tuple  # RunConfig input-file fields it reads; a listed meter is required
+    body: Callable  # (config, out, shapes) -> the ShapeTable it wrote, or None
+
+
+STAGES = {stage.name: stage for stage in (
+    Stage("ingest", requires=(),
+          outputs=("shapes.csv", "cleaning_report.csv", "ingest_report.json"),
+          params=("meter_schema",), sources=("meter", "weather", "survey"),
+          body=_ingest),
+    Stage("cluster", requires=("shapes.csv",), outputs=("model.json", "labels.csv"),
+          params=("theta", "merge_violation", "sample", "seed", "k_init",
+                  "subsample_algorithm"),
+          sources=(), body=_cluster),
+    Stage("truncate", requires=("shapes.csv", "model.json", "labels.csv"),
+          outputs=("dictionary.json",), params=("truncate_violation",),
+          sources=(), body=_truncate),
+    Stage("assign", requires=("shapes.csv", "dictionary.json"),
+          outputs=("assignments.csv",), params=(), sources=(), body=_assign),
+    Stage("analyze", requires=("shapes.csv", "dictionary.json", "assignments.csv"),
+          outputs=("entropy_by_stratum.csv", "coverage_curve.csv", "taxonomy.csv",
+                   "household_entropy.csv", "char_deltas.csv", "occurrence_map.csv"),
+          params=("quartiles", "coverage_weight", "seed"),
+          sources=("weather", "survey"), body=_analyze),
+)}
+
+PIPELINE_STAGES = tuple(STAGES)
+
+STAGE_OUTPUTS = {name: stage.outputs for name, stage in STAGES.items()}
 
 # stage that produces each artifact, for "run X first" diagnostics
-_PRODUCER = {
-    name: stage for stage, names in STAGE_OUTPUTS.items() for name in names
-}
+_PRODUCER = {name: stage.name for stage in STAGES.values() for name in stage.outputs}
 
 
 @dataclass(frozen=True)
@@ -130,44 +319,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         """Flat key=value config file; explicit overrides (CLI flags) win."""
-        values: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                values[key] = raw
-        merged = cls._coerce(values)
-        if overrides:
-            merged.update(overrides)
-        return cls(**merged)
-
-    @staticmethod
-    def _coerce(values: dict) -> dict:
-        out: dict = {}
-        casts = {
-            "theta": float, "merge_violation": float, "truncate_violation": float,
-            "sample": int, "seed": int, "threads": int, "k_init": int,
-        }
-        for key, raw in values.items():
-            if key == "stages":
-                out[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
-            elif key in casts:
-                try:
-                    out[key] = casts[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"config key '{key}': bad value '{raw}'") from exc
-            elif key in (
-                "meter", "weather", "survey", "out", "quartiles",
-                "coverage_weight", "meter_schema",
-            ):
-                out[key] = raw
-            else:
-                raise ConfigError(f"unknown config key '{key}'")
-        return out
+        return cls(**{**read_config(cls, path, ConfigError), **(overrides or {})})
 
     def effective_params(self) -> dict:
         """All parameters that shape the outputs (threads excluded)."""
@@ -212,16 +364,23 @@ class Manifest:
 
     def update(self, stage: str, entry: dict) -> None:
         self.data["stages"][stage] = entry
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        self._save()
 
     def drop(self, stage: str) -> None:
-        if stage in self.data["stages"]:
-            del self.data["stages"][stage]
-            with open(self.path, "w", encoding="utf-8") as fh:
+        if self.data["stages"].pop(stage, None) is not None:
+            self._save()
+
+    def _save(self) -> None:
+        """Replace the manifest in one step: a failed write leaves the
+        previous file whole."""
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(self.data, fh, indent=1, sort_keys=True)
                 fh.write("\n")
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -242,43 +401,6 @@ class RunResult:
         return None
 
 
-def _require_artifact(out: Path, name: str, needed_by: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise StageError(
-            needed_by,
-            f"missing upstream artifact '{name}'; run `{_PRODUCER[name]}` first",
-        )
-    return path
-
-
-def _execute(stage: str, manifest: Manifest, params: dict, inputs: list,
-             out: Path, fn) -> StageResult:
-    entry = {
-        "params_hash": _params_hash(params),
-        "inputs": {str(p): _file_digest(p) for p in inputs},
-        "outputs": list(STAGE_OUTPUTS[stage]),
-    }
-    cached = manifest.entry(stage)
-    outputs_ok = all((out / name).exists() for name in STAGE_OUTPUTS[stage])
-    if cached == entry and outputs_ok:
-        return StageResult(stage, "cached")
-    try:
-        fn(entry["inputs"])
-    except StageError:
-        raise
-    except Exception as exc:
-        for name in STAGE_OUTPUTS[stage]:
-            try:
-                (out / name).unlink(missing_ok=True)
-            except OSError:
-                pass
-        manifest.drop(stage)
-        raise StageError(stage, str(exc)) from exc
-    manifest.update(stage, entry)
-    return StageResult(stage, "ran")
-
-
 def run_id_for(config: RunConfig) -> str:
     """Deterministic run id from parameters and input digests."""
     payload = dict(config.effective_params())
@@ -288,292 +410,87 @@ def run_id_for(config: RunConfig) -> str:
     return _params_hash(payload)[:12]
 
 
-def stage_ingest(config: RunConfig, manifest: Manifest | None = None,
-                 shapes_memo: dict | None = None) -> StageResult:
+def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
+               shapes_memo: dict | None) -> StageResult:
+    """Check, then run or skip, one stage; every stage function calls this."""
     config.validate()
     out = Path(config.out)
+    inputs = []
+    for name in stage.requires:
+        if not (out / name).exists():
+            raise StageError(
+                stage.name,
+                f"missing upstream artifact '{name}'; run `{_PRODUCER[name]}` first",
+            )
+        inputs.append(out / name)
+    if "meter" in stage.sources and config.meter is None:
+        raise StageError(stage.name, "no meter file configured")
+    for source in stage.sources:
+        path = getattr(config, source)
+        if path:
+            if not Path(path).exists():
+                raise StageError(stage.name, f"input file not found: {path}")
+            inputs.append(Path(path))
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest or Manifest(out)
-    if config.meter is None:
-        raise StageError("ingest", "no meter file configured")
-    inputs = [Path(config.meter)]
-    for extra in (config.weather, config.survey):
-        if extra:
-            inputs.append(Path(extra))
-    for path in inputs:
-        if not path.exists():
-            raise StageError("ingest", f"input file not found: {path}")
-    params = {
-        "meter_schema": config.meter_schema,
+    effective = config.effective_params()
+    entry = {
+        "params_hash": _params_hash({key: effective[key] for key in stage.params}),
+        "inputs": {str(p): _file_digest(p) for p in inputs},
+        "outputs": list(stage.outputs),
     }
-
-    def fn(digests):
-        days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
-        report_payload = {
-            "meter_rows": len(days),
-            "meter_diagnostics": [
-                {"row": d.row, "message": d.message} for d in meter_diags
-            ],
-        }
-        if config.weather:
-            weather, w_diags = read_weather(config.weather)
-            report_payload["weather_rows"] = len(weather)
-            report_payload["weather_diagnostics"] = [
-                {"row": d.row, "message": d.message} for d in w_diags
-            ]
-        if config.survey:
-            profiles, s_diags = read_survey(config.survey)
-            report_payload["survey_rows"] = len(profiles)
-            report_payload["survey_diagnostics"] = [
-                {"row": d.row, "message": d.message} for d in s_diags
-            ]
-        table, report = preprocess_days(days)
-        report_payload["cleaning"] = {
-            "input": report.n_input,
-            "dropped_missing_hours": report.dropped_missing_hours,
-            "dropped_low_demand": report.dropped_low_demand,
-            "dropped_zero_discretionary": report.dropped_zero_discretionary,
-            "retained": report.retained,
-        }
-        table.write_csv(out / "shapes.csv")
-        report.write_csv(out / "cleaning_report.csv")
-        with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
-            json.dump(report_payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        if shapes_memo is not None:
-            shapes_memo[_file_digest(out / "shapes.csv")] = table.freeze()
-
-    return _execute("ingest", manifest, params, inputs, out, fn)
-
-
-def _load_subsample(shapes: ShapeTable, labels_path) -> ShapeTable:
-    """Rows of the shape table matching labels.csv, in labels order."""
-    import csv
-
-    index = {
-        (shapes.household_ids[i], shapes.dates[i].isoformat()): i
-        for i in range(len(shapes))
-    }
-    rows = []
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append(index[(row[0], row[1])])
-    return shapes.take(np.array(rows, dtype=np.int64))
-
-
-def stage_cluster(config: RunConfig, manifest: Manifest | None = None,
-                  shapes_memo: dict | None = None) -> StageResult:
-    config.validate()
-    out = Path(config.out)
-    manifest = manifest or Manifest(out)
-    shapes_path = _require_artifact(out, "shapes.csv", "cluster")
-    params = {
-        "theta": config.theta,
-        "merge_violation": config.merge_violation,
-        "sample": config.sample,
-        "seed": config.seed,
-        "k_init": config.k_init,
-        "subsample_algorithm": SUBSAMPLE_ALGORITHM,
-    }
-
-    def fn(digests):
-        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
-        n = config.sample
-        if n > len(table):
-            warnings.warn(
-                f"sample {n} exceeds corpus size {len(table)}; clamping"
-            )
-            n = len(table)
-        sub = subsample(table, n, config.seed)
-        model = adaptive_kmeans(
-            sub, theta=config.theta, k_init=config.k_init, seed=config.seed
-        )
-        model = hierarchical_merge(model, config.merge_violation)
-        save_model(model, out / "model.json", out / "labels.csv")
-
-    return _execute("cluster", manifest, params, [shapes_path], out, fn)
-
-
-def stage_truncate(config: RunConfig, manifest: Manifest | None = None,
-                   shapes_memo: dict | None = None) -> StageResult:
-    config.validate()
-    out = Path(config.out)
-    manifest = manifest or Manifest(out)
-    shapes_path = _require_artifact(out, "shapes.csv", "truncate")
-    model_path = _require_artifact(out, "model.json", "truncate")
-    labels_path = _require_artifact(out, "labels.csv", "truncate")
-    params = {"truncate_violation": config.truncate_violation}
-
-    def fn(digests):
-        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
-        sub = _load_subsample(table, labels_path)
-        model = load_model(model_path, labels_path, sub)
-        dictionary = truncate(model, config.truncate_violation)
-        dictionary.provenance["run_id"] = run_id_for(config)
-        save_dictionary(dictionary, out / "dictionary.json")
-
-    return _execute(
-        "truncate", manifest, params, [shapes_path, model_path, labels_path], out, fn
-    )
-
-
-def stage_assign(config: RunConfig, manifest: Manifest | None = None,
-                 shapes_memo: dict | None = None) -> StageResult:
-    config.validate()
-    out = Path(config.out)
-    manifest = manifest or Manifest(out)
-    shapes_path = _require_artifact(out, "shapes.csv", "assign")
-    dict_path = _require_artifact(out, "dictionary.json", "assign")
-    params: dict = {}
-
-    def fn(digests):
-        table = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
-        dictionary = load_dictionary(dict_path)
-        assignments = assign_all(table, dictionary, workers=config.threads)
-        assignments.write_csv(out / "assignments.csv")
-
-    return _execute("assign", manifest, params, [shapes_path, dict_path], out, fn)
-
-
-def stage_analyze(config: RunConfig, manifest: Manifest | None = None,
-                  shapes_memo: dict | None = None) -> StageResult:
-    config.validate()
-    out = Path(config.out)
-    manifest = manifest or Manifest(out)
-    shapes_path = _require_artifact(out, "shapes.csv", "analyze")
-    dict_path = _require_artifact(out, "dictionary.json", "analyze")
-    assign_path = _require_artifact(out, "assignments.csv", "analyze")
-    inputs = [shapes_path, dict_path, assign_path]
-    if config.weather:
-        inputs.append(Path(config.weather))
-    if config.survey:
-        inputs.append(Path(config.survey))
-    params = {
-        "quartiles": config.quartiles,
-        "coverage_weight": config.coverage_weight,
-        "seed": config.seed,
-    }
-
-    def fn(digests):
-        shapes = ShapeTable.read_csv(shapes_path, shapes_memo, digests[str(shapes_path)])
-        dictionary = load_dictionary(dict_path)
-        assignments = AssignmentTable.read_csv(assign_path, shapes)
-        weather = None
-        if config.weather:
-            weather, _ = read_weather(config.weather)
-        frame = analytics.build_frame(assignments, weather)
-        with open(dict_path, encoding="utf-8") as fh:
-            dictionary_digest = json.load(fh)["digest"]
-        provenance = {
-            "run_id": run_id_for(config),
-            "dictionary_digest": dictionary_digest,
-            "params": config.effective_params(),
-        }
-
-        strata = analytics.day_type_strata() + analytics.season_strata()
-        quartile_note = None
-        mode, fixed_bounds = config.quartile_spec()
-        summer_dates = sorted(
-            {d for d in frame.date if SeasonCalendar.season(d) == "summer"}
-        )
-        if weather is not None and summer_dates:
+    outputs_ok = all((out / name).exists() for name in stage.outputs)
+    if manifest.entry(stage.name) == entry and outputs_ok:
+        return StageResult(stage.name, "cached")
+    try:
+        shapes = None
+        if "shapes.csv" in stage.requires:
+            shapes_path = out / "shapes.csv"
+            digest = entry["inputs"][str(shapes_path)]
+            shapes = ShapeTable.read_csv(shapes_path, shapes_memo, digest)
+        written = stage.body(config, out, shapes)
+        if written is not None and shapes_memo is not None:
+            shapes_memo[_file_digest(out / "shapes.csv")] = written.freeze()
+    except StageError:
+        raise
+    except Exception as exc:
+        for name in stage.outputs:
             try:
-                temp_strata, bounds = analytics.temperature_quartiles(
-                    weather, summer_dates, mode=mode, boundaries=fixed_bounds
-                )
-                strata += temp_strata
-                provenance["temperature_boundaries"] = list(bounds)
-            except ValueError as exc:
-                quartile_note = str(exc)
-        else:
-            quartile_note = "no weather or no summer dates"
-        if quartile_note:
-            provenance["temperature_strata_skipped"] = quartile_note
-
-        report = analytics.stratified_entropy(frame, strata)
-        analytics.write_entropy_csv(report, out / "entropy_by_stratum.csv", provenance)
-
-        curve = analytics.coverage_curve(
-            assignments, dictionary, weight=config.coverage_weight
-        )
-        analytics.write_coverage_csv(curve, out / "coverage_curve.csv", provenance)
-
-        taxonomy = analytics.peak_taxonomy(dictionary)
-        analytics.write_taxonomy_csv(taxonomy, out / "taxonomy.csv", provenance)
-
-        entropies = analytics.household_entropy(frame)
-        summer_mask = np.array(
-            [SeasonCalendar.season(d) == "summer" for d in frame.date], dtype=bool
-        )
-        summer_entropies = (
-            analytics.household_entropy(frame, summer_mask)
-            if summer_mask.any()
-            else {}
-        )
-        _write_household_entropy(
-            out / "household_entropy.csv", entropies, summer_entropies, provenance
-        )
-
-        deltas = []
-        if config.survey:
-            profiles, _ = read_survey(config.survey)
-            from .ingest import INDICATOR_VOCABULARY
-
-            for indicator in INDICATOR_VOCABULARY:
-                try:
-                    deltas.append(
-                        analytics.characteristic_entropy_delta(
-                            entropies, profiles, indicator, seed=config.seed
-                        )
-                    )
-                except EmptyInputError:
-                    continue  # indicator unusable on this corpus
-        analytics.write_char_deltas_csv(deltas, out / "char_deltas.csv", provenance)
-
-        top = [int(c) for c in curve.cluster_ids[:3]]
-        provenance["occurrence_targets"] = top
-        occ = analytics.occurrence_map(frame, top, dictionary)
-        analytics.write_occurrence_csv(occ, out / "occurrence_map.csv", provenance)
-
-    return _execute("analyze", manifest, params, inputs, out, fn)
+                (out / name).unlink(missing_ok=True)
+            except OSError:
+                pass
+        manifest.drop(stage.name)
+        raise StageError(stage.name, str(exc)) from exc
+    manifest.update(stage.name, entry)
+    return StageResult(stage.name, "ran")
 
 
-def _write_household_entropy(path, entropies, summer_entropies, provenance) -> None:
-    import csv
+def _stage_function(stage: Stage):
+    def run(config: RunConfig, manifest: Manifest | None = None,
+            shapes_memo: dict | None = None) -> StageResult:
+        return _run_stage(stage, config, manifest, shapes_memo)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(provenance, sort_keys=True, default=str) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "entropy", "entropy_summer"])
-        for hid in sorted(entropies):
-            summer = summer_entropies.get(hid)
-            writer.writerow(
-                [hid, repr(float(entropies[hid])),
-                 "" if summer is None else repr(float(summer))]
-            )
+    run.__name__ = run.__qualname__ = f"stage_{stage.name}"
+    run.__doc__ = f"Run the {stage.name} stage, or report it cached."
+    return run
 
 
-_STAGE_FNS = {
-    "ingest": stage_ingest,
-    "cluster": stage_cluster,
-    "truncate": stage_truncate,
-    "assign": stage_assign,
-    "analyze": stage_analyze,
-}
+# run_pipeline and the CLI call stages through this dict
+_STAGE_FNS = {name: _stage_function(stage) for name, stage in STAGES.items()}
+stage_ingest = _STAGE_FNS["ingest"]
+stage_cluster = _STAGE_FNS["cluster"]
+stage_truncate = _STAGE_FNS["truncate"]
+stage_assign = _STAGE_FNS["assign"]
+stage_analyze = _STAGE_FNS["analyze"]
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
     """Execute the selected stages in order, skipping cached ones."""
     config.validate()
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out)
+    manifest = Manifest(Path(config.out))
     shapes_memo: dict = {}  # sha256 of shapes.csv -> ShapeTable, this run only
     result = RunResult(run_id=run_id_for(config))
     for stage in PIPELINE_STAGES:
-        if stage not in config.stages:
-            continue
-        result.results.append(_STAGE_FNS[stage](config, manifest, shapes_memo))
+        if stage in config.stages:
+            result.results.append(_STAGE_FNS[stage](config, manifest, shapes_memo))
     return result

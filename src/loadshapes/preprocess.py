@@ -169,15 +169,13 @@ class ShapeTable:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(SHAPES_HEADER)
-            for i in range(len(self)):
+            for hid, date, total, disc, row in zip(
+                self.household_ids, self.dates, self.day_total_kwh,
+                self.discretionary_kwh, self.values,
+            ):
                 writer.writerow(
-                    [
-                        self.household_ids[i],
-                        self.dates[i].isoformat(),
-                        repr(float(self.day_total_kwh[i])),
-                        repr(float(self.discretionary_kwh[i])),
-                    ]
-                    + [repr(float(v)) for v in self.values[i]]
+                    [hid, date.isoformat(), repr(float(total)), repr(float(disc))]
+                    + [repr(v) for v in row.tolist()]
                 )
 
     @classmethod

@@ -22,10 +22,11 @@ generator in a fixed order: equal seeds give byte-identical files.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_config, write_config
 from .errors import GeneratorConfigError
 from .ingest import (
     HOURS_PER_DAY,
@@ -65,7 +66,8 @@ class GeneratorConfig:
     noise_level: float = 0.05
     temperature_response: float = 1.0
     base_entropy: float = 0.9
-    entropy_bias: dict = field(default_factory=dict)
+    # written as one bias.<indicator>=value line per entry
+    entropy_bias: dict[str, float] = field(default_factory=dict, metadata={"key": "bias"})
     outlier_rate: float = 0.0
     fuzz_rate: float = 0.0
     bad_day_rate: float = 0.0
@@ -90,54 +92,11 @@ class GeneratorConfig:
             raise GeneratorConfigError(f"entropy bias for unknown indicators {unknown}")
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"archetypes={self.archetypes}\n")
-            fh.write(f"households={self.households}\n")
-            fh.write(f"days={self.days}\n")
-            fh.write(f"start_date={self.start_date.isoformat()}\n")
-            fh.write(f"noise_level={self.noise_level!r}\n")
-            fh.write(f"temperature_response={self.temperature_response!r}\n")
-            fh.write(f"base_entropy={self.base_entropy!r}\n")
-            fh.write(f"outlier_rate={self.outlier_rate!r}\n")
-            fh.write(f"fuzz_rate={self.fuzz_rate!r}\n")
-            fh.write(f"bad_day_rate={self.bad_day_rate!r}\n")
-            fh.write(f"baseload_low_kw={self.baseload_low_kw!r}\n")
-            fh.write(f"baseload_high_kw={self.baseload_high_kw!r}\n")
-            fh.write(f"discretionary_kwh_mean={self.discretionary_kwh_mean!r}\n")
-            for name in sorted(self.entropy_bias):
-                fh.write(f"bias.{name}={self.entropy_bias[name]!r}\n")
+        write_config(self, path)
 
     @classmethod
     def from_file(cls, path) -> "GeneratorConfig":
-        cfg = cls()
-        bias: dict = {}
-        fields: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise GeneratorConfigError(f"{path}:{line_no}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                value = value.strip()
-                if key.startswith("bias."):
-                    bias[key[5:]] = float(value)
-                elif key in ("archetypes", "households", "days"):
-                    fields[key] = int(value)
-                elif key == "start_date":
-                    fields[key] = dt.date.fromisoformat(value)
-                elif key in (
-                    "noise_level", "temperature_response", "base_entropy",
-                    "outlier_rate", "fuzz_rate", "bad_day_rate",
-                    "baseload_low_kw", "baseload_high_kw",
-                    "discretionary_kwh_mean",
-                ):
-                    fields[key] = float(value)
-                else:
-                    raise GeneratorConfigError(f"{path}:{line_no}: unknown key '{key}'")
-        cfg = replace(cfg, entropy_bias=bias, **fields)
+        cfg = cls(**read_config(cls, path, GeneratorConfigError))
         cfg.validate()
         return cfg
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -7,9 +9,14 @@ import numpy as np
 import pytest
 
 from loadshapes import analytics
-from loadshapes.cli import main
+from loadshapes.cli import build_parser, main
+from loadshapes.config import write_config
 from loadshapes.errors import ConfigError, EmptyInputError, StageError
 from loadshapes.pipeline import (
+    _STAGE_FNS,
+    MANIFEST_NAME,
+    PIPELINE_STAGES,
+    Manifest,
     RunConfig,
     run_pipeline,
     stage_analyze,
@@ -384,3 +391,84 @@ def test_analyze_skips_only_unusable_indicators(
             stage_analyze(config)
         assert err.value.stage == "analyze"
         assert not (copy / "char_deltas.csv").exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--bias", "children_in_home=abc"], "bias.children_in_home"),
+    (["--start-date", "2011-13-01"], "start_date"),
+    (["--config", "{cfg}"], "days"),
+])
+def test_cli_synth_bad_value_is_a_configuration_error(tmp_path, capsys, flags, key):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("households=5\ndays=ten\n")
+    flags = [f.format(cfg=cfg) for f in flags]
+    code = main(["synth", "--seed", "1", "--out", str(tmp_path / "x")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert f"'{key}'" in err
+
+
+def test_failed_stage_command_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "fresh"
+    assert main(["truncate", "--seed", "1", "--out", str(out)]) == 1
+    assert "run `ingest` first" in capsys.readouterr().err
+    assert main(["ingest", "--seed", "1", "--out", str(out),
+                 "--meter", str(tmp_path / "missing.csv")]) == 1
+    assert "input file not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_write_failure_keeps_previous_manifest(tmp_path, monkeypatch):
+    manifest = Manifest(tmp_path)
+    manifest.update("ingest", {"params_hash": "a", "inputs": {}, "outputs": []})
+    before = (tmp_path / MANIFEST_NAME).read_text()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"stages": {"cluster"')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        manifest.update("cluster", {"params_hash": "b", "inputs": {}, "outputs": []})
+    with pytest.raises(OSError, match="disk full"):
+        manifest.drop("ingest")
+    monkeypatch.undo()
+    assert (tmp_path / MANIFEST_NAME).read_text() == before
+    assert Manifest(tmp_path).entry("ingest")["params_hash"] == "a"
+    assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
+
+
+def test_cli_stage_commands_follow_the_stage_table():
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert [name for name in subcommands if name not in ("run", "synth")] == list(
+        PIPELINE_STAGES)
+    assert list(_STAGE_FNS) == list(PIPELINE_STAGES)
+
+
+def test_run_config_file_round_trip(tmp_path):
+    config = RunConfig(
+        meter="m.csv", weather="w.csv", survey="s.csv", out="results",
+        theta=0.125, merge_violation=0.01, truncate_violation=0.2, sample=777,
+        seed=13, threads=2, quartiles="fixed:68,71,76",
+        coverage_weight="discretionary", meter_schema="long", k_init=7,
+        stages=("ingest", "cluster"),
+    )
+    default = RunConfig()
+    assert all(getattr(config, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig))
+    path = tmp_path / "run.cfg"
+    write_config(config, path)
+    keys = [line.split("=", 1)[0] for line in path.read_text().splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+    assert RunConfig.from_file(path) == config
+
+
+@pytest.mark.parametrize("key", ["theta", "merge_violation", "truncate_violation",
+                                 "sample", "seed", "threads", "k_init"])
+def test_run_config_bad_value_names_the_key(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed=1\n{key}=abc\n")
+    with pytest.raises(ConfigError, match=f"config key '{key}': bad value 'abc'"):
+        RunConfig.from_file(path)
