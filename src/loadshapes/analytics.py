@@ -24,7 +24,7 @@ from .errors import (
     NotADistributionError,
     SingletonClusteringError,
 )
-from .ingest import SeasonCalendar
+from .ingest import SeasonCalendar, day_numbers
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -53,35 +53,69 @@ def entropy(frequencies) -> float:
 
 
 class StratumFrame:
-    """Flat column view of assignments joined with calendar and weather."""
+    """Flat column view of assignments joined with calendar and weather.
 
-    def __init__(self, household_id, date, season, day_type, avg_temp_f,
+    ``day`` holds each row's date as int64 days since 1970-01-01. Household
+    and cluster ids are factorized once: ``households``/``clusters`` are
+    the sorted distinct ids (as ``np.unique`` gives them) and
+    ``household_code``/``cluster_code`` index them per row.
+    """
+
+    def __init__(self, household_id, date, day, season, day_type, avg_temp_f,
                  cluster_id, weight_total, weight_disc):
         self.household_id = household_id
         self.date = date
+        self.day = day
         self.season = season
         self.day_type = day_type
         self.avg_temp_f = avg_temp_f
         self.cluster_id = cluster_id
         self.weight_total = weight_total
         self.weight_disc = weight_disc
+        self.households, self.household_code = np.unique(household_id,
+                                                         return_inverse=True)
+        self.clusters, self.cluster_code = np.unique(cluster_id, return_inverse=True)
 
     def __len__(self) -> int:
         return len(self.cluster_id)
 
 
+def _present(codes, size) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``size`` codes occur, and each row's rank among those."""
+    present = np.bincount(codes, minlength=size) > 0
+    return present, (np.cumsum(present) - 1)[codes]
+
+
+def _code_counts(rows, n_rows, cols, n_cols) -> np.ndarray:
+    """Float (n_rows, n_cols) matrix counting each (row, col) code pair."""
+    flat = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
+    return flat.reshape(n_rows, n_cols).astype(float)
+
+
 def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
-    """Join assignments with season/day-type labels and daily temperatures."""
-    seasons, day_types = SeasonCalendar.labels(assignments.dates)
-    temp_by_date = {}
-    if weather is not None:
-        temp_by_date = {w.date: w.avg_temp_f for w in weather}
-    temps = np.array(
-        [temp_by_date.get(d, np.nan) for d in assignments.dates], dtype=float
-    )
+    """Join assignments with season/day-type labels and daily temperatures.
+
+    A date missing from the weather gets NaN; a date listed twice takes its
+    last temperature.
+    """
+    days = day_numbers(assignments.dates)
+    seasons, day_types = SeasonCalendar.day_labels(days)
+    temps = np.full(len(days), np.nan)
+    if weather:
+        w_days = day_numbers([w.date for w in weather])
+        order = np.argsort(w_days, kind="stable")
+        w_days = w_days[order]
+        w_temps = np.array([w.avg_temp_f for w in weather], dtype=float)[order]
+        last = np.ones(len(w_days), dtype=bool)
+        last[:-1] = w_days[1:] != w_days[:-1]
+        w_days, w_temps = w_days[last], w_temps[last]
+        pos = np.minimum(np.searchsorted(w_days, days), len(w_days) - 1)
+        hit = w_days[pos] == days
+        temps[hit] = w_temps[pos[hit]]
     return StratumFrame(
         household_id=assignments.household_ids,
         date=assignments.dates,
+        day=days,
         season=seasons,
         day_type=day_types,
         avg_temp_f=temps,
@@ -145,8 +179,10 @@ def temperature_quartiles(weather, dates, mode: str = "empirical",
     if not b1 <= b2 <= b3:
         raise ValueError(f"boundaries must be non-decreasing, got {boundaries}")
 
+    date_days = day_numbers(list(date_set))
+
     def in_dates(f):
-        return np.array([d in date_set for d in f.date], dtype=bool)
+        return np.isin(f.day, date_days)
 
     def make(label, lo, hi):
         def mask_fn(f):
@@ -202,8 +238,10 @@ class EntropyReport:
         return max(vals) - min(vals)
 
 
-def _frequencies(cluster_ids) -> dict:
-    ids, counts = np.unique(cluster_ids, return_counts=True)
+def _frequencies(frame: StratumFrame, sel) -> dict:
+    counts = np.bincount(frame.cluster_code[sel], minlength=len(frame.clusters))
+    present = counts > 0
+    ids, counts = frame.clusters[present], counts[present]
     total = counts.sum()
     return {int(i): float(c) / total for i, c in zip(ids, counts)}
 
@@ -222,7 +260,7 @@ def stratified_entropy(frame: StratumFrame, strata) -> EntropyReport:
                 StratumEntropy(stratum.axis, stratum.label, 0, None, {})
             )
             continue
-        freqs = _frequencies(frame.cluster_id[sel])
+        freqs = _frequencies(frame, sel)
         value = entropy(list(freqs.values()))
         report.entries.append(
             StratumEntropy(stratum.axis, stratum.label, n, value, freqs)
@@ -232,22 +270,17 @@ def stratified_entropy(frame: StratumFrame, strata) -> EntropyReport:
 
 def household_entropy(frame: StratumFrame, mask=None) -> dict:
     """Per-household entropy of its own shape-assignment distribution."""
-    sel = np.ones(len(frame), dtype=bool) if mask is None else np.asarray(mask)
-    hids = frame.household_id[sel]
-    cids = frame.cluster_id[sel]
-    out: dict = {}
-    unique_h, inverse = np.unique(hids, return_inverse=True)
-    unique_c, c_idx = np.unique(cids, return_inverse=True)
-    counts = np.zeros((len(unique_h), len(unique_c)))
-    np.add.at(counts, (inverse, c_idx), 1.0)
+    sel = slice(None) if mask is None else np.asarray(mask)
+    has_h, h_idx = _present(frame.household_code[sel], len(frame.households))
+    has_c, c_idx = _present(frame.cluster_code[sel], len(frame.clusters))
+    # columns: the clusters present under the mask, in np.unique order
+    counts = _code_counts(h_idx, int(has_h.sum()), c_idx, int(has_c.sum()))
     totals = counts.sum(axis=1, keepdims=True)
     p = counts / totals
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
     values = -terms.sum(axis=1)
-    for h, v in zip(unique_h, values):
-        out[h] = float(v)
-    return out
+    return {h: float(v) for h, v in zip(frame.households[has_h], values)}
 
 
 @dataclass(frozen=True)
@@ -532,9 +565,10 @@ def occurrence_map(frame: StratumFrame, target_ids,
     unknown = [t for t in targets if t not in known]
     if unknown:
         raise ValueError(f"unknown dictionary shape id(s) {unknown}")
-    unique_dates, date_idx = np.unique(frame.date, return_inverse=True)
-    dates = list(unique_dates)
-    households, house_idx = np.unique(frame.household_id, return_inverse=True)
+    _, first_rows, date_idx = np.unique(frame.day, return_index=True,
+                                        return_inverse=True)
+    dates = list(frame.date[first_rows])
+    households, house_idx = frame.households, frame.household_code
     matrix = np.zeros((len(households), len(dates)), dtype=np.uint8)
     hit = np.isin(frame.cluster_id, targets)
     matrix[house_idx[hit], date_idx[hit]] = 1
@@ -553,9 +587,8 @@ def occurrence_map(frame: StratumFrame, target_ids,
     with np.errstate(invalid="ignore"):
         daily_temp = np.where(temp_counts > 0, temp_sums / np.maximum(temp_counts, 1), np.nan)
 
-    unique_c, c_idx = np.unique(frame.cluster_id, return_inverse=True)
-    day_counts = np.zeros((len(dates), len(unique_c)))
-    np.add.at(day_counts, (date_idx, c_idx), 1.0)
+    day_counts = _code_counts(date_idx, len(dates), frame.cluster_code,
+                              len(frame.clusters))
     day_totals = day_counts.sum(axis=1, keepdims=True)
     p = day_counts / np.maximum(day_totals, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,7 +9,7 @@ overshoot V; both the entry and exit rates are recorded in provenance.
 
 The surviving centroids, ordered by descending total member kWh, form the
 dictionary. Every household-day is then assigned to its nearest dictionary
-shape by Euclidean distance, ties resolved to the lowest shape id.
+shape by Euclidean distance, exact ties resolved to the lowest shape id.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
 CENTROID_SUM_TOL = 1e-6
+
+# relative margin, far above the expanded form's rounding (~1e-15), within
+# which assign_all re-ranks candidates by direct differences
+TIE_RTOL = 1e-12
 
 ASSIGNMENTS_HEADER = ["household_id", "date", "cluster_id", "distance", "rse"]
 
@@ -233,11 +237,17 @@ class AssignmentTable:
 
 
 def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
-               chunk_size: int = 65536) -> AssignmentTable:
+               chunk_size: int = 8192) -> AssignmentTable:
     """Assign every shape to its nearest dictionary shape (Euclidean).
 
-    Ties go to the lowest shape id. Chunks are independent, so the result
-    does not depend on the worker count.
+    Ties go to the lowest shape id: every shape whose expanded-form squared
+    distance lies within rounding of the row minimum is re-ranked by its
+    direct squared difference. Chunks are independent and each row's label
+    depends only on that row, so the result does not depend on the chunk
+    size or the worker count. At k=99 the default chunk makes one worker's
+    distance block 6.5 MB, where 65,536 rows made it 52 MB; on the
+    benchmark's ``assign_analyze`` corpus that lowered both the assignment
+    time and the peak RSS.
     """
     if len(dictionary) == 0:
         raise EmptyInputError("cannot assign against an empty dictionary")
@@ -245,7 +255,9 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
     X = table.values if table is not None else np.asarray(shapes, dtype=float)
     n = len(X)
     D = dictionary.values
+    ids = dictionary.ids
     denom = (D**2).sum(axis=1)
+    cc_max = float(denom.max())
     labels = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
     rse_vals = np.empty(n)
@@ -253,8 +265,21 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
     def work(start: int) -> None:
         stop = min(start + chunk_size, n)
         block = X[start:stop]
-        d2 = _pairwise_sq_dists(block, D)
+        xx = (block**2).sum(axis=1)
+        d2 = _pairwise_sq_dists(block, D, xx)
         lab = d2.argmin(axis=1)
+        # the expanded form rounds at the scale of |x|^2 + |c|^2, so it can
+        # misorder near-ties; re-rank every candidate within that margin
+        slack = d2[np.arange(len(lab)), lab] + TIE_RTOL * (xx + cc_max)
+        close = d2 <= slack[:, None]
+        multi = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+        if len(multi):
+            r, c = np.nonzero(close[multi])
+            direct = ((block[multi[r]] - D[c]) ** 2).sum(axis=1)
+            order = np.lexsort((ids[c], direct, r))
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = r[order[1:]] != r[order[:-1]]
+            lab[multi] = c[order[first]]
         labels[start:stop] = lab
         # recompute the winning distance directly: the expanded form loses
         # precision near zero (the distance of an exact match must be 0)

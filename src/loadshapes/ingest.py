@@ -116,6 +116,18 @@ _MONTH_SEASON = {
 SEASONS = ("summer", "autumn", "winter", "spring")
 DAY_TYPES = ("weekday", "weekend")
 
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# label arrays index these, so all rows share one str object per label
+_SEASON_OF_MONTH0 = np.array([_MONTH_SEASON[m] for m in range(1, 13)], dtype=object)
+_DAY_TYPE_OF_WEEKEND = np.array(DAY_TYPES, dtype=object)
+
+
+def day_numbers(dates) -> np.ndarray:
+    """int64 days since 1970-01-01 of a sequence of dates."""
+    ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64,
+                           count=len(dates))
+    return ordinals - _EPOCH_ORDINAL
+
 
 class SeasonCalendar:
     """Meteorological seasons and weekday/weekend labels for any date.
@@ -135,9 +147,15 @@ class SeasonCalendar:
     @classmethod
     def labels(cls, dates) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (season, day_type) label arrays for a date sequence."""
-        seasons = np.array([cls.season(d) for d in dates], dtype=object)
-        day_types = np.array([cls.day_type(d) for d in dates], dtype=object)
-        return seasons, day_types
+        return cls.day_labels(day_numbers(dates))
+
+    @staticmethod
+    def day_labels(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(season, day_type) object arrays for ``day_numbers`` output."""
+        months = days.astype("datetime64[D]").astype("datetime64[M]")
+        month0 = months.astype(np.int64) % 12  # months since 1970-01
+        weekend = (days + 3) % 7 >= 5  # 1970-01-01 was a Thursday
+        return _SEASON_OF_MONTH0[month0], _DAY_TYPE_OF_WEEKEND[weekend.astype(np.intp)]
 
 
 def _parse_date(cell: str) -> dt.date:

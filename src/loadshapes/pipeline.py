@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from .dictionary import (
 from .errors import ConfigError, EmptyInputError, StageError
 from .ingest import (
     INDICATOR_VOCABULARY,
-    SeasonCalendar,
     read_meter_corpus,
     read_survey,
     read_weather,
@@ -150,9 +150,8 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     strata = analytics.day_type_strata() + analytics.season_strata()
     quartile_note = None
     mode, fixed_bounds = config.quartile_spec()
-    summer_dates = sorted(
-        {d for d in frame.date if SeasonCalendar.season(d) == "summer"}
-    )
+    summer_mask = frame.season == "summer"
+    summer_dates = sorted(set(frame.date[summer_mask]))
     if weather is not None and summer_dates:
         try:
             temp_strata, bounds = analytics.temperature_quartiles(
@@ -179,9 +178,6 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     analytics.write_taxonomy_csv(taxonomy, out / "taxonomy.csv", provenance)
 
     entropies = analytics.household_entropy(frame)
-    summer_mask = np.array(
-        [SeasonCalendar.season(d) == "summer" for d in frame.date], dtype=bool
-    )
     summer_entropies = (
         analytics.household_entropy(frame, summer_mask)
         if summer_mask.any()
@@ -273,8 +269,8 @@ class RunConfig:
     stages: tuple = PIPELINE_STAGES
 
     def validate(self) -> None:
-        if self.theta <= 0:
-            raise ConfigError(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"theta must be finite and > 0, got {self.theta}")
         if not 0.0 <= self.merge_violation < 1.0:
             raise ConfigError(
                 f"merge_violation must be in [0, 1), got {self.merge_violation}"
@@ -309,9 +305,14 @@ class RunConfig:
                     f"fixed quartiles need 3 boundaries, got '{self.quartiles}'"
                 )
             try:
-                return "fixed", tuple(float(p) for p in parts)
+                bounds = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise ConfigError(f"bad quartile boundary in '{self.quartiles}'") from exc
+            if not all(map(math.isfinite, bounds)):
+                raise ConfigError(
+                    f"quartiles boundaries must be finite, got '{self.quartiles}'"
+                )
+            return "fixed", bounds
         raise ConfigError(
             f"quartiles must be 'empirical' or 'fixed:a,b,c', got '{self.quartiles}'"
         )

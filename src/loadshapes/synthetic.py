@@ -22,7 +22,8 @@ generator in a fixed order: equal seeds give byte-identical files.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class GeneratorConfig:
     discretionary_kwh_mean: float = 6.0
 
     def validate(self) -> None:
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        numbers += [(f"bias.{k}", v) for k, v in self.entropy_bias.items()]
+        for name, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise GeneratorConfigError(f"{name} must be finite, got {value}")
         if self.archetypes < 2:
             raise GeneratorConfigError("need at least 2 archetype shapes")
         if self.days <= 0:

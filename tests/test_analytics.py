@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,51 @@ def test_household_entropy_respects_mask():
     summer = np.array([d.month == 7 for d in frame.date])
     ent = household_entropy(frame, summer)
     assert ent["H1"] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_build_frame_temperature_join():
+    dates = [D(2011, 7, 1), D(2011, 7, 2), D(2011, 7, 3)]
+    # 7/2 is missing; 7/1 is listed twice and takes its last value
+    weather = weather_for([dates[0], dates[2], dates[0]], [70.0, 80.0, 75.5])
+    frame, _ = frame_from([("H1", d, 1) for d in dates + dates[::-1]], weather)
+    assert frame.avg_temp_f[[0, 2, 3, 5]].tolist() == [75.5, 80.0, 80.0, 75.5]
+    assert np.isnan(frame.avg_temp_f[[1, 4]]).all()
+
+
+def test_integer_household_ids():
+    records = [(7, D(2011, 7, 1), 1), (3, D(2011, 7, 1), 2), (7, D(2011, 7, 2), 2),
+               (3, D(2011, 7, 2), 2), (7, D(2011, 7, 3), 1)]
+    frame, _ = frame_from(records)
+    ent = household_entropy(frame)
+    assert list(ent) == [3, 7] and all(type(h) is int for h in ent)
+    assert ent[3] == 0.0
+    assert ent[7] == pytest.approx(entropy([2 / 3, 1 / 3]), abs=1e-12)
+    occ = occurrence_map(frame, [2], dictionary_of([np.full(24, 1 / 24)] * 2))
+    assert occ.household_ids.tolist() == [3, 7]
+
+
+def test_household_entropy_mask_drops_households_and_clusters():
+    records = [("HB", D(2011, 7, 1), 5), ("HA", D(2011, 7, 1), 1),
+               ("HB", D(2011, 1, 2), 2), ("HC", D(2011, 1, 3), 9),
+               ("HA", D(2011, 7, 2), 5), ("HB", D(2011, 7, 3), 1)]
+    frame, _ = frame_from(records)
+    summer = frame.season == "summer"
+    ent = household_entropy(frame, summer)
+    assert list(ent) == ["HA", "HB"]
+    assert ent["HA"] == ent["HB"] == pytest.approx(math.log(2), abs=1e-12)
+    assert household_entropy(frame, np.zeros(len(frame), dtype=bool)) == {}
+    report = stratified_entropy(frame, season_strata())
+    assert report.get("winter").frequencies == {2: 0.5, 9: 0.5}
+
+
+def test_occurrence_map_dates_are_the_frames_own_objects():
+    dates = [D(2011, 7, 3), D(2011, 7, 1), D(2011, 7, 2)]
+    records = [("H1", d, 1) for d in dates] + [("H2", d, 2) for d in dates]
+    frame, _ = frame_from(records)
+    occ = occurrence_map(frame, [2], dictionary_of([np.full(24, 1 / 24)] * 2))
+    assert occ.dates == sorted(dates)
+    own = {id(d) for d in frame.date}
+    assert all(type(d) is dt.date and id(d) in own for d in occ.dates)
 
 
 def profiles_with(indicator, with_ids, without_ids, absent_ids=()):
@@ -505,3 +551,58 @@ def test_csv_writers_emit_provenance(tmp_path):
     for name in ("e.csv", "c.csv", "t.csv", "d.csv"):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first.startswith("#") and "abc123" in first
+
+
+GOLDEN_ANALYTICS_SHA256 = (
+    "3a5c8424d37979934b51515c378b7bf8ce642bb69bc3bd17c59a2ed5e48c6dbf"
+)
+
+
+def seeded_analytics_digest() -> str:
+    """sha256 over the build_frame -> stratified_entropy -> household_entropy
+    (with and without a summer mask) -> occurrence_map outputs on one seeded
+    corpus whose rows are not grouped by household and whose weather misses
+    some dates."""
+    rng = np.random.default_rng(2024)
+    n = 4000
+    households = np.array([f"H{i:03d}" for i in rng.permutation(60)], dtype=object)
+    hids = households[rng.integers(0, 60, n)]
+    start = D(2010, 11, 15)
+    dates = [start + dt.timedelta(days=int(o)) for o in rng.integers(0, 500, n)]
+    p = rng.dirichlet(np.ones(15))
+    cids = rng.choice(np.arange(1, 16), size=n, p=p)
+    totals = rng.uniform(5.0, 40.0, n)
+    table = AssignmentTable(hids, dates, cids, np.zeros(n), np.zeros(n),
+                            totals, totals / 2)
+    all_days = [start + dt.timedelta(days=i) for i in range(500)]
+    missing = set(rng.choice(500, size=25, replace=False).tolist())
+    weather = [WeatherDay(d, round(float(t), 1))
+               for i, (d, t) in enumerate(zip(all_days, rng.uniform(35, 98, 500)))
+               if i not in missing]
+    frame = build_frame(table, weather)
+    have = {w.date for w in weather}
+    summer_dates = sorted({d for d in dates if d.month in (6, 7, 8) and d in have})
+    temp_strata, bounds = temperature_quartiles(weather, summer_dates)
+    report = stratified_entropy(
+        frame, day_type_strata() + season_strata() + temp_strata)
+    summer = np.array([d.month in (6, 7, 8) for d in dates])
+    ent = household_entropy(frame)
+    ent_summer = household_entropy(frame, summer)
+    occ = occurrence_map(frame, [2, 5, 11], dictionary_of([np.full(24, 1 / 24)] * 15))
+    h = hashlib.sha256()
+    for part in (
+        repr(frame.season.tolist()), repr(frame.day_type.tolist()),
+        frame.avg_temp_f.tobytes(), repr(bounds),
+        repr([(e.axis, e.label, e.n, e.entropy, list(e.frequencies.items()))
+              for e in report.entries]),
+        repr(list(ent.items())), repr(list(ent_summer.items())),
+        repr(occ.household_ids.tolist()), repr(occ.dates), occ.matrix.tobytes(),
+        occ.daily_mean_temp_f.tobytes(), occ.daily_entropy.tobytes(),
+    ):
+        h.update(part.encode() if isinstance(part, str) else part)
+    return h.hexdigest()
+
+
+def test_analytics_chain_golden_digest():
+    # computed with the per-row (np.unique on objects, np.add.at) analytics
+    assert seeded_analytics_digest() == GOLDEN_ANALYTICS_SHA256

@@ -187,6 +187,46 @@ def test_assign_tie_goes_to_lowest_id():
     assert out.cluster_ids.tolist() == [1]
 
 
+def swap_tie_cases(rng, n):
+    """(a, b, x): b is a with two hours swapped and x holds a with both of
+    those hours set to their midpoint, so the direct squared distances from
+    x to a and to b are equal bit for bit."""
+    cases = []
+    for _ in range(n):
+        a = unit_shapes(rng, 1)[0]
+        i, j = rng.choice(24, size=2, replace=False)
+        b = a.copy()
+        b[[i, j]] = a[[j, i]]
+        x = a.copy()
+        x[i] = x[j] = (a[i] + a[j]) / 2
+        cases.append((a, b, x))
+    return cases
+
+
+def two_shape_dictionary(first, second, ids=(1, 2)):
+    return ClusterDictionary(
+        values=np.vstack([first, second]),
+        ids=np.array(ids, dtype=np.int64),
+        member_counts=np.full(2, 10, dtype=np.int64),
+        member_kwh=np.array([2.0, 1.0]),
+        member_discretionary_kwh=np.array([2.0, 1.0]),
+        theta=0.3,
+        truncation_v=0.3,
+    )
+
+
+def test_assign_exact_ties_go_to_lowest_id():
+    rng = np.random.default_rng(36)
+    wrong = []
+    for a, b, x in swap_tie_cases(rng, 2000):
+        assert ((x - a) ** 2).sum() == ((x - b) ** 2).sum()
+        for first, second, ids in ((a, b, (1, 2)), (b, a, (1, 2)), (a, b, (2, 1))):
+            out = assign_all(x[None, :], two_shape_dictionary(first, second, ids))
+            if out.cluster_ids[0] != 1:
+                wrong.append(ids)
+    assert wrong == []
+
+
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(33)
     X = unit_shapes(rng, 100)
@@ -219,6 +259,36 @@ def test_assign_idempotent_and_worker_independent():
     assert np.array_equal(one.distances, four.distances)
     again = assign_all(X, dictionary, workers=1, chunk_size=64)
     assert np.array_equal(one.cluster_ids, again.cluster_ids)
+
+
+def test_assign_does_not_depend_on_chunking():
+    rng = np.random.default_rng(37)
+    k = 99
+    values = unit_shapes(rng, k)
+    dictionary = ClusterDictionary(
+        values=values,
+        ids=np.arange(1, k + 1, dtype=np.int64),
+        member_counts=np.full(k, 5, dtype=np.int64),
+        member_kwh=np.arange(k, 0, -1, dtype=float),
+        member_discretionary_kwh=np.arange(k, 0, -1, dtype=float),
+        theta=0.3,
+        truncation_v=0.3,
+    )
+    ties = [x for _, _, x in swap_tie_cases(rng, 50)]
+    X = np.vstack([unit_shapes(rng, 9000), values[::7], ties])
+    n = len(X)
+    table = ShapeTable(X, np.array([f"h{i % 40}" for i in range(n)], dtype=object),
+                       np.array([dt.date(2011, 1, 1)] * n, dtype=object),
+                       np.ones(n), np.ones(n))
+    for shapes in (table, X):
+        ref = assign_all(shapes, dictionary)
+        for chunk_size in (1, 7, 8192, 65536, n):
+            for workers in (1, 4):
+                out = assign_all(shapes, dictionary, workers=workers,
+                                 chunk_size=chunk_size)
+                assert np.array_equal(out.cluster_ids, ref.cluster_ids)
+                assert np.array_equal(out.distances, ref.distances)
+                assert np.array_equal(out.rses, ref.rses)
 
 
 def test_assign_empty_dictionary_rejected():

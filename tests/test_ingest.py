@@ -334,6 +334,15 @@ def test_day_type_weekend_rule():
     assert SeasonCalendar.day_type(D(2011, 7, 4)) == "weekday"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dates(), max_size=40))
+def test_vectorized_labels_match_per_date_rules(dates):
+    seasons, day_types = SeasonCalendar.labels(dates)
+    assert seasons.tolist() == [SeasonCalendar.season(d) for d in dates]
+    assert day_types.tolist() == [SeasonCalendar.day_type(d) for d in dates]
+    assert seasons.dtype == object and day_types.dtype == object
+
+
 def test_indicator_vocabulary_is_closed():
     assert len(INDICATOR_VOCABULARY) == 12
     prof = HouseholdProfile("H1", {})

@@ -159,6 +159,20 @@ def test_run_config_validation():
     RunConfig(seed=1, quartiles="fixed:68,71,76").validate()
 
 
+@pytest.mark.parametrize("field", ["theta", "merge_violation", "truncate_violation"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(seed=1, **{field: value}).validate()
+
+
+@pytest.mark.parametrize("quartiles", ["fixed:nan,71,76", "fixed:68,71,inf",
+                                       "fixed:-inf,71,76"])
+def test_run_config_rejects_non_finite_quartiles(quartiles):
+    with pytest.raises(ConfigError, match="quartiles"):
+        RunConfig(seed=1, quartiles=quartiles).validate()
+
+
 def test_run_config_file_with_flag_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -257,6 +271,13 @@ def test_cli_truncate_violation_monotonicity(tmp_path, capsys):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     code = main(["run", "--meter", "x.csv", "--out", str(tmp_path), "--seed",
                  "1", "--theta", "0"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_theta_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--meter", "x.csv", "--out", str(tmp_path), "--seed",
+                 "1", "--theta", "nan"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
 

@@ -70,6 +70,21 @@ def test_generator_validation():
         GeneratorConfig(outlier_rate=0.8, fuzz_rate=0.5).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"noise_level": float("nan")},
+    {"base_entropy": float("inf")},
+    {"noise_level": float("nan"), "base_entropy": float("inf")},
+    {"temperature_response": float("-inf")},
+    {"outlier_rate": float("nan")},
+    {"baseload_high_kw": float("inf")},
+    {"discretionary_kwh_mean": float("nan")},
+    {"entropy_bias": {"elderly": float("nan")}},
+])
+def test_generator_validation_rejects_non_finite(overrides):
+    with pytest.raises(GeneratorConfigError):
+        GeneratorConfig(**overrides).validate()
+
+
 def test_generated_files_parse_cleanly(tmp_path):
     cfg = GeneratorConfig(archetypes=4, households=30, days=20)
     corpus = generate_synthetic(cfg, seed=3)
