@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,10 @@ from .errors import (
 from .ingest import SeasonCalendar, day_numbers
 
 DISTRIBUTION_TOL = 1e-6
+
+# index draws per bootstrap block: 1 MB of uint32 indices, 2 MB each of
+# intp indices and gathered values; peak memory is independent of n_boot
+BOOTSTRAP_BLOCK = 1 << 18
 
 # Clock-hour bins for peak timing; [start, end) wrapping across midnight.
 PEAK_BINS = (
@@ -293,6 +299,52 @@ class CharacteristicDelta:
     n_without: int
 
 
+def _block_means(values, idx, pos, buf, out) -> None:
+    """Write the row means of ``values[idx]`` into ``out``.
+
+    ``pos`` (intp) and ``buf`` (float) are scratch of ``idx``'s shape that
+    the caller allocates, so the helper thread allocates nothing: memory a
+    thread allocates stays resident in that thread's malloc arena.
+    """
+    np.copyto(pos, idx)
+    # every index is in range, so "clip" changes none and skips the
+    # buffered bounds check of the default mode
+    np.take(values, pos, out=buf, mode="clip")
+    np.mean(buf, axis=1, out=out)
+
+
+def _bootstrap_means(rng, groups, n_boot: int) -> list:
+    """``n_boot`` resample means of each group, equal bit for bit to
+    ``g[rng.integers(0, len(g), size=(n_boot, len(g)))].mean(axis=1)``
+    evaluated for each group in turn.
+
+    The main thread draws index blocks of ``BOOTSTRAP_BLOCK // len(g)``
+    rows in that order: PCG64 keeps the spare half of a 64-bit output in
+    its state, and uint32 and int64 draws below 2**32 take the same 32-bit
+    path, so consecutive blocks continue the one-shot stream exactly. One
+    helper thread gathers and averages each block while the next one is
+    drawn; at most two blocks are alive at once.
+    """
+    outs = [np.empty(n_boot) for _ in groups]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for values, out in zip(groups, outs):
+            n = len(values)
+            step = max(1, BOOTSTRAP_BLOCK // n)
+            shape = (min(step, n_boot), n)
+            pos, buf = np.empty(shape, dtype=np.intp), np.empty(shape)
+            for start in range(0, n_boot, step):
+                rows = min(step, n_boot - start)
+                idx = rng.integers(0, n, size=(rows, n), dtype=np.uint32)
+                if pending is not None:
+                    pending.result()  # frees the scratch and the previous block
+                pending = pool.submit(_block_means, values, idx, pos[:rows],
+                                      buf[:rows], out[start:start + rows])
+        if pending is not None:
+            pending.result()
+    return outs
+
+
 def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
                                  n_boot: int = 10_000, seed: int = 0,
                                  alpha: float = 0.05) -> CharacteristicDelta:
@@ -300,8 +352,17 @@ def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
 
     Households with the indicator unknown are excluded from the comparison.
     The bootstrap resamples households (the independent sampling unit) in
-    each group separately; deterministic for a fixed seed.
+    each group separately; deterministic for a fixed seed. ``n_boot`` must
+    be an integer >= 1 and ``alpha`` a real number in (0, 1); otherwise
+    ValueError. Resamples are drawn block by block from one generator in
+    the order of a single draw per group and averaged on a helper thread,
+    so the CI depends on neither the block size nor thread timing.
     """
+    if (not isinstance(n_boot, numbers.Integral) or isinstance(n_boot, bool)
+            or n_boot < 1):
+        raise ValueError(f"n_boot must be an integer >= 1, got {n_boot!r}")
+    if not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     with_vals, without_vals = [], []
     any_present = False
     for prof in profiles:
@@ -320,9 +381,7 @@ def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
     w = np.array(with_vals)
     wo = np.array(without_vals)
     delta = float(w.mean() - wo.mean())
-    rng = np.random.default_rng(seed)
-    means_w = w[rng.integers(0, len(w), size=(n_boot, len(w)))].mean(axis=1)
-    means_wo = wo[rng.integers(0, len(wo), size=(n_boot, len(wo)))].mean(axis=1)
+    means_w, means_wo = _bootstrap_means(np.random.default_rng(seed), (w, wo), n_boot)
     deltas = means_w - means_wo
     lo, hi = np.quantile(deltas, [alpha / 2, 1 - alpha / 2])
     return CharacteristicDelta(

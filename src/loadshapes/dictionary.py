@@ -48,6 +48,8 @@ class ClusterDictionary:
 
     Row order is by descending total member kWh (id as tiebreak); ids are
     assigned in that order at construction and survive persistence.
+    ``digest`` is the sha256 that ``load_dictionary`` verified, None for a
+    dictionary built in memory.
     """
 
     values: np.ndarray
@@ -58,6 +60,7 @@ class ClusterDictionary:
     theta: float
     truncation_v: float
     provenance: dict = field(default_factory=dict)
+    digest: str | None = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -369,6 +372,7 @@ def load_dictionary(path) -> ClusterDictionary:
         theta=float(payload["theta"]),
         truncation_v=float(payload["truncation_v"]),
         provenance=payload.get("provenance", {}),
+        digest=digest,
     )
     dictionary.validate()
     return dictionary

@@ -139,11 +139,9 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     if config.weather:
         weather, _ = read_weather(config.weather)
     frame = analytics.build_frame(assignments, weather)
-    with open(out / "dictionary.json", encoding="utf-8") as fh:
-        dictionary_digest = json.load(fh)["digest"]
     provenance = {
         "run_id": run_id_for(config),
-        "dictionary_digest": dictionary_digest,
+        "dictionary_digest": dictionary.digest,
         "params": config.effective_params(),
     }
 

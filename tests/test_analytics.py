@@ -1,10 +1,14 @@
 import datetime as dt
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loadshapes import analytics
 from loadshapes.analytics import (
     CharacteristicDelta,
     build_frame,
@@ -306,6 +310,141 @@ def test_delta_ci_width_shrinks_with_group_size():
         return d.ci_high - d.ci_low
 
     assert width(400) < width(40)
+
+
+def _three_and_three():
+    entropies = {f"H{i}": float(i) for i in range(6)}
+    profiles = profiles_with("elderly", ["H0", "H1", "H2"], ["H3", "H4", "H5"])
+    return entropies, profiles
+
+
+@pytest.mark.parametrize("n_boot", [0, -1, 2.5, 1e4, True, "100", None])
+def test_delta_rejects_bad_n_boot(n_boot):
+    entropies, profiles = _three_and_three()
+    with pytest.raises(ValueError, match="n_boot"):
+        characteristic_entropy_delta(entropies, profiles, "elderly", n_boot=n_boot)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.05, math.nan, math.inf, "0.05", None])
+def test_delta_rejects_bad_alpha(alpha):
+    entropies, profiles = _three_and_three()
+    with pytest.raises(ValueError, match="alpha"):
+        characteristic_entropy_delta(entropies, profiles, "elderly", alpha=alpha)
+
+
+def test_delta_accepts_numpy_scalars_and_a_single_resample():
+    entropies, profiles = _three_and_three()
+    d = characteristic_entropy_delta(entropies, profiles, "elderly",
+                                     n_boot=np.int64(1), alpha=np.float64(0.1))
+    assert d.ci_low == d.ci_high
+
+
+def test_delta_golden_values():
+    # computed before the bootstrap was drawn in blocks: the block-wise draw
+    # and the helper-thread averaging must not move a single bit
+    rng = np.random.default_rng(685)
+    ids = [f"H{i:03d}" for i in range(685)]
+    entropies = {h: float(v) for h, v in zip(ids, rng.uniform(0.5, 2.5, 685))}
+    flags = rng.random(685) < 0.44
+    profiles = [HouseholdProfile(h, {"children": bool(f)}) for h, f in zip(ids, flags)]
+    d = characteristic_entropy_delta(entropies, profiles, "children", seed=7)
+    assert (d.n_with, d.n_without) == (295, 390)
+    assert d.delta == -0.06141351061762035
+    assert d.ci_low == -0.14616382855718896
+    assert d.ci_high == 0.022062539866422967
+
+
+def _one_shot_means(seed, groups, n_boot):
+    rng = np.random.default_rng(seed)
+    return [g[rng.integers(0, len(g), size=(n_boot, len(g)))].mean(axis=1)
+            for g in groups]
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    n_boot = draw(st.integers(1, 5000))
+    # cap the one-shot reference at 1.5M draws per group
+    largest = max(2, min(3000, 1_500_000 // n_boot))
+    n_w = draw(st.integers(2, largest))
+    n_wo = draw(st.integers(2, largest))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seed, n_w, n_wo, n_boot
+
+
+def _check_blocks_equal_one_shot(case):
+    seed, n_w, n_wo, n_boot = case
+    values = np.random.default_rng(seed ^ 0x5EED).uniform(0, 3, n_w + n_wo)
+    groups = (values[:n_w], values[n_w:])
+    got = analytics._bootstrap_means(np.random.default_rng(seed), groups, n_boot)
+    want = _one_shot_means(seed, groups, n_boot)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.shape == (n_boot,)
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bootstrap_cases())
+def test_bootstrap_blocks_equal_one_shot(case):
+    _check_blocks_equal_one_shot(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bootstrap_cases())
+def test_bootstrap_many_small_blocks_equal_one_shot(case):
+    # 7 draws per block: one row per block once a group has 8 or more
+    # households, and a partial last block for the smaller ones
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "BOOTSTRAP_BLOCK", 7)
+        _check_blocks_equal_one_shot(case)
+
+
+@pytest.mark.parametrize("seed,n_w,n_wo,n_boot", [
+    (0, 2, 3, 1),           # a single resample
+    (1, 2, 2, 7),           # 7 // 2 = 3 rows per block, partial last block
+    (2, 8, 7, 9),           # 7 // 8 = 0 rows: the one-row floor
+    (3, 300, 385, 10_000),  # the benchmark's split at full size
+])
+def test_bootstrap_edge_blocks_equal_one_shot(monkeypatch, seed, n_w, n_wo, n_boot):
+    _check_blocks_equal_one_shot((seed, n_w, n_wo, n_boot))
+    monkeypatch.setattr(analytics, "BOOTSTRAP_BLOCK", 7)
+    _check_blocks_equal_one_shot((seed, n_w, n_wo, n_boot))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 295, 300, 385, 390, 685, 3000, 2**31 + 1, 2**32])
+def test_uint32_draws_equal_int64_draws(n):
+    for seed in (0, 7, 2**32 - 1):
+        a = np.random.default_rng(seed).integers(0, n, size=(50, 40), dtype=np.uint32)
+        b = np.random.default_rng(seed).integers(0, n, size=(50, 40))
+        assert b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_bootstrap_helper_thread_ends_after_return():
+    before = threading.active_count()
+    groups = (np.arange(5.0), np.arange(9.0))
+    analytics._bootstrap_means(np.random.default_rng(0), groups, 2000)
+    assert threading.active_count() == before
+
+
+def test_bootstrap_error_in_block_propagates_and_thread_ends(monkeypatch):
+    boom = RuntimeError("gather failed")
+    calls = []
+
+    def failing_gather(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise boom
+
+    monkeypatch.setattr(analytics, "_block_means", failing_gather)
+    monkeypatch.setattr(analytics, "BOOTSTRAP_BLOCK", 7)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        analytics._bootstrap_means(np.random.default_rng(0),
+                                   (np.arange(9.0), np.arange(9.0)), 20)
+    assert info.value is boom
+    assert 3 <= len(calls) <= 4  # stops at the failing block, plus the one drawn meanwhile
+    assert threading.active_count() == before
 
 
 def dbi_instance():

@@ -315,6 +315,8 @@ def test_dictionary_save_load_round_trip(tmp_path):
     assert np.array_equal(back.member_counts, dictionary.member_counts)
     assert back.theta == dictionary.theta
     assert back.provenance["note"] == "test"
+    assert back.digest == json.loads(path.read_text())["digest"]
+    assert dictionary.digest is None  # built in memory, never verified
 
 
 def test_dictionary_load_rejects_tampered_digest(tmp_path):

@@ -1,9 +1,11 @@
 import argparse
+import builtins
 import dataclasses
 import filecmp
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +211,28 @@ def test_analytics_carry_run_id_provenance(smoke_run):
     assert result.run_id in first
     digest = json.loads((out / "dictionary.json").read_text())["digest"]
     assert digest in first
+
+
+def test_analyze_reads_dictionary_json_once(smoke_corpus, smoke_run, tmp_path,
+                                            monkeypatch):
+    _, out, _ = smoke_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((Path(file).name, args[0] if args else kwargs.get("mode", "r")))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert stage_analyze(smoke_config(smoke_corpus, copy)).status == "ran"
+    monkeypatch.undo()
+    # parsed once, by load_dictionary, which also verifies the digest
+    assert opened.count(("dictionary.json", "r")) == 1
+    for name in ARTIFACTS:
+        assert filecmp.cmp(out / name, copy / name, shallow=False), name
 
 
 def test_cli_synth_deterministic(tmp_path, capsys):
