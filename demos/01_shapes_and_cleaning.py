@@ -12,7 +12,7 @@ import datetime as dt
 
 import numpy as np
 
-from loadshapes import GeneratorConfig, LoadDay, generate_synthetic
+from loadshapes import DayTable, GeneratorConfig, generate_synthetic
 from loadshapes.preprocess import demin, normalize, preprocess_days, subsample
 
 # --- a corpus with deliberately injected bad days -------------------------
@@ -46,21 +46,19 @@ print(f"\n{len(table)} shapes: unit sum and exact-zero minimum verified")
 profile = np.zeros(24)
 profile[17] = 1.25  # a single evening activity burst
 profile[18] = 0.75
-low_base = LoadDay("low", dt.date(2011, 7, 1), 0.25 + profile)
-high_base = LoadDay("high", dt.date(2011, 7, 1), 2.5 + profile)
+days = DayTable(["low", "high"], [dt.date(2011, 7, 1)] * 2,
+                [0.25 + profile, 2.5 + profile])
 
-plain_low = low_base.kwh / low_base.kwh.sum()
-plain_high = high_base.kwh / high_base.kwh.sum()
+plain_low, plain_high = days.kwh / days.kwh.sum(axis=1, keepdims=True)
 print("\nnormalize WITHOUT de-minning (shape range = max - min):")
 print(f"  low baseload:  range {plain_low.max() - plain_low.min():.4f}")
 print(f"  high baseload: range {plain_high.max() - plain_high.min():.4f}"
       "   <- flattened, signal muted")
 
-sv_low = normalize(demin(low_base), "low", low_base.date, low_base.kwh.sum())
-sv_high = normalize(demin(high_base), "high", high_base.date, high_base.kwh.sum())
+shape_low, shape_high = normalize(demin(days.kwh))  # row by row
 print("de-min THEN normalize:")
 print(f"  identical shapes for both baseloads: "
-      f"{np.array_equal(sv_low.values, sv_high.values)}")
+      f"{np.array_equal(shape_low, shape_high)}")
 
 # --- drawing the clustering subsample --------------------------------------
 

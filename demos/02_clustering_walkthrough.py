@@ -35,9 +35,8 @@ print(f"{len(table)} shapes; 5 planted archetypes, "
 
 print("\nerror threshold sweep (every shape must fit within theta):")
 print("  theta   K1   violation rate")
-sub = preprocess_days(corpus.days)[0]
 for theta in (0.1, 0.2, 0.3, 0.4, 0.5):
-    model = adaptive_kmeans(sub, theta=theta, k_init=10, seed=42)
+    model = adaptive_kmeans(table, theta=theta, k_init=10, seed=42)
     print(f"  {theta:4.2f} {model.n_clusters:5d}   {model.violation_rate:.4f}")
 
 # --- the full chain at theta = 0.3 ------------------------------------------

@@ -47,8 +47,8 @@ from .dictionary import (
 )
 from .ingest import (
     INDICATOR_VOCABULARY,
+    DayTable,
     HouseholdProfile,
-    LoadDay,
     SeasonCalendar,
     WeatherDay,
     read_meter_corpus,
@@ -60,7 +60,6 @@ from .pipeline import RunConfig, run_pipeline
 from .preprocess import (
     CleaningReport,
     ShapeTable,
-    ShapeVector,
     clean,
     demin,
     normalize,
@@ -84,17 +83,16 @@ __all__ = [
     "ClusterDictionary",
     "ClusterModel",
     "CoverageCurve",
+    "DayTable",
     "EntropyReport",
     "GeneratorConfig",
     "HouseholdProfile",
     "INDICATOR_VOCABULARY",
-    "LoadDay",
     "OccurrenceMap",
     "PeakTaxonomy",
     "RunConfig",
     "SeasonCalendar",
     "ShapeTable",
-    "ShapeVector",
     "Stratum",
     "SyntheticCorpus",
     "WeatherDay",

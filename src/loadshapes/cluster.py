@@ -402,7 +402,13 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
 
 
 def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
-    """Rebuild a ClusterModel from model.json + labels.csv and its shape table."""
+    """Rebuild a ClusterModel from model.json + labels.csv and a shape table.
+
+    ``table`` holds every labelled shape and may hold more, such as the full
+    shape table the model was subsampled from. The model's table is the rows
+    labels.csv names, in labels.csv order. A key the table lacks, or one
+    labels.csv lists twice, raises CorruptArtifactError.
+    """
     with open(model_path, encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("schema_version")
@@ -413,23 +419,35 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     ids = np.asarray(payload["ids"], dtype=np.int64)
     centroids = np.asarray(payload["centroids"], dtype=float)
     position = {int(cid): pos for pos, cid in enumerate(ids)}
-    keys = {}
+    row_of = {
+        (hid, date.isoformat()): i
+        for i, (hid, date) in enumerate(zip(table.household_ids, table.dates))
+    }
+    rows, labels = [], []
     with open(labels_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            keys[(row[0], row[1])] = int(row[2])
-    labels = np.empty(len(table), dtype=np.int64)
-    for i in range(len(table)):
+            key = (row[0], row[1])
+            if key not in row_of:
+                raise CorruptArtifactError(
+                    f"labels file names shape key {key}, which the shape table lacks"
+                )
+            cid = int(row[2])
+            if cid not in position:
+                raise CorruptArtifactError(
+                    f"labels file names cluster id {cid}, which model.json lacks"
+                )
+            rows.append(row_of[key])
+            labels.append(position[cid])
+    rows = np.array(rows, dtype=np.int64)
+    repeated = np.flatnonzero(np.bincount(rows, minlength=len(table)) > 1)
+    if len(repeated):
+        i = repeated[0]
         key = (table.household_ids[i], table.dates[i].isoformat())
-        if key not in keys:
-            raise CorruptArtifactError(f"labels file missing shape key {key}")
-        cid = keys[key]
-        if cid not in position:
-            raise CorruptArtifactError(
-                f"labels file names cluster id {cid}, which model.json lacks"
-            )
-        labels[i] = position[cid]
+        raise CorruptArtifactError(f"labels file lists shape key {key} twice")
+    table = table.take(rows)
+    labels = np.array(labels, dtype=np.int64)
     model = ClusterModel(
         table=table,
         centroids=centroids,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterModel, _pairwise_sq_dists, rse_to_assigned
+from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assigned
 from .errors import (
     CorruptArtifactError,
     EmptyInputError,
@@ -250,12 +250,13 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
     size or the worker count. At k=99 the default chunk makes one worker's
     distance block 6.5 MB, where 65,536 rows made it 52 MB; on the
     benchmark's ``assign_analyze`` corpus that lowered both the assignment
-    time and the peak RSS.
+    time and the peak RSS. A bare (N, 24) array is keyed as
+    ``adaptive_kmeans`` keys one: placeholder keys and unit kWh.
     """
     if len(dictionary) == 0:
         raise EmptyInputError("cannot assign against an empty dictionary")
-    table = shapes if isinstance(shapes, ShapeTable) else None
-    X = table.values if table is not None else np.asarray(shapes, dtype=float)
+    table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
+    X = table.values
     n = len(X)
     D = dictionary.values
     ids = dictionary.ids
@@ -298,22 +299,14 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
         for s in starts:
             work(s)
 
-    if table is not None:
-        return AssignmentTable(
-            table.household_ids,
-            table.dates,
-            dictionary.ids[labels],
-            dist,
-            rse_vals,
-            table.day_total_kwh,
-            table.discretionary_kwh,
-        )
     return AssignmentTable(
-        np.array([f"s{i}" for i in range(n)], dtype=object),
-        np.array([dt.date(2000, 1, 1)] * n, dtype=object),
+        table.household_ids,
+        table.dates,
         dictionary.ids[labels],
         dist,
         rse_vals,
+        table.day_total_kwh,
+        table.discretionary_kwh,
     )
 
 

@@ -2,8 +2,9 @@
 
 Readers are single-pass and stateless. Each returns ``(records, diagnostics)``
 where diagnostics is a list of :class:`Diagnostic` describing rejected rows or
-cells that were marked missing. Hard schema problems (unreadable file, header
-mismatch, duplicate keys) raise instead.
+cells that were marked missing; the meter readers' records are one
+:class:`DayTable`. Hard schema problems (unreadable file, header mismatch,
+duplicate keys) raise instead.
 
 File formats are UTF-8 CSV with ISO-8601 dates:
 
@@ -61,28 +62,28 @@ class Diagnostic:
     message: str
 
 
-@dataclass(frozen=True)
-class LoadDay:
-    """One household-day of 24 hourly kWh readings.
+class DayTable:
+    """Household-days as columns, one row per day.
 
-    ``kwh[t-1]`` holds slot t, covering clock hour [t-1, t); slot 1 is
-    midnight to 1am. Missing readings are NaN.
+    ``kwh[i, t-1]`` holds slot t of day i, covering clock hour [t-1, t);
+    slot 1 is midnight to 1am. Missing readings are NaN.
     """
 
-    household_id: str
-    date: dt.date
-    kwh: np.ndarray
+    def __init__(self, household_ids, dates, kwh):
+        self.household_ids = np.asarray(household_ids, dtype=object)
+        self.dates = np.asarray(dates, dtype=object)
+        self.kwh = np.ascontiguousarray(kwh, dtype=float)
+        if self.kwh.ndim != 2 or self.kwh.shape[1] != HOURS_PER_DAY:
+            raise ValueError(f"expected (N, 24) hourly slots, got shape {self.kwh.shape}")
+        if not len(self.household_ids) == len(self.dates) == len(self.kwh):
+            raise ValueError("column lengths differ")
 
-    def __post_init__(self):
-        arr = np.asarray(self.kwh, dtype=float)
-        if arr.shape != (HOURS_PER_DAY,):
-            raise ValueError(f"expected 24 hourly slots, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "kwh", arr)
+    def __len__(self) -> int:
+        return len(self.kwh)
 
-    @property
-    def key(self) -> tuple[str, dt.date]:
-        return (self.household_id, self.date)
+    def take(self, indices) -> "DayTable":
+        idx = np.asarray(indices)
+        return DayTable(self.household_ids[idx], self.dates[idx], self.kwh[idx])
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def _check_header(actual: list[str] | None, expected: list[str], path) -> None:
 
 
 def read_meter_corpus(path, schema: str = "wide"):
-    """Read hourly meter readings into LoadDay records.
+    """Read hourly meter readings into a :class:`DayTable`.
 
     Returns ``(days, diagnostics)``. Raises on unreadable file, header
     mismatch, or duplicate (household_id, date) keys.
@@ -205,7 +206,9 @@ def read_meter_corpus(path, schema: str = "wide"):
 
 
 def _read_meter_wide(path):
-    days: list[LoadDay] = []
+    household_ids: list[str] = []
+    dates: list[dt.date] = []
+    rows: list[np.ndarray] = []
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -247,8 +250,11 @@ def _read_meter_wide(path):
                         for t in range(HOURS_PER_DAY)
                     ]
                 )
-            days.append(LoadDay(household_id, date, kwh))
-    return days, diagnostics
+            household_ids.append(household_id)
+            dates.append(date)
+            rows.append(kwh)
+    kwh = np.array(rows).reshape(-1, HOURS_PER_DAY)
+    return DayTable(household_ids, dates, kwh), diagnostics
 
 
 def _read_meter_long(path):
@@ -293,31 +299,37 @@ def _read_meter_long(path):
             slots[key][hour - 1] = _parse_kwh_cell(
                 row[3], row_no, f"hour {hour}", diagnostics
             )
-    days = [LoadDay(hid, date, kwh) for (hid, date), kwh in slots.items()]
+    days = DayTable(
+        [hid for hid, _ in slots],
+        [date for _, date in slots],
+        np.array(list(slots.values())).reshape(-1, HOURS_PER_DAY),
+    )
     return days, diagnostics
 
 
-def write_meter_corpus(days, path, schema: str = "wide") -> None:
-    """Write LoadDay records back to CSV (round-trip counterpart of the readers).
+def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
+    """Write a :class:`DayTable` to CSV, one day at a time (round-trip
+    counterpart of the readers).
 
     Readings are written as the ``repr`` of Python floats (shortest text that
     parses back to the same double); missing (NaN) readings as empty cells.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
+        rows = zip(days.household_ids, days.dates, days.kwh)
         if schema == "wide":
             writer.writerow(WIDE_HEADER)
-            for day in days:
+            for household_id, date, kwh in rows:
                 writer.writerow(
-                    [day.household_id, day.date.isoformat()]
-                    + ["" if v != v else repr(v) for v in day.kwh.tolist()]
+                    [household_id, date.isoformat()]
+                    + ["" if v != v else repr(v) for v in kwh.tolist()]
                 )
         elif schema == "long":
             writer.writerow(LONG_HEADER)
-            for day in days:
-                for t, v in enumerate(day.kwh.tolist(), start=1):
+            for household_id, date, kwh in rows:
+                for t, v in enumerate(kwh.tolist(), start=1):
                     writer.writerow(
-                        [day.household_id, day.date.isoformat(), t,
+                        [household_id, date.isoformat(), t,
                          "" if v != v else repr(v)]
                     )
         else:

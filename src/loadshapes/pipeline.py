@@ -23,7 +23,6 @@ so identical configs and inputs reproduce outputs bit for bit.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -32,8 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import analytics
 from .cluster import adaptive_kmeans, hierarchical_merge, load_model, save_model
@@ -103,24 +100,8 @@ def _cluster(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     save_model(model, out / "model.json", out / "labels.csv")
 
 
-def _load_subsample(shapes: ShapeTable, labels_path) -> ShapeTable:
-    """Rows of the shape table matching labels.csv, in labels order."""
-    index = {
-        (shapes.household_ids[i], shapes.dates[i].isoformat()): i
-        for i in range(len(shapes))
-    }
-    rows = []
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append(index[(row[0], row[1])])
-    return shapes.take(np.array(rows, dtype=np.int64))
-
-
 def _truncate(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
-    sub = _load_subsample(shapes, out / "labels.csv")
-    model = load_model(out / "model.json", out / "labels.csv", sub)
+    model = load_model(out / "model.json", out / "labels.csv", shapes)
     dictionary = truncate(model, config.truncate_violation)
     dictionary.provenance["run_id"] = run_id_for(config)
     save_dictionary(dictionary, out / "dictionary.json")

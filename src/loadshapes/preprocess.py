@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ZeroDiscretionaryError
-from .ingest import HOURS_PER_DAY, LoadDay
+from .ingest import HOURS_PER_DAY, DayTable
 
 LOW_DEMAND_KW = 0.2
 UNIT_SUM_TOL = 1e-9
@@ -28,22 +28,6 @@ SHAPES_HEADER = (
     ["household_id", "date", "day_total_kwh", "discretionary_kwh"]
     + [f"v{i}" for i in range(1, 25)]
 )
-
-
-@dataclass(frozen=True)
-class ShapeVector:
-    """De-minned, unit-sum discretionary profile of one household-day."""
-
-    values: np.ndarray
-    household_id: str
-    date: dt.date
-    day_total_kwh: float
-    discretionary_kwh: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass
@@ -99,10 +83,10 @@ class CleaningReport:
 
 
 class ShapeTable:
-    """Column-oriented collection of ShapeVectors.
+    """De-minned, unit-sum shapes as columns, one row per retained
+    household-day, with the day's raw and discretionary kWh.
 
-    Bulk operations (clustering, assignment) work on ``values`` directly;
-    indexing returns individual :class:`ShapeVector` views.
+    Bulk operations (clustering, assignment) work on ``values`` directly.
     """
 
     def __init__(self, values, household_ids, dates, day_total_kwh, discretionary_kwh):
@@ -124,18 +108,6 @@ class ShapeTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i: int) -> ShapeVector:
-        return ShapeVector(
-            self.values[i],
-            self.household_ids[i],
-            self.dates[i],
-            float(self.day_total_kwh[i]),
-            float(self.discretionary_kwh[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def take(self, indices) -> "ShapeTable":
         idx = np.asarray(indices)
         return ShapeTable(
@@ -153,17 +125,6 @@ class ShapeTable:
                        self.day_total_kwh, self.discretionary_kwh):
             column.flags.writeable = False
         return self
-
-    @classmethod
-    def from_shapes(cls, shapes) -> "ShapeTable":
-        shapes = list(shapes)
-        return cls(
-            np.array([s.values for s in shapes]),
-            [s.household_id for s in shapes],
-            [s.date for s in shapes],
-            [s.day_total_kwh for s in shapes],
-            [s.discretionary_kwh for s in shapes],
-        )
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -208,86 +169,71 @@ class ShapeTable:
         return cls(np.array(values).reshape(-1, HOURS_PER_DAY), household_ids, dates, totals, discs)
 
 
-def clean(days) -> tuple[list[LoadDay], CleaningReport]:
+def clean(days: DayTable) -> tuple[DayTable, CleaningReport]:
     """Drop days with missing hours or mean demand below 0.2 kW.
 
     A day failing both rules counts under missing-hours (checked first).
     The 0.2 kW boundary is inclusive: a constant 0.2 kWh/h day is retained.
     """
-    report = CleaningReport(n_input=len(days))
-    kept: list[LoadDay] = []
-    for day in days:
-        if np.isnan(day.kwh).any():
-            report.dropped_missing_hours += 1
-        elif day.kwh.mean() < LOW_DEMAND_KW:
-            report.dropped_low_demand += 1
-        else:
-            kept.append(day)
-    report.retained = len(kept)
+    missing = np.isnan(days.kwh).any(axis=1)
+    low_demand = ~missing & (days.kwh.mean(axis=1) < LOW_DEMAND_KW)
+    kept = ~(missing | low_demand)
+    report = CleaningReport(
+        n_input=len(days),
+        dropped_missing_hours=int(missing.sum()),
+        dropped_low_demand=int(low_demand.sum()),
+        retained=int(kept.sum()),
+    )
     report.check()
-    return kept, report
+    return days.take(kept), report
 
 
-def demin(day: LoadDay) -> np.ndarray:
-    """Subtract the daily minimum from each hour; the result has min 0."""
-    return day.kwh - np.min(day.kwh)
+def demin(kwh) -> np.ndarray:
+    """Subtract the daily minimum from each hour; the result has min 0.
+
+    ``kwh`` is one day (24,) or a table of days (N, 24)."""
+    kwh = np.asarray(kwh, dtype=float)
+    return kwh - kwh.min(axis=-1, keepdims=True)
 
 
-def normalize(
-    deminned,
-    household_id: str = "",
-    date: dt.date | None = None,
-    day_total_kwh: float = float("nan"),
-) -> ShapeVector:
+def normalize(deminned) -> np.ndarray:
     """Scale a de-minned profile to unit sum.
 
     Raises ZeroDiscretionaryError for an all-zero profile (perfectly flat
     day); callers exclude such days and tally them in the CleaningReport.
     """
     arr = np.asarray(deminned, dtype=float)
-    total = float(arr.sum())
-    if total == 0.0:
-        raise ZeroDiscretionaryError(
-            f"day ({household_id}, {date}) has zero discretionary usage"
-        )
-    return ShapeVector(arr / total, household_id, date, day_total_kwh, total)
+    total = arr.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
+        raise ZeroDiscretionaryError("day has zero discretionary usage")
+    return arr / total
 
 
-def shape_from_day(day: LoadDay) -> ShapeVector:
+def shape_from_day(kwh) -> np.ndarray:
     """Convenience: demin then normalize one cleaned day."""
-    return normalize(
-        demin(day), day.household_id, day.date, float(day.kwh.sum())
-    )
+    return normalize(demin(kwh))
 
 
-def preprocess_days(days) -> tuple[ShapeTable, CleaningReport]:
+def preprocess_days(days: DayTable) -> tuple[ShapeTable, CleaningReport]:
     """Full preprocessing: clean, de-min, normalize, tally every drop rule."""
     kept, report = clean(days)
-    if not kept:
-        report.check()
-        return (
-            ShapeTable(np.empty((0, HOURS_PER_DAY)), [], [], [], []),
-            report,
-        )
-    kwh = np.stack([d.kwh for d in kept])
-    deminned = kwh - kwh.min(axis=1, keepdims=True)
+    deminned = demin(kept.kwh)
     totals = deminned.sum(axis=1)
-    flat = totals == 0.0
-    report.dropped_zero_discretionary = int(flat.sum())
+    ok = totals != 0.0
+    report.dropped_zero_discretionary = int((~ok).sum())
     report.retained -= report.dropped_zero_discretionary
     report.check()
-    ok = ~flat
     table = ShapeTable(
-        deminned[ok] / totals[ok, None],
-        [d.household_id for d, keep in zip(kept, ok) if keep],
-        [d.date for d, keep in zip(kept, ok) if keep],
-        kwh[ok].sum(axis=1),
+        normalize(deminned[ok]),
+        kept.household_ids[ok],
+        kept.dates[ok],
+        kept.kwh[ok].sum(axis=1),
         totals[ok],
     )
     return table, report
 
 
-def subsample(shapes, n: int, seed: int):
+def subsample(shapes: ShapeTable, n: int, seed: int) -> ShapeTable:
     """Uniform draw of n shapes without replacement, deterministic per seed."""
     size = len(shapes)
     if n > size:
@@ -296,6 +242,4 @@ def subsample(shapes, n: int, seed: int):
         raise EmptyInputError("cannot subsample an empty collection")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(size, size=n, replace=False))
-    if isinstance(shapes, ShapeTable):
-        return shapes.take(idx)
-    return [shapes[i] for i in idx]
+    return shapes.take(idx)

@@ -32,13 +32,14 @@ from .errors import GeneratorConfigError
 from .ingest import (
     HOURS_PER_DAY,
     INDICATOR_VOCABULARY,
+    DayTable,
     HouseholdProfile,
-    LoadDay,
     WeatherDay,
     write_meter_corpus,
     write_survey,
     write_weather,
 )
+from .preprocess import demin, normalize
 
 COOLING_ARCHETYPE = 0
 
@@ -107,16 +108,13 @@ class GeneratorConfig:
         return cfg
 
 
-def _circular_bump(center: float, width: float) -> np.ndarray:
+def _circular_bump(center, width: float) -> np.ndarray:
+    """A circular Gaussian bump over the 24 hours; an (n, 1) array of
+    centers gives n bumps."""
     t = np.arange(HOURS_PER_DAY, dtype=float)
     d = np.abs(t - center)
     d = np.minimum(d, HOURS_PER_DAY - d)
     return np.exp(-0.5 * (d / width) ** 2)
-
-
-def _to_shape(raw: np.ndarray) -> np.ndarray:
-    v = raw - raw.min()
-    return v / v.sum()
 
 
 def archetype_shapes(k: int) -> np.ndarray:
@@ -136,7 +134,7 @@ def archetype_shapes(k: int) -> np.ndarray:
         center, width = extension[(j - 5) % len(extension)]
         shift = 0.25 * ((j - 5) // len(extension))  # crowding beyond 11
         recipes.append(_circular_bump(center + shift, width))
-    return np.array([_to_shape(r) for r in recipes[:k]])
+    return normalize(demin(np.array(recipes[:k])))
 
 
 def _mixtures_for_entropy(k: int, preferred: np.ndarray,
@@ -210,7 +208,7 @@ class SyntheticTruth:
 @dataclass
 class SyntheticCorpus:
     config: GeneratorConfig
-    days: list
+    days: DayTable
     weather: list
     profiles: list
     truth: SyntheticTruth
@@ -306,7 +304,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
 
     if not include_meter:
         return SyntheticCorpus(
-            config, [], weather, profiles, truth,
+            config, DayTable([], [], np.empty((0, HOURS_PER_DAY))),
+            weather, profiles, truth,
             archetype_shapes(k), targets,
         )
 
@@ -318,8 +317,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
     n_spike = int(flat_spike.sum())
     if n_spike:
         hours = rng.integers(0, HOURS_PER_DAY, n_spike)
-        spikes = np.array([_to_shape(_circular_bump(float(h), 0.7)) for h in hours])
-        base[flat_spike] = spikes
+        base[flat_spike] = normalize(demin(_circular_bump(hours[:, None], 0.7)))
 
     flat_fuzz = fuzz_mask.reshape(-1)
     n_fuzz = int(flat_fuzz.sum())
@@ -354,9 +352,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
                 row = kwh[pos]
                 kwh[pos] = row * (0.12 / row.mean())
 
-    days = [
-        LoadDay(hid_grid[i], date_grid[i], kwh[i]) for i in range(n_total)
-    ]
     return SyntheticCorpus(
-        config, days, weather, profiles, truth, shapes, targets
+        config, DayTable(hid_grid, date_grid, kwh), weather, profiles, truth,
+        shapes, targets,
     )

@@ -31,7 +31,7 @@ from loadshapes.dictionary import (
     assign_all,
     truncate,
 )
-from loadshapes.ingest import LoadDay
+from loadshapes.ingest import DayTable
 from loadshapes.pipeline import RunConfig, run_pipeline
 from loadshapes.preprocess import normalize, preprocess_days, shape_from_day
 from loadshapes.synthetic import GeneratorConfig, generate_synthetic
@@ -162,7 +162,7 @@ def test_criterion_01_rse_oracle():
 def test_criterion_02_demin_normalize_invariants():
     rng = np.random.default_rng(102)
     kwh = rng.uniform(0.25, 3.0, (10_000, 24))
-    days = [LoadDay(f"H{i}", dt.date(2011, 6, 1), kwh[i]) for i in range(10_000)]
+    days = DayTable([f"H{i}" for i in range(10_000)], [dt.date(2011, 6, 1)] * 10_000, kwh)
     table, _ = preprocess_days(days)
     sums_ok = np.abs(table.values.sum(axis=1) - 1.0).max() <= 1e-9
     min_ok = (table.values.min(axis=1) == 0.0).all()
@@ -174,9 +174,9 @@ def test_criterion_02_demin_normalize_invariants():
         for c in (0.5, 2.0, 10.0):
             scaled = normalize(c * deminned)
             scale_ok &= bool(
-                np.allclose(scaled.values, base.values, rtol=1e-12, atol=0)
+                np.allclose(scaled, base, rtol=1e-12, atol=0)
             )
-            scale_ok &= scaled.values.min() == 0.0
+            scale_ok &= scaled.min() == 0.0
 
     flatten_ok = True
     for _ in range(100):
@@ -186,13 +186,13 @@ def test_criterion_02_demin_normalize_invariants():
             p[3] = 0.5
         b1 = float(rng.integers(1, 8)) / 8.0
         b2 = b1 + float(rng.integers(1, 16)) / 4.0
-        d1 = LoadDay("A", dt.date(2011, 6, 1), b1 + p)
-        d2 = LoadDay("B", dt.date(2011, 6, 1), b2 + p)
+        d1 = b1 + p
+        d2 = b2 + p
         flatten_ok &= bool(
-            np.array_equal(shape_from_day(d1).values, shape_from_day(d2).values)
+            np.array_equal(shape_from_day(d1), shape_from_day(d2))
         )
-        n1 = d1.kwh / d1.kwh.sum()
-        n2 = d2.kwh / d2.kwh.sum()
+        n1 = d1 / d1.sum()
+        n2 = d2 / d2.sum()
         flatten_ok &= (n2.max() - n2.min()) < (n1.max() - n1.min())
 
     ok = sums_ok and min_ok and scale_ok and flatten_ok

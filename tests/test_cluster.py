@@ -384,6 +384,54 @@ def test_model_persistence_round_trip(tmp_path):
     assert back.theta == model.theta
 
 
+
+def _keyed_table(X):
+    import datetime as dt
+
+    n = len(X)
+    return ShapeTable(
+        X,
+        [f"H{i % 6}" for i in range(n)],
+        [dt.date(2011, 6, 1) + dt.timedelta(days=i // 6) for i in range(n)],
+        np.arange(1.0, n + 1),
+        np.ones(n),
+    )
+
+
+def test_load_model_joins_labels_against_the_full_table(tmp_path):
+    rng = np.random.default_rng(23)
+    full = _keyed_table(unit_shapes(rng, 90))
+    sub = full.take(np.sort(rng.choice(90, 40, replace=False)))
+    model = adaptive_kmeans(sub, theta=0.3, k_init=4, seed=2)
+    save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
+    shuffled = full.take(rng.permutation(90))
+    for table in (sub, full, shuffled):
+        back = load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
+        assert np.array_equal(back.labels, model.labels)
+        for column in ("values", "household_ids", "dates", "day_total_kwh",
+                       "discretionary_kwh"):
+            assert np.array_equal(getattr(back.table, column),
+                                  getattr(model.table, column)), column
+
+
+def test_load_model_rejects_missing_and_repeated_keys(tmp_path):
+    rng = np.random.default_rng(24)
+    table = _keyed_table(unit_shapes(rng, 30))
+    model = adaptive_kmeans(table, theta=0.5, k_init=2, seed=4)
+    save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
+    with pytest.raises(CorruptArtifactError, match=r"\('H0', '2011-06-01'\)"):
+        load_model(tmp_path / "model.json", tmp_path / "labels.csv",
+                   table.take(np.arange(1, 30)))
+    lines = (tmp_path / "labels.csv").read_text().splitlines(keepends=True)
+    cid = lines[1].rstrip("\r\n").rsplit(",", 1)[1]
+    twin = next(i for i in range(2, len(lines))
+                if lines[i].rstrip("\r\n").endswith(f",{cid}"))
+    lines[twin] = lines[1]
+    (tmp_path / "labels.csv").write_text("".join(lines))
+    with pytest.raises(CorruptArtifactError, match=r"\('H0', '2011-06-01'\).*twice"):
+        load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
+
+
 def test_model_version_mismatch(tmp_path):
     import json
 

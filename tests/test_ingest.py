@@ -17,8 +17,8 @@ from loadshapes.ingest import (
     HOURS_PER_DAY,
     INDICATOR_VOCABULARY,
     WIDE_HEADER,
+    DayTable,
     HouseholdProfile,
-    LoadDay,
     SeasonCalendar,
     WeatherDay,
     _parse_kwh_cell,
@@ -48,10 +48,9 @@ def test_wide_row_parses(tmp_path):
     days, diags = read_meter_corpus(path)
     assert diags == []
     assert len(days) == 1
-    day = days[0]
-    assert day.household_id == "H1"
-    assert day.date == D(2011, 6, 1)
-    assert np.array_equal(day.kwh, np.array(values))
+    assert days.household_ids[0] == "H1"
+    assert days.dates[0] == D(2011, 6, 1)
+    assert np.array_equal(days.kwh[0], np.array(values))
 
 
 def test_wide_row_with_23_values_rejected(tmp_path):
@@ -60,7 +59,7 @@ def test_wide_row_with_23_values_rejected(tmp_path):
         wide_header() + "\n" + wide_row("H1", "2011-06-01", [0.3] * 23) + "\n"
     )
     days, diags = read_meter_corpus(path)
-    assert days == []
+    assert list(days.household_ids) == []
     assert len(diags) == 1
     assert diags[0].row == 2
     assert "expected 24 hourly columns" in diags[0].message
@@ -75,7 +74,7 @@ def test_malformed_cell_becomes_missing_not_zero(tmp_path):
     path.write_text(wide_header() + "\n" + wide_row("H1", "2011-06-01", values) + "\n")
     days, diags = read_meter_corpus(path)
     assert len(days) == 1
-    kwh = days[0].kwh
+    kwh = days.kwh[0]
     assert np.isnan(kwh[12]) and np.isnan(kwh[13]) and np.isnan(kwh[14])
     assert not np.any(kwh == 0.0)
     # malformed text and negative cells get diagnostics; an empty cell is
@@ -138,26 +137,25 @@ def test_whole_row_parse_matches_per_cell_parse(rows):
                 writer.writerow([f"H{i}", "2011-06-01"] + cells)
         days, diags = read_meter_corpus(path)
     expected_diags = []
-    for row_no, (cells, day) in enumerate(zip(rows, days), start=2):
+    for row_no, (cells, kwh) in enumerate(zip(rows, days.kwh), start=2):
         expected = np.array(
             [_parse_kwh_cell(c, row_no, f"h{t + 1}", expected_diags)
              for t, c in enumerate(cells)]
         )
-        assert day.kwh.tobytes() == expected.tobytes()
+        assert kwh.tobytes() == expected.tobytes()
     assert len(days) == len(rows)
     assert diags == expected_diags
 
 
 def test_long_reader_matches_wide_reader(tmp_path):
     # round-trip oracle: the same generated corpus written in both layouts
-    # parses to identical LoadDays
+    # parses to identical day tables
     rng = np.random.default_rng(4)
-    days = [
-        LoadDay(f"H{i}", D(2011, 6, 1) + dt.timedelta(days=j),
-                rng.uniform(0.1, 2.0, 24))
-        for i in range(5)
-        for j in range(4)
-    ]
+    days = DayTable(
+        [f"H{i}" for i in range(5) for j in range(4)],
+        [D(2011, 6, 1) + dt.timedelta(days=j) for i in range(5) for j in range(4)],
+        rng.uniform(0.1, 2.0, (20, 24)),
+    )
     wide = tmp_path / "wide.csv"
     long = tmp_path / "long.csv"
     write_meter_corpus(days, wide, "wide")
@@ -165,9 +163,10 @@ def test_long_reader_matches_wide_reader(tmp_path):
     wide_days, _ = read_meter_corpus(wide, "wide")
     long_days, _ = read_meter_corpus(long, "long")
     assert len(wide_days) == len(long_days) == len(days)
-    by_key = {d.key: d for d in long_days}
-    for day in wide_days:
-        assert np.array_equal(day.kwh, by_key[day.key].kwh)
+    by_key = {key: kwh for key, kwh in
+              zip(zip(long_days.household_ids, long_days.dates), long_days.kwh)}
+    for key, kwh in zip(zip(wide_days.household_ids, wide_days.dates), wide_days.kwh):
+        assert np.array_equal(kwh, by_key[key])
 
 
 def test_long_reader_missing_hours_stay_missing(tmp_path):
@@ -178,7 +177,7 @@ def test_long_reader_missing_hours_stay_missing(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     days, _ = read_meter_corpus(path, "long")
     assert len(days) == 1
-    kwh = days[0].kwh
+    kwh = days.kwh[0]
     assert kwh[0] == 0.5 and kwh[1] == 0.5 and kwh[23] == 0.5
     assert np.isnan(kwh[2:23]).all()
 
@@ -196,34 +195,38 @@ def test_meter_round_trip_preserves_values(tmp_path):
     rng = np.random.default_rng(11)
     kwh = rng.uniform(0, 3, 24)
     kwh[5] = np.nan
-    days = [LoadDay("H9", D(2012, 1, 31), kwh)]
+    days = DayTable(["H9"], [D(2012, 1, 31)], kwh[None, :])
     path = tmp_path / "meter.csv"
     write_meter_corpus(days, path)
     back, _ = read_meter_corpus(path)
-    assert back[0].key == days[0].key
-    assert np.array_equal(back[0].kwh, kwh, equal_nan=True)
+    assert (back.household_ids[0], back.dates[0]) == (days.household_ids[0], days.dates[0])
+    assert np.array_equal(back.kwh[0], kwh, equal_nan=True)
 
 
 def test_meter_writer_text_is_repr_of_each_reading(tmp_path):
     kwh = np.array([np.nan, 0.1, -0.0, 1e-300, 2.5e17, 1 / 3, np.inf] + [0.5] * 17)
-    days = [LoadDay("H,1", D(2011, 6, 1), kwh), LoadDay("H2", D(2011, 6, 2), kwh[::-1])]
+    days = DayTable(["H,1", "H2"], [D(2011, 6, 1), D(2011, 6, 2)], [kwh, kwh[::-1]])
     for schema in ("wide", "long"):
         path = tmp_path / f"{schema}.csv"
         write_meter_corpus(days, path, schema)
-        cells = [[] for _ in days]
+        cells = [[] for _ in range(len(days))]
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
             for row in reader:
                 day_index = 0 if row[0] == "H,1" else 1
                 cells[day_index] += row[2:] if schema == "wide" else row[3:]
-        for day, written in zip(days, cells):
-            assert written == ["" if np.isnan(x) else repr(float(x)) for x in day.kwh]
+        for day_kwh, written in zip(days.kwh, cells):
+            assert written == ["" if np.isnan(x) else repr(float(x)) for x in day_kwh]
 
 
-def test_loadday_requires_24_slots():
+def test_daytable_requires_24_slots():
     with pytest.raises(ValueError):
-        LoadDay("H1", D(2011, 6, 1), np.ones(23))
+        DayTable(["H1"], [D(2011, 6, 1)], np.ones((1, 23)))
+    with pytest.raises(ValueError):
+        DayTable(["H1"], [D(2011, 6, 1)], np.ones(24))
+    with pytest.raises(ValueError, match="column lengths"):
+        DayTable(["H1", "H2"], [D(2011, 6, 1)], np.ones((2, 24)))
 
 
 def test_weather_parses(tmp_path):

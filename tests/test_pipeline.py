@@ -414,6 +414,26 @@ def test_rewritten_shapes_reach_later_stages_of_next_run(smoke_corpus, tmp_path)
     assert _data_rows(out / "assignments.csv") == kept
 
 
+
+def test_truncate_rejects_a_labels_key_listed_twice(smoke_corpus, tmp_path):
+    # a labels.csv row overwritten by a copy of another row of its cluster
+    # keeps every cluster count, so only the key join can notice it
+    out = tmp_path / "dup"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(smoke_config(smoke_corpus, out, sample=300,
+                                  stages=("ingest", "cluster")))
+    lines = (out / "labels.csv").read_text().splitlines(keepends=True)
+    hid, date, cid = lines[1].rstrip("\r\n").split(",")
+    twin = next(i for i in range(2, len(lines))
+                if lines[i].rstrip("\r\n").endswith(f",{cid}"))
+    lines[twin] = lines[1]
+    (out / "labels.csv").write_text("".join(lines))
+    with pytest.raises(StageError, match=f"{hid}.*{date}.*twice"):
+        stage_truncate(smoke_config(smoke_corpus, out, sample=300))
+    assert not (out / "dictionary.json").exists()
+
+
 @pytest.mark.parametrize("error", [EmptyInputError("too few households"),
                                    RuntimeError("boom")])
 def test_analyze_skips_only_unusable_indicators(

@@ -98,7 +98,7 @@ def test_generated_files_parse_cleanly(tmp_path):
     truth = SyntheticTruth.read_csv(paths["truth"])
     assert len(truth.archetype_ids) == 600
     # truth rows align with meter rows
-    assert [d.key for d in days] == [
+    assert list(zip(days.household_ids, days.dates)) == [
         (truth.household_ids[i], truth.dates[i]) for i in range(600)
     ]
 
@@ -106,7 +106,7 @@ def test_generated_files_parse_cleanly(tmp_path):
 def test_baseload_exercises_deminning():
     cfg = GeneratorConfig(archetypes=4, households=20, days=15, noise_level=0.0)
     corpus = generate_synthetic(cfg, seed=9)
-    kwh = np.stack([d.kwh for d in corpus.days])
+    kwh = corpus.days.kwh
     assert kwh.min() >= cfg.baseload_low_kw  # baseload offset everywhere
     # with zero noise the preprocessed shapes recover the archetypes
     table, report = preprocess_days(corpus.days)
