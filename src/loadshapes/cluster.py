@@ -27,6 +27,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
+from .ingest import _csv_key_blocks
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -388,17 +389,10 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         fh.write("\n")
     if labels_path is not None:
         with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["household_id", "date", "cluster_id"])
-            cluster_ids = model.ids[model.labels]
-            for i in range(model.n_shapes):
-                writer.writerow(
-                    [
-                        model.table.household_ids[i],
-                        model.table.dates[i].isoformat(),
-                        int(cluster_ids[i]),
-                    ]
-                )
+            csv.writer(fh).writerow(["household_id", "date", "cluster_id"])
+            for block in _csv_key_blocks(model.table.household_ids, model.table.dates,
+                                         model.ids[model.labels]):
+                fh.write("".join([f"{key},{cid}\r\n" for key, cid in zip(*block)]))
 
 
 def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:

@@ -30,6 +30,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
+from .ingest import _csv_key_blocks
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -192,18 +193,13 @@ class AssignmentTable:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ASSIGNMENTS_HEADER)
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        self.household_ids[i],
-                        self.dates[i].isoformat(),
-                        int(self.cluster_ids[i]),
-                        repr(float(self.distances[i])),
-                        repr(float(self.rses[i])),
-                    ]
-                )
+            csv.writer(fh).writerow(ASSIGNMENTS_HEADER)
+            for block in _csv_key_blocks(self.household_ids, self.dates,
+                                         self.cluster_ids, self.distances, self.rses):
+                fh.write("".join([
+                    f"{key},{cid},{dist!r},{rse!r}\r\n"
+                    for key, cid, dist, rse in zip(*block)
+                ]))
 
     @classmethod
     def read_csv(cls, path, shapes: ShapeTable | None = None) -> "AssignmentTable":

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +35,12 @@ from .errors import (
 )
 
 HOURS_PER_DAY = 24
+
+# Rows per block in the CSV writers of the per-day tables and in the wide
+# meter reader: each block is formatted with one join and written with one
+# write, or parsed into one flat float list, so the per-cell work stays in C
+# without a whole-table string or list in memory.
+CSV_BLOCK_ROWS = 256
 
 WIDE_HEADER = ["household_id", "date"] + [f"h{i}" for i in range(1, 25)]
 LONG_HEADER = ["household_id", "date", "hour", "kwh"]
@@ -192,6 +201,33 @@ def _check_header(actual: list[str] | None, expected: list[str], path) -> None:
         )
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several fields."""
+    buffer = io.StringIO()
+    # the default line end: csv quotes a field holding any of its characters
+    csv.writer(buffer).writerow([value, ""])
+    return buffer.getvalue()[:-len(",\r\n")]
+
+
+def _csv_key_blocks(household_ids, dates, *columns):
+    """Yield ``(keys, *column_lists)`` per block of ``CSV_BLOCK_ROWS`` rows.
+
+    ``keys`` holds each row's ``household_id,date`` text as ``csv.writer``
+    writes it: every distinct id goes through ``csv.writer`` once, so ids
+    with a comma, quote, CR or LF are quoted as csv quotes them, and every
+    distinct date is ``isoformat``-ed once. Each column comes as the block's
+    ``.tolist()``. Writers format a block's rows with ``repr`` and end each
+    line with ``\\r\\n``, as ``csv.writer`` does.
+    """
+    id_text = functools.cache(_csv_field)
+    date_text = functools.cache(dt.date.isoformat)
+    for start in range(0, len(household_ids), CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        keys = [f"{id_text(hid)},{date_text(date)}"
+                for hid, date in zip(household_ids[start:stop], dates[start:stop])]
+        yield (keys, *(column[start:stop].tolist() for column in columns))
+
+
 def read_meter_corpus(path, schema: str = "wide"):
     """Read hourly meter readings into a :class:`DayTable`.
 
@@ -208,7 +244,8 @@ def read_meter_corpus(path, schema: str = "wide"):
 def _read_meter_wide(path):
     household_ids: list[str] = []
     dates: list[dt.date] = []
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    flat: list[float] = []  # the readings of the current block, row after row
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -237,23 +274,26 @@ def _read_meter_wide(path):
             seen.add(key)
             # Whole-row fast path; any empty, malformed, negative or
             # non-finite cell sends the row through the per-cell parser,
-            # which marks it missing and writes the diagnostics.
+            # which marks it missing and writes the diagnostics. A NaN
+            # after the first cell can hide from min, never from sum.
             try:
-                kwh = np.array(list(map(float, row[2:])))
-                clean = bool(((kwh >= 0.0) & (kwh < np.inf)).all())
+                kwh = list(map(float, row[2:]))
+                clean = math.isfinite(sum(kwh)) and min(kwh) >= 0.0
             except ValueError:
                 clean = False
             if not clean:
-                kwh = np.array(
-                    [
-                        _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
-                        for t in range(HOURS_PER_DAY)
-                    ]
-                )
+                kwh = [
+                    _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
+                    for t in range(HOURS_PER_DAY)
+                ]
             household_ids.append(household_id)
             dates.append(date)
-            rows.append(kwh)
-    kwh = np.array(rows).reshape(-1, HOURS_PER_DAY)
+            flat += kwh
+            if len(flat) == CSV_BLOCK_ROWS * HOURS_PER_DAY:
+                blocks.append(np.array(flat))
+                flat = []
+    blocks.append(np.array(flat))
+    kwh = np.concatenate(blocks).reshape(-1, HOURS_PER_DAY)
     return DayTable(household_ids, dates, kwh), diagnostics
 
 
@@ -308,32 +348,34 @@ def _read_meter_long(path):
 
 
 def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
-    """Write a :class:`DayTable` to CSV, one day at a time (round-trip
-    counterpart of the readers).
+    """Write a :class:`DayTable` to CSV (round-trip counterpart of the
+    readers), a block of ``CSV_BLOCK_ROWS`` days at a time.
 
     Readings are written as the ``repr`` of Python floats (shortest text that
     parses back to the same double); missing (NaN) readings as empty cells.
     """
+    if schema not in ("wide", "long"):
+        raise ValueError(f"unknown meter schema '{schema}'")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        rows = zip(days.household_ids, days.dates, days.kwh)
         if schema == "wide":
-            writer.writerow(WIDE_HEADER)
-            for household_id, date, kwh in rows:
-                writer.writerow(
-                    [household_id, date.isoformat()]
-                    + ["" if v != v else repr(v) for v in kwh.tolist()]
-                )
-        elif schema == "long":
-            writer.writerow(LONG_HEADER)
-            for household_id, date, kwh in rows:
-                for t, v in enumerate(kwh.tolist(), start=1):
-                    writer.writerow(
-                        [household_id, date.isoformat(), t,
-                         "" if v != v else repr(v)]
-                    )
+            csv.writer(fh).writerow(WIDE_HEADER)
+            for block in _csv_key_blocks(days.household_ids, days.dates, days.kwh):
+                fh.write("".join([
+                    f"{key},{_meter_cells(kwh)}\r\n" for key, kwh in zip(*block)
+                ]))
         else:
-            raise ValueError(f"unknown meter schema '{schema}'")
+            csv.writer(fh).writerow(LONG_HEADER)
+            for block in _csv_key_blocks(days.household_ids, days.dates, days.kwh):
+                fh.write("".join([
+                    f"{key},{t},{'' if v != v else repr(v)}\r\n"
+                    for key, kwh in zip(*block)
+                    for t, v in enumerate(kwh, start=1)
+                ]))
+
+
+def _meter_cells(kwh: list[float]) -> str:
+    """One day's readings as wide-schema cells, NaN as an empty cell."""
+    return ",".join(["" if v != v else repr(v) for v in kwh])
 
 
 def read_weather(path):

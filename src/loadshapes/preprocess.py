@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ZeroDiscretionaryError
-from .ingest import HOURS_PER_DAY, DayTable
+from .ingest import HOURS_PER_DAY, DayTable, _csv_key_blocks
 
 LOW_DEMAND_KW = 0.2
+# relative tolerance, at the scale of float64 rounding, within which a day's
+# mean demand counts as on the 0.2 kW boundary: twelve 0.3 and twelve 0.1
+# readings average 0.19999999999999998
+LOW_DEMAND_RTOL = 1e-12
 UNIT_SUM_TOL = 1e-9
 
 # Recorded in run provenance so the subsample draw is reproducible.
@@ -128,16 +132,15 @@ class ShapeTable:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SHAPES_HEADER)
-            for hid, date, total, disc, row in zip(
+            csv.writer(fh).writerow(SHAPES_HEADER)
+            for block in _csv_key_blocks(
                 self.household_ids, self.dates, self.day_total_kwh,
                 self.discretionary_kwh, self.values,
             ):
-                writer.writerow(
-                    [hid, date.isoformat(), repr(float(total)), repr(float(disc))]
-                    + [repr(v) for v in row.tolist()]
-                )
+                fh.write("".join([
+                    f"{key},{total!r},{disc!r},{','.join(map(repr, row))}\r\n"
+                    for key, total, disc, row in zip(*block)
+                ]))
 
     @classmethod
     def read_csv(cls, path, memo: dict | None = None,
@@ -173,10 +176,12 @@ def clean(days: DayTable) -> tuple[DayTable, CleaningReport]:
     """Drop days with missing hours or mean demand below 0.2 kW.
 
     A day failing both rules counts under missing-hours (checked first).
-    The 0.2 kW boundary is inclusive: a constant 0.2 kWh/h day is retained.
+    The 0.2 kW boundary is inclusive: a day whose readings average 0.2
+    kWh/h is retained, also when the float mean rounds to just below it.
     """
     missing = np.isnan(days.kwh).any(axis=1)
-    low_demand = ~missing & (days.kwh.mean(axis=1) < LOW_DEMAND_KW)
+    floor = LOW_DEMAND_KW * (1.0 - LOW_DEMAND_RTOL)
+    low_demand = ~missing & (days.kwh.mean(axis=1) < floor)
     kept = ~(missing | low_demand)
     report = CleaningReport(
         n_input=len(days),

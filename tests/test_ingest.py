@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loadshapes import ingest
 from loadshapes.errors import (
     DuplicateRecordError,
     HeaderMismatchError,
@@ -18,6 +19,7 @@ from loadshapes.ingest import (
     INDICATOR_VOCABULARY,
     WIDE_HEADER,
     DayTable,
+    Diagnostic,
     HouseholdProfile,
     SeasonCalendar,
     WeatherDay,
@@ -125,25 +127,50 @@ def meter_rows(draw):
     return cells
 
 
+# rows the reader rejects whole: too few cells, too many, an impossible date
+_REJECTED_ROWS = st.sampled_from(["short", "long", "date"])
+_CLEAN = ["0.5"] * HOURS_PER_DAY
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(meter_rows(), min_size=1, max_size=4))
+@given(st.lists(st.one_of(meter_rows(), _REJECTED_ROWS), min_size=1, max_size=10))
+@example([_CLEAN, ["0.5", "nan"] + _CLEAN[2:], "short", _CLEAN[1:] + ["inf"],
+          "date", _CLEAN[:12] + ["-1"] + _CLEAN[13:], "long", _CLEAN])
 def test_whole_row_parse_matches_per_cell_parse(rows):
-    with tempfile.TemporaryDirectory() as tmp:
+    # 3-row blocks, so the rows span several blocks; diagnostics of rejected
+    # rows and of missing-marked cells must come out in row order
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CSV_BLOCK_ROWS", 3)
         path = Path(tmp) / "meter.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(WIDE_HEADER)
             for i, cells in enumerate(rows):
-                writer.writerow([f"H{i}", "2011-06-01"] + cells)
+                if cells == "short":
+                    writer.writerow([f"H{i}", "2011-06-01"] + _CLEAN[1:])
+                elif cells == "long":
+                    writer.writerow([f"H{i}", "2011-06-01"] + _CLEAN + ["0.5"])
+                elif cells == "date":
+                    writer.writerow([f"H{i}", "2011-02-30"] + _CLEAN)
+                else:
+                    writer.writerow([f"H{i}", "2011-06-01"] + cells)
         days, diags = read_meter_corpus(path)
-    expected_diags = []
-    for row_no, (cells, kwh) in enumerate(zip(rows, days.kwh), start=2):
-        expected = np.array(
-            [_parse_kwh_cell(c, row_no, f"h{t + 1}", expected_diags)
-             for t, c in enumerate(cells)]
-        )
-        assert kwh.tobytes() == expected.tobytes()
-    assert len(days) == len(rows)
+    expected_diags, expected_kwh, expected_ids = [], [], []
+    for row_no, cells in enumerate(rows, start=2):
+        if cells in ("short", "long"):
+            expected_diags.append(Diagnostic(row_no, "expected 24 hourly columns"))
+        elif cells == "date":
+            expected_diags.append(Diagnostic(row_no, "bad date '2011-02-30'"))
+        else:
+            expected_kwh.append(
+                [_parse_kwh_cell(c, row_no, f"h{t + 1}", expected_diags)
+                 for t, c in enumerate(cells)]
+            )
+            expected_ids.append(f"H{row_no - 2}")
+    assert list(days.household_ids) == expected_ids
+    for kwh, expected in zip(days.kwh, expected_kwh):
+        assert kwh.tobytes() == np.array(expected).tobytes()
+    assert len(days) == len(expected_kwh)
     assert diags == expected_diags
 
 

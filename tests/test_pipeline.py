@@ -2,6 +2,7 @@ import argparse
 import builtins
 import dataclasses
 import filecmp
+import hashlib
 import json
 import shutil
 import warnings
@@ -202,6 +203,41 @@ def test_manifest_excluded_from_determinism_but_artifacts_match(
         run_pipeline(config2)
     for name in ARTIFACTS:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+# sha256 of each artifact of the smoke run, computed before the CSV writers
+# formatted rows in blocks; later writers must reproduce these bytes
+SMOKE_SHA256 = {
+    "shapes.csv":
+        "a32b189e35db1ceb33f976b1730e0a847f5f9ccf863de5ab2df565610880d385",
+    "model.json":
+        "9ae6d540243bb16e494a20cefc902159bc4405c196a7ad7b6baf3f74aff199cb",
+    "labels.csv":
+        "319cbd136cc7199a6a42863413407fb98bac08ec71df7df992694c9599f0b624",
+    "dictionary.json":
+        "d2ae5d12894753f5c1337da4348f6bc6fec5580ee9fef512541dceb750ef55f1",
+    "assignments.csv":
+        "95ee070adaabf206de0ef89a31b1f02a86808fd0f30db2d5552ec791f1ae942e",
+    "entropy_by_stratum.csv":
+        "3a0ee75709dd734cbfec459439cecdd76c584ef5e55cd94adb580105b1a76d02",
+    "coverage_curve.csv":
+        "89469197be615d8a5d6bf65221dec4ca023fa65c1fad5e074ced3373f884bb54",
+    "taxonomy.csv":
+        "bdaf1cd4f99dd2d09b2927549810f0fadb9764b6ce9e37bd49e6839cc4ca895f",
+    "household_entropy.csv":
+        "2ccb3f7c929dfdbc49a2237edd6884c393ef84391f7d7bf7ffa75d802c40ba04",
+    "char_deltas.csv":
+        "271b714bb39602ce5da02d727bf6498e25b192849114f4288a889eceb1fedad5",
+    "occurrence_map.csv":
+        "94d03dce2383f6d93ec0f8e589188556c7873ff5f4a701b9956e57dc24d21f9f",
+}
+
+
+def test_smoke_run_artifacts_match_golden_digests(smoke_run):
+    _, out, _ = smoke_run
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ARTIFACTS}
+    assert digests == SMOKE_SHA256
 
 
 def test_analytics_carry_run_id_provenance(smoke_run):

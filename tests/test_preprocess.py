@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadshapes.errors import ZeroDiscretionaryError
 from loadshapes.ingest import DayTable, read_meter_corpus
 from loadshapes.preprocess import (
     LOW_DEMAND_KW,
+    LOW_DEMAND_RTOL,
     CleaningReport,
     ShapeTable,
     clean,
@@ -46,6 +47,17 @@ def test_low_demand_dropped_and_boundary_inclusive():
     assert report.dropped_low_demand == 1
     assert len(kept) == 1
     assert kept.kwh[0, 0] == 0.2
+
+
+def test_low_demand_boundary_holds_for_means_rounded_below_it():
+    # 0.2 kWh/h in decimal, but each float64 mean is 0.19999999999999998
+    on_boundary = [[0.3] * 12 + [0.1] * 12, [4.8] + [0.0] * 23]
+    below = [[0.2 - 1e-9] * 24]
+    days = days_of(on_boundary + below)
+    assert (days.kwh.mean(axis=1)[:2] < 0.2).all()
+    kept, report = clean(days)
+    assert report.dropped_low_demand == 1
+    assert kept.kwh.tolist() == on_boundary
 
 
 def test_day_failing_both_rules_counts_as_missing_hours():
@@ -276,13 +288,15 @@ def test_subsample_too_large_raises():
 
 
 def reference_clean(rows):
-    """The per-day cleaning loop the columnar ``clean`` replaced."""
+    """The per-day cleaning loop the columnar ``clean`` replaced, with the
+    boundary rule of ``clean``: a mean within ``LOW_DEMAND_RTOL`` of 0.2 kW
+    is on the (inclusive) boundary."""
     report = CleaningReport(n_input=len(rows))
     kept = []
     for i, kwh in enumerate(rows):
         if np.isnan(kwh).any():
             report.dropped_missing_hours += 1
-        elif kwh.mean() < LOW_DEMAND_KW:
+        elif kwh.mean() < LOW_DEMAND_KW * (1 - LOW_DEMAND_RTOL):
             report.dropped_low_demand += 1
         else:
             kept.append(i)
@@ -333,6 +347,9 @@ def day_rows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(day_rows(), max_size=12))
+# float64 means of 0.19999999999999998, on the boundary
+@example([np.array([0.3] * 12 + [0.1] * 12)])
+@example([np.array([0.19999999999999998] * 24)])
 def test_columnar_preprocessing_equals_per_day_reference(rows):
     n = len(rows)
     hids = [f"H{i}" for i in range(n)]
