@@ -91,67 +91,95 @@ def _kmeans_pp_init(X, k, rng) -> np.ndarray:
     return np.array(centers)
 
 
-def _group_sums(XT, labels, k) -> np.ndarray:
-    """(k, d) per-cluster row sums of X, given its C-contiguous transpose XT.
+def _group_sums(X, labels, k) -> np.ndarray:
+    """(k, d) per-cluster row sums of X.
 
-    np.bincount adds each bin's weights in row order, so every sum is
-    accumulated member by member in row order, independent of k.
+    One flat np.bincount over ``labels * d + j`` adds each bin's weights in
+    row order, so every sum is accumulated member by member in row order,
+    independent of k and of the other clusters' rows.
     """
-    return np.stack([np.bincount(labels, weights=col, minlength=k) for col in XT], axis=1)
+    d = X.shape[1]
+    keys = (labels * d)[:, None] + np.arange(d)
+    return np.bincount(keys.ravel(), weights=X.ravel(), minlength=k * d).reshape(k, d)
 
 
-def _group_means(X, XT, labels, k, d2min):
-    """Deterministic per-cluster means; empty clusters relocate to the
-    points currently farthest from their assigned centers."""
-    sums = _group_sums(XT, labels, k)
+def _group_means(X, labels, d2min, centers, dirty):
+    """Per-cluster means after a reassignment; empty clusters relocate to
+    the points currently farthest from their assigned centers.
+
+    Only the clusters flagged in the boolean mask ``dirty`` get their means
+    recomputed; every other cluster keeps its row of ``centers``, which
+    must already be its members' mean. Returns (centers, counts, empties).
+    """
+    k = len(centers)
     counts = np.bincount(labels, minlength=k)
-    centers = np.empty_like(sums)
-    nonzero = counts > 0
-    centers[nonzero] = sums[nonzero] / counts[nonzero, None]
-    empties = np.flatnonzero(~nonzero)
+    rows = np.flatnonzero(dirty[labels])
+    sums = _group_sums(X[rows], labels[rows], k)
+    update = dirty & (counts > 0)
+    centers = centers.copy()
+    centers[update] = sums[update] / counts[update, None]
+    empties = np.flatnonzero(counts == 0)
     if len(empties):
         order = np.argsort(-d2min, kind="stable")
-        for slot, e in enumerate(empties):
-            centers[e] = X[order[slot]]
+        centers[empties] = X[order[:len(empties)]]
     return centers, counts, empties
 
 
 def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
-    """Lloyd iterations from given centers.
+    """Lloyd iterations from given centers, for max_iter >= 1 and k <= n.
 
     Returns (centers, labels, inertia) with centers equal to the exact means
     of their assigned members, so downstream consistency checks hold to
-    floating-point accuracy.
+    floating-point accuracy. An iteration that leaves a cluster empty
+    relocates it and blocks convergence; if the last one does, a settling
+    pass follows and clusters still empty are dropped.
+
+    The kernel is incremental and exact. It keeps one n x k distance matrix
+    and, after each mean update, recomputes only the columns of centers
+    that changed bitwise, with the expanded-form product of a full
+    recompute; a cluster's mean is recomputed only when a row moved into or
+    out of it. Results equal a full recompute bit for bit as long as every
+    element of a BLAS product with >= 2 rows and >= 2 columns rounds as in
+    the full product, so a lone changed column is refreshed together with
+    a neighbour (and k >= 2 implies n >= 2).
     """
     centers = np.array(centers, dtype=float)
-    k = len(centers)
-    XT = np.ascontiguousarray(X.T)
+    n, k = len(X), len(centers)
+    rows = np.arange(n)
     xx = (X**2).sum(axis=1)
+    d2 = _pairwise_sq_dists(X, centers, xx)
+    labels = d2.argmin(axis=1)
+    dirty = np.ones(k, dtype=bool)
     prev_inertia = np.inf
-    labels = np.zeros(len(X), dtype=np.int64)
-    relocated = False
-    for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(X, centers, xx)
-        labels = d2.argmin(axis=1)
-        d2min = d2[np.arange(len(X)), labels]
+    for it in range(max_iter + 1):
+        d2min = d2[rows, labels]
         inertia = float(d2min.sum())
-        centers, _, empties = _group_means(X, XT, labels, k, d2min)
-        relocated = len(empties) > 0
-        if not relocated and prev_inertia - inertia <= rel_tol * max(inertia, 1e-300):
+        new, counts, empties = _group_means(X, labels, d2min, centers, dirty)
+        converged = prev_inertia - inertia <= rel_tol * max(inertia, 1e-300)
+        if it == max_iter or not len(empties) and (converged or it + 1 == max_iter):
+            centers = new
             break
         prev_inertia = inertia
-    if relocated:
-        # a relocated center has no members yet; give it one settling pass
-        d2 = _pairwise_sq_dists(X, centers, xx)
-        labels = d2.argmin(axis=1)
-        d2min = d2[np.arange(len(X)), labels]
-        centers, counts, empties = _group_means(X, XT, labels, k, d2min)
-        if len(empties):
-            keep = np.flatnonzero(counts > 0)
-            remap = np.full(k, -1, dtype=np.int64)
-            remap[keep] = np.arange(len(keep))
-            centers = centers[keep]
-            labels = remap[labels]
+        cols = np.flatnonzero((new != centers).any(axis=1))
+        centers = new
+        if len(cols) == 1 and k > 1:
+            # a one-column product goes through gemv and rounds differently
+            c = min(cols[0], k - 2)
+            cols = np.array([c, c + 1])
+        if len(cols) == k:
+            d2 = _pairwise_sq_dists(X, centers, xx)
+        elif len(cols):
+            d2[:, cols] = _pairwise_sq_dists(X, centers[cols], xx)
+        prev, labels = labels, d2.argmin(axis=1)
+        moved = labels != prev
+        dirty = np.zeros(k, dtype=bool)
+        dirty[labels[moved]] = dirty[prev[moved]] = True
+    if len(empties):
+        keep = np.flatnonzero(counts > 0)
+        remap = np.full(k, -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        centers = centers[keep]
+        labels = remap[labels]
     inertia = float(((X - centers[labels]) ** 2).sum())
     return centers, labels, inertia
 
@@ -162,6 +190,14 @@ def kmeans(X, k, seed=None, n_init=1, max_iter=DEFAULT_MAX_ITER,
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise EmptyInputError("kmeans on empty input")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     if rng is None:
         rng = np.random.default_rng(seed)
     best = None
@@ -212,7 +248,7 @@ class ClusterModel:
         """Largest |centroid - mean(members)| entry, for invariant checks."""
         X = self.table.values
         k = self.n_clusters
-        sums = _group_sums(np.ascontiguousarray(X.T), self.labels, k)
+        sums = _group_sums(X, self.labels, k)
         counts = np.bincount(self.labels, minlength=k)
         means = sums / counts[:, None]
         return float(np.abs(means - self.centroids).max())
@@ -233,10 +269,12 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
     X = table.values
     if len(X) == 0:
         raise EmptyInputError("adaptive_kmeans on empty input")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     if k_init < 1:
         raise ValueError("k_init must be >= 1")
+    if max_split_rounds < 0:
+        raise ValueError(f"max_split_rounds must be >= 0, got {max_split_rounds}")
     rng = np.random.default_rng(seed)
     centers, labels, _ = kmeans(
         X, min(k_init, len(X)), n_init=n_init, max_iter=max_iter,
@@ -309,6 +347,8 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     the merged label and are never re-assigned elsewhere. The result is the
     model one step before the violation rate would reach max_violation.
     """
+    if not 0.0 <= max_violation < 1.0:
+        raise ValueError(f"max_violation must be in [0, 1), got {max_violation}")
     if model.n_clusters < 2:
         raise ValueError("hierarchical_merge needs at least 2 centroids")
     X = model.table.values

@@ -3,10 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from loadshapes import cluster
 from loadshapes.cluster import (
     ClusterModel,
     _group_means,
+    _lloyd,
     _pairwise_sq_dists,
     adaptive_kmeans,
     hierarchical_merge,
@@ -156,7 +160,7 @@ def test_group_means_bit_identical_to_add_at(n, k, used, order):
     X = np.asarray(unit_shapes(rng, n) * rng.gamma(2.0, size=(n, 1)), order=order)
     labels = rng.integers(0, used, n)  # clusters used..k-1 stay empty
     d2min = rng.random(n)
-    got = _group_means(X, np.ascontiguousarray(X.T), labels, k, d2min)
+    got = _group_means(X, labels, d2min, np.zeros((k, X.shape[1])), np.ones(k, dtype=bool))
     want = add_at_group_means(X, labels, k, d2min)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -170,6 +174,137 @@ def test_pairwise_sq_dists_bit_identical_to_expanded_form():
     want = np.maximum(xx[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :], 0.0)
     assert np.array_equal(_pairwise_sq_dists(X, C), want)
     assert np.array_equal(_pairwise_sq_dists(X, C, xx), want)
+
+
+def full_recompute_lloyd(X, centers, max_iter, rel_tol):
+    """Reference for _lloyd: every iteration recomputes all n x k distances
+    and all k group sums (one row-order bincount per hour)."""
+
+    def group_means(labels, k, d2min):
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in XT], axis=1)
+        counts = np.bincount(labels, minlength=k)
+        means = np.empty_like(sums)
+        nonzero = counts > 0
+        means[nonzero] = sums[nonzero] / counts[nonzero, None]
+        empties = np.flatnonzero(~nonzero)
+        if len(empties):
+            order = np.argsort(-d2min, kind="stable")
+            for slot, e in enumerate(empties):
+                means[e] = X[order[slot]]
+        return means, counts, empties
+
+    centers = np.array(centers, dtype=float)
+    k = len(centers)
+    XT = np.ascontiguousarray(X.T)
+    xx = (X**2).sum(axis=1)
+    prev_inertia = np.inf
+    labels = np.zeros(len(X), dtype=np.int64)
+    relocated = False
+    for _ in range(max_iter):
+        d2 = _pairwise_sq_dists(X, centers, xx)
+        labels = d2.argmin(axis=1)
+        d2min = d2[np.arange(len(X)), labels]
+        inertia = float(d2min.sum())
+        centers, _, empties = group_means(labels, k, d2min)
+        relocated = len(empties) > 0
+        if not relocated and prev_inertia - inertia <= rel_tol * max(inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    if relocated:
+        d2 = _pairwise_sq_dists(X, centers, xx)
+        labels = d2.argmin(axis=1)
+        d2min = d2[np.arange(len(X)), labels]
+        centers, counts, empties = group_means(labels, k, d2min)
+        if len(empties):
+            keep = np.flatnonzero(counts > 0)
+            remap = np.full(k, -1, dtype=np.int64)
+            remap[keep] = np.arange(len(keep))
+            centers = centers[keep]
+            labels = remap[labels]
+    inertia = float(((X - centers[labels]) ** 2).sum())
+    return centers, labels, inertia
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(X, start centers, max_iter, rel_tol) with k <= n. Rows can repeat
+    or sit on a coarse grid (exact distance ties); "dup" starts repeat a
+    center and "far" starts put one far from every row, so both force
+    empty-cluster relocation."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, min(n, 12)))
+    d = draw(st.sampled_from([2, 5, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, (n, d)) / 4.0 if draw(st.booleans()) else rng.random((n, d))
+    X = X[rng.integers(0, draw(st.integers(1, n)), n)]  # draws from the first m rows
+    start = draw(st.sampled_from(["rows", "dup", "far"]))
+    if start == "dup":
+        C = X[rng.integers(0, n, k)]
+    else:
+        C = X[rng.choice(n, k, replace=False)]
+        if start == "far":
+            C[rng.integers(k)] += 10.0
+    max_iter = draw(st.sampled_from([1, 2, 3, 5, 100]))
+    rel_tol = draw(st.sampled_from([0.0, 1e-6, 1e-2]))
+    return X, C, max_iter, rel_tol
+
+
+def _lone_column_case():
+    # rows 0 and 1 sit on their start centers, so after the first mean
+    # update only center 2 (start: row 2, mean: midpoint of rows 2, 3) moves
+    X = np.zeros((4, 24))
+    X[0, 0] = X[1, 5] = 1.0
+    X[2, 10], X[3, 10], X[3, 11] = 1.0, 1.0, 0.25
+    return X, X[:3].copy(), 100, 1e-6
+
+
+def _two_cluster_case():
+    X, _ = two_group_table(np.random.default_rng(29), n_per=5, spread=0.05)
+    return X, X[[0, 1]], 100, 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(lloyd_cases())
+@example(_lone_column_case())
+@example(_two_cluster_case())
+def test_incremental_lloyd_equals_full_recompute(case):
+    X, C, max_iter, rel_tol = case
+    got = _lloyd(X, C, max_iter, rel_tol)
+    want = full_recompute_lloyd(X, C, max_iter, rel_tol)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_lone_changed_column_is_refreshed_with_a_neighbour(monkeypatch):
+    X, C, max_iter, rel_tol = _lone_column_case()
+    widths = []
+
+    def recording(X, C, xx=None):
+        widths.append(len(C))
+        return _pairwise_sq_dists(X, C, xx)
+
+    monkeypatch.setattr(cluster, "_pairwise_sq_dists", recording)
+    centers, labels, _ = _lloyd(X, C, max_iter, rel_tol)
+    # full start, then centers 1 and 2 only; the final pass moves nothing
+    assert widths == [3, 2]
+    assert labels.tolist() == [0, 1, 2, 2]
+
+
+def test_blas_blocks_round_like_the_full_product():
+    # _lloyd refreshes distance columns with X @ C[cols].T and relies on
+    # every element of a product with >= 2 rows and >= 2 columns rounding
+    # as the same element of the full X @ C.T; a BLAS that breaks this
+    # fails here
+    rng = np.random.default_rng(30)
+    for n, k in [(2, 2), (7, 3), (500, 40), (3600, 100)]:
+        X = unit_shapes(rng, n) * rng.gamma(2.0, size=(n, 1))
+        C = unit_shapes(rng, k)
+        full = X @ C.T
+        for _ in range(25):
+            cols = np.sort(rng.choice(k, int(rng.integers(2, k + 1)), replace=False))
+            rows = rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
+            assert np.array_equal(X @ C[cols].T, full[:, cols])
+            assert np.array_equal(X[rows] @ C[cols].T, full[np.ix_(rows, cols)])
 
 
 def test_cluster_chain_golden_digest():
@@ -484,3 +619,44 @@ def test_model_labels_naming_unknown_cluster_rejected(tmp_path):
     (tmp_path / "labels.csv").write_text("".join(lines))
     with pytest.raises(CorruptArtifactError, match="9999"):
         load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"theta": float("nan")}, "theta"),
+    ({"theta": float("inf")}, "theta"),
+    ({"theta": 0.0}, "theta"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"max_split_rounds": -1}, "max_split_rounds"),
+    ({"rel_tol": float("nan")}, "rel_tol"),
+    ({"rel_tol": -1e-6}, "rel_tol"),
+    ({"n_init": 0}, "n_init"),
+])
+def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
+    X = unit_shapes(np.random.default_rng(26), 300)
+    args = {"theta": 0.3, "k_init": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        adaptive_kmeans(X, **args)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"k": 0}, "k"),
+    ({"k": -2}, "k"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"rel_tol": float("inf")}, "rel_tol"),
+    ({"rel_tol": -1.0}, "rel_tol"),
+    ({"n_init": 0}, "n_init"),
+])
+def test_kmeans_rejects_bad_parameters(kwargs, name):
+    X = unit_shapes(np.random.default_rng(27), 300)
+    args = {"k": 3, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        kmeans(X, **args)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 1.0, 1.5, -0.01, float("inf")])
+def test_merge_rejects_budget_outside_unit_interval(budget):
+    rng = np.random.default_rng(28)
+    X = unit_shapes(rng, 40)
+    model = _model_from(X, np.arange(40) % 4, 4, theta=0.3)
+    with pytest.raises(ValueError, match="max_violation"):
+        hierarchical_merge(model, max_violation=budget)
