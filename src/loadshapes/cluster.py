@@ -18,6 +18,7 @@ import datetime as dt
 import json
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _csv_key_blocks
+from .ingest import _artifact_rows, _csv_key_blocks, _read_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
+LABELS_HEADER = ["household_id", "date", "cluster_id"]
 
 DEFAULT_K_INIT = 10
 DEFAULT_MAX_ITER = 100
@@ -237,6 +239,15 @@ class ClusterModel:
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)
 
+    def freeze(self) -> "ClusterModel":
+        """Mark the table, every array and the meta read-only; returns the
+        model."""
+        self.table.freeze()
+        for array in (self.centroids, self.ids, self.labels):
+            array.flags.writeable = False
+        self.meta = MappingProxyType(self.meta)
+        return self
+
     def rse_per_shape(self) -> np.ndarray:
         return rse_to_assigned(self.table.values, self.centroids, self.labels)
 
@@ -353,50 +364,60 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
         raise ValueError("hierarchical_merge needs at least 2 centroids")
     X = model.table.values
     n = len(X)
+    k = model.n_clusters
     centroids = model.centroids.copy()
-    ids = model.ids.copy()
-    labels = model.labels.copy()
     counts = model.counts.astype(np.int64)
     theta = model.theta
+    # member rows of each cluster; a merge moves q's rows to p
+    by_label = np.argsort(model.labels, kind="stable")
+    bounds = np.searchsorted(model.labels[by_label], np.arange(k + 1))
+    members = [by_label[bounds[c]:bounds[c + 1]] for c in range(k)]
 
-    violating = rse_to_assigned(X, centroids, labels) > theta
+    violating = rse_to_assigned(X, centroids, model.labels) > theta
     viol_count = int(violating.sum())
 
+    # pairs p < q only; a merged-away cluster's row and column become inf,
+    # so the row-major order of the remaining pairs is that of a compacted
+    # matrix
     d2 = _pairwise_sq_dists(centroids, centroids)
-    np.fill_diagonal(d2, np.inf)
-    tri = np.triu(np.ones_like(d2, dtype=bool), k=1)
-    d2 = np.where(tri, d2, np.inf)
+    d2[np.tril_indices(k)] = np.inf
+    alive = np.ones(k, dtype=bool)
 
     merges = 0
-    while len(centroids) >= 2:
+    while True:
         flat = int(d2.argmin())  # row-major: ties resolve to the lowest id pair
-        p, q = divmod(flat, d2.shape[1])
+        p, q = divmod(flat, k)
         if not np.isfinite(d2[p, q]):
             break
         merged = (counts[p] * centroids[p] + counts[q] * centroids[q]) / (
             counts[p] + counts[q]
         )
-        members = (labels == p) | (labels == q)
-        new_rse = rse_to_assigned(X[members], merged[None, :], np.zeros(int(members.sum()), dtype=np.int64))
-        new_viol = viol_count - int(violating[members].sum()) + int((new_rse > theta).sum())
+        rows = np.concatenate((members[p], members[q]))
+        bad = rse_to_assigned(X[rows], merged[None, :], np.zeros(len(rows), dtype=np.int64)) > theta
+        new_viol = viol_count - int(violating[rows].sum()) + int(bad.sum())
         if new_viol / n >= max_violation:
             break
         centroids[p] = merged
         counts[p] += counts[q]
-        labels[members] = p
-        violating[members] = new_rse > theta
+        members[p] = rows
+        violating[rows] = bad
         viol_count = new_viol
-        keep = np.arange(len(centroids)) != q
-        centroids = centroids[keep]
-        ids = ids[keep]
-        counts = counts[keep]
-        labels[labels > q] -= 1
-        d2 = d2[keep][:, keep]
-        # refresh distances involving the merged cluster (still at row p)
+        alive[q] = False
+        d2[q, :] = np.inf
+        d2[:, q] = np.inf
+        # refresh distances involving the merged cluster
         dp = ((centroids - centroids[p]) ** 2).sum(axis=1)
+        dp[~alive] = np.inf
         d2[p, p + 1:] = dp[p + 1:]
         d2[:p, p] = dp[:p]
         merges += 1
+
+    keep = np.flatnonzero(alive)
+    labels = np.empty(n, dtype=np.int64)
+    for label, c in enumerate(keep):
+        labels[members[c]] = label
+    centroids = centroids[keep]
+    ids = model.ids[keep]
 
     meta = dict(model.meta)
     meta.update(
@@ -422,14 +443,14 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         "ids": model.ids.tolist(),
         "counts": model.counts.tolist(),
         "centroids": [list(map(float, row)) for row in model.centroids],
-        "meta": model.meta,
+        "meta": dict(model.meta),
     }
     with open(model_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     if labels_path is not None:
         with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(["household_id", "date", "cluster_id"])
+            csv.writer(fh).writerow(LABELS_HEADER)
             for block in _csv_key_blocks(model.table.household_ids, model.table.dates,
                                          model.ids[model.labels]):
                 fh.write("".join([f"{key},{cid}\r\n" for key, cid in zip(*block)]))
@@ -443,8 +464,7 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     labels.csv names, in labels.csv order. A key the table lacks, or one
     labels.csv lists twice, raises CorruptArtifactError.
     """
-    with open(model_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(model_path)
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise VersionMismatchError(
@@ -458,19 +478,19 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
         for i, (hid, date) in enumerate(zip(table.household_ids, table.dates))
     }
     rows, labels = [], []
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
+    with _artifact_rows(labels_path, LABELS_HEADER) as reader:
         for row in reader:
             key = (row[0], row[1])
             if key not in row_of:
                 raise CorruptArtifactError(
-                    f"labels file names shape key {key}, which the shape table lacks"
+                    f"{labels_path}: data row {len(rows) + 1} names shape key {key}, "
+                    "which the shape table lacks"
                 )
             cid = int(row[2])
             if cid not in position:
                 raise CorruptArtifactError(
-                    f"labels file names cluster id {cid}, which model.json lacks"
+                    f"{labels_path}: data row {len(rows) + 1} names cluster id {cid}, "
+                    "which model.json lacks"
                 )
             rows.append(row_of[key])
             labels.append(position[cid])
@@ -479,7 +499,7 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     if len(repeated):
         i = repeated[0]
         key = (table.household_ids[i], table.dates[i].isoformat())
-        raise CorruptArtifactError(f"labels file lists shape key {key} twice")
+        raise CorruptArtifactError(f"{labels_path}: lists shape key {key} twice")
     table = table.take(rows)
     labels = np.array(labels, dtype=np.int64)
     model = ClusterModel(

@@ -21,6 +21,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _csv_key_blocks
+from .ingest import _artifact_rows, _csv_key_blocks, _read_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -49,8 +50,9 @@ class ClusterDictionary:
 
     Row order is by descending total member kWh (id as tiebreak); ids are
     assigned in that order at construction and survive persistence.
-    ``digest`` is the sha256 that ``load_dictionary`` verified, None for a
-    dictionary built in memory.
+    ``digest`` is the sha256 recorded in dictionary.json: the one
+    ``load_dictionary`` verified, or the one the pipeline's truncate stage
+    saved; None for a dictionary built in memory.
     """
 
     values: np.ndarray
@@ -65,6 +67,15 @@ class ClusterDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def freeze(self) -> "ClusterDictionary":
+        """Mark every array and the provenance read-only; returns the
+        dictionary."""
+        for array in (self.values, self.ids, self.member_counts, self.member_kwh,
+                      self.member_discretionary_kwh):
+            array.flags.writeable = False
+        self.provenance = MappingProxyType(self.provenance)
+        return self
 
     def validate(self) -> None:
         sums = self.values.sum(axis=1)
@@ -191,6 +202,13 @@ class AssignmentTable:
     def __len__(self) -> int:
         return len(self.cluster_ids)
 
+    def freeze(self) -> "AssignmentTable":
+        """Mark every column read-only; returns the table."""
+        for column in (self.household_ids, self.dates, self.cluster_ids, self.distances,
+                       self.rses, self.day_total_kwh, self.discretionary_kwh):
+            column.flags.writeable = False
+        return self
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(ASSIGNMENTS_HEADER)
@@ -204,12 +222,8 @@ class AssignmentTable:
     @classmethod
     def read_csv(cls, path, shapes: ShapeTable | None = None) -> "AssignmentTable":
         household_ids, dates, cids, dists, rses = [], [], [], [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ASSIGNMENTS_HEADER:
-                raise ValueError(f"{path}: unexpected assignments header")
-            for row in reader:
+        with _artifact_rows(path, ASSIGNMENTS_HEADER) as rows:
+            for row in rows:
                 household_ids.append(row[0])
                 dates.append(dt.date.fromisoformat(row[1]))
                 cids.append(int(row[2]))
@@ -316,7 +330,9 @@ def _dictionary_digest(ids, values) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def save_dictionary(dictionary: ClusterDictionary, path) -> None:
+def save_dictionary(dictionary: ClusterDictionary, path) -> str:
+    """Write dictionary.json; returns the digest it records, which
+    ``load_dictionary`` verifies."""
     payload = {
         "schema_version": DICTIONARY_SCHEMA_VERSION,
         "theta": dictionary.theta,
@@ -328,18 +344,18 @@ def save_dictionary(dictionary: ClusterDictionary, path) -> None:
             float(x) for x in dictionary.member_discretionary_kwh
         ],
         "centroids": [[float(v) for v in row] for row in dictionary.values],
-        "provenance": dictionary.provenance,
+        "provenance": dict(dictionary.provenance),
         "digest": _dictionary_digest(dictionary.ids, dictionary.values),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return payload["digest"]
 
 
 def load_dictionary(path) -> ClusterDictionary:
     """Load and verify dictionary.json (version, digest, invariants)."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     version = payload.get("schema_version")
     if version != DICTIONARY_SCHEMA_VERSION:
         raise VersionMismatchError(

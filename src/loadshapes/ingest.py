@@ -14,14 +14,19 @@ File formats are UTF-8 CSV with ISO-8601 dates:
 * survey:             ``household_id,<indicator columns>``
 
 A missing or malformed hourly cell becomes a NaN slot, never 0.0.
+
+The CSV and JSON helpers that the artifact writers and readers of the
+other modules share live here too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
 import io
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CorruptArtifactError,
     DuplicateRecordError,
     HeaderMismatchError,
     UnknownIndicatorError,
@@ -226,6 +232,54 @@ def _csv_key_blocks(household_ids, dates, *columns):
         keys = [f"{id_text(hid)},{date_text(date)}"
                 for hid, date in zip(household_ids[start:stop], dates[start:stop])]
         yield (keys, *(column[start:stop].tolist() for column in columns))
+
+
+@contextlib.contextmanager
+def _artifact_rows(path, header: list[str]):
+    """Open the CSV artifact ``path`` and yield an iterator over its data
+    rows, each checked to hold one cell per ``header`` column.
+
+    A missing or different header, a row with another cell count, and a
+    ``ValueError`` (a bad date or number) raised by the ``with`` block while
+    it parses a row become a CorruptArtifactError naming the file and the
+    1-based data row.
+    """
+    width = len(header)
+    row_no = 0
+
+    def rows(reader):
+        nonlocal row_no
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise CorruptArtifactError(
+                    f"{path}: data row {row_no}: expected {width} cells, got {len(row)}"
+                )
+            yield row
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        actual = next(reader, None)
+        if actual is None:
+            raise CorruptArtifactError(f"{path}: no header, expected {header}")
+        if actual != header:
+            raise CorruptArtifactError(f"{path}: header {actual}, expected {header}")
+        try:
+            yield rows(reader)
+        except ValueError as exc:
+            raise CorruptArtifactError(f"{path}: data row {row_no}: {exc}") from exc
+
+
+def _read_json(path) -> dict:
+    """The JSON object in the artifact ``path``; a file that does not parse
+    as one raises CorruptArtifactError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CorruptArtifactError(f"{path}: not a JSON object")
+    return payload
 
 
 def read_meter_corpus(path, schema: str = "wide"):

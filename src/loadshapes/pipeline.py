@@ -12,10 +12,15 @@ surfaces a stage-named error. ``run_pipeline`` and the CLI stage commands
 both call the stage functions in ``_STAGE_FNS``, which are made from the
 table.
 
-``run_pipeline`` parses shapes.csv at most once: ingest keeps the table it
-wrote, and the later stages look it up by the sha256 of shapes.csv that the
-manifest check has just computed. A stage run on its own, or a run whose
-shapes.csv changed on disk, misses and parses the file.
+One ``RunCache`` lives for one ``run_pipeline`` call. It hashes each file
+once (keyed by resolved path, size, mtime_ns and inode), and it hands every
+artifact or input a later stage reads (shapes.csv, model.json + labels.csv,
+dictionary.json, assignments.csv, weather, survey) from the stage that
+wrote or parsed it to the next reader, read-only, under the sha256 of the
+files it was made from. A reader looks the object up by the digests its
+manifest check has just computed and parses only on a miss, so a file
+changed on disk is parsed again. A stage command keeps nothing between
+readers and parses from disk.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
@@ -28,8 +33,9 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable
 
 from . import analytics
@@ -42,9 +48,10 @@ from .dictionary import (
     save_dictionary,
     truncate,
 )
-from .errors import ConfigError, EmptyInputError, StageError
+from .errors import ConfigError, CorruptArtifactError, EmptyInputError, StageError
 from .ingest import (
     INDICATOR_VOCABULARY,
+    _read_json,
     read_meter_corpus,
     read_survey,
     read_weather,
@@ -55,16 +62,16 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 # Stage bodies, in pipeline order. Each gets the config, the output
-# directory and the shape table (None for ingest), and writes its outputs;
-# ingest returns the table it wrote, so a run can hand it to later stages.
+# directory, the shape table (None for ingest) and the run's cache, writes
+# its outputs, and leaves what it wrote, read-only, in the cache for the
+# stages after it.
 
-def _ingest(config: RunConfig, out: Path, shapes: None) -> ShapeTable:
+def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None:
     days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
     read = {"meter": (days, meter_diags)}
-    if config.weather:
-        read["weather"] = read_weather(config.weather)
-    if config.survey:
-        read["survey"] = read_survey(config.survey)
+    for kind in ("weather", "survey"):
+        if getattr(config, kind):
+            read[kind] = _read_rows(cache, kind, getattr(config, kind))
     report_payload = {}
     for kind, (rows, diags) in read.items():
         report_payload[f"{kind}_rows"] = len(rows)
@@ -84,10 +91,10 @@ def _ingest(config: RunConfig, out: Path, shapes: None) -> ShapeTable:
     with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
         json.dump(report_payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return table
+    cache.keep("shapes", [out / "shapes.csv"], table.freeze())
 
 
-def _cluster(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
+def _cluster(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
     n = config.sample
     if n > len(shapes):
         warnings.warn(f"sample {n} exceeds corpus size {len(shapes)}; clamping")
@@ -98,30 +105,35 @@ def _cluster(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     )
     model = hierarchical_merge(model, config.merge_violation)
     save_model(model, out / "model.json", out / "labels.csv")
+    cache.keep("model", _model_files(out), model.freeze())
 
 
-def _truncate(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
-    model = load_model(out / "model.json", out / "labels.csv", shapes)
+def _truncate(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
+    model = cache.read("model", _model_files(out), lambda: load_model(
+        out / "model.json", out / "labels.csv", shapes).freeze())
     dictionary = truncate(model, config.truncate_violation)
-    dictionary.provenance["run_id"] = run_id_for(config)
-    save_dictionary(dictionary, out / "dictionary.json")
+    dictionary.provenance["run_id"] = run_id_for(config, cache)
+    # the digest load_dictionary would verify and set
+    dictionary.digest = save_dictionary(dictionary, out / "dictionary.json")
+    cache.keep("dictionary", [out / "dictionary.json"], dictionary.freeze())
 
 
-def _assign(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
-    dictionary = load_dictionary(out / "dictionary.json")
-    assignments = assign_all(shapes, dictionary, workers=config.threads)
+def _assign(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
+    assignments = assign_all(shapes, _read_dictionary(out, cache), workers=config.threads)
     assignments.write_csv(out / "assignments.csv")
+    cache.keep("assignments", _assignment_files(out), assignments.freeze())
 
 
-def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
-    dictionary = load_dictionary(out / "dictionary.json")
-    assignments = AssignmentTable.read_csv(out / "assignments.csv", shapes)
+def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
+    dictionary = _read_dictionary(out, cache)
+    assignments = cache.read("assignments", _assignment_files(out), lambda: (
+        AssignmentTable.read_csv(out / "assignments.csv", shapes).freeze()))
     weather = None
     if config.weather:
-        weather, _ = read_weather(config.weather)
+        weather, _ = _read_rows(cache, "weather", config.weather)
     frame = analytics.build_frame(assignments, weather)
     provenance = {
-        "run_id": run_id_for(config),
+        "run_id": run_id_for(config, cache),
         "dictionary_digest": dictionary.digest,
         "params": config.effective_params(),
     }
@@ -168,7 +180,7 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
 
     deltas = []
     if config.survey:
-        profiles, _ = read_survey(config.survey)
+        profiles, _ = _read_rows(cache, "survey", config.survey)
         for indicator in INDICATOR_VOCABULARY:
             try:
                 deltas.append(
@@ -186,6 +198,34 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable) -> None:
     analytics.write_occurrence_csv(occ, out / "occurrence_map.csv", provenance)
 
 
+# the files each handed-over artifact is made from: what a reader parses
+# it from, and what its cache key digests
+
+def _model_files(out: Path) -> list:
+    return [out / "model.json", out / "labels.csv", out / "shapes.csv"]
+
+
+def _assignment_files(out: Path) -> list:
+    return [out / "assignments.csv", out / "shapes.csv"]
+
+
+def _read_dictionary(out: Path, cache: RunCache):
+    return cache.read("dictionary", [out / "dictionary.json"],
+                      lambda: load_dictionary(out / "dictionary.json").freeze())
+
+
+def _read_rows(cache: RunCache, kind: str, path) -> tuple:
+    """The (rows, diagnostics) of the weather or survey file ``path``, as
+    tuples of frozen records; survey indicators are read-only mappings."""
+    def parse():
+        rows, diagnostics = (read_weather if kind == "weather" else read_survey)(path)
+        if kind == "survey":
+            rows = [replace(p, indicators=MappingProxyType(p.indicators)) for p in rows]
+        return tuple(rows), tuple(diagnostics)
+
+    return cache.read(kind, [path], parse)
+
+
 @dataclass(frozen=True)
 class Stage:
     """One row of the stage table."""
@@ -195,7 +235,7 @@ class Stage:
     outputs: tuple
     params: tuple  # effective_params() keys in the stage's params hash
     sources: tuple  # RunConfig input-file fields it reads; a listed meter is required
-    body: Callable  # (config, out, shapes) -> the ShapeTable it wrote, or None
+    body: Callable  # (config, out, shapes, cache) -> None
 
 
 STAGES = {stage.name: stage for stage in (
@@ -325,6 +365,59 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
+class RunCache:
+    """What one ``run_pipeline`` call has digested and parsed.
+
+    ``digest`` hashes a file once per stat key (resolved path, size,
+    ``st_mtime_ns``, ``st_ino``): within a run, an unchanged stat key is
+    trusted to mean unchanged bytes. A stage that runs ``forget``s its
+    outputs first, so a file the run itself rewrites is hashed again.
+
+    ``keep`` and ``read`` hand parsed artifacts between stages: an object
+    is stored under its kind and the sha256 of every file it is made from,
+    so a reader finds it only while those files hold what it was made
+    from, and parses them otherwise. Stored objects are read-only. Made
+    with ``handover=False`` (stage commands), the cache still digests each
+    file once but stores nothing, so every reader parses from disk.
+    """
+
+    def __init__(self, handover: bool = True):
+        self._digests: dict = {}  # resolved path -> (stat key, sha256)
+        # (kind, sha256 of each file) -> read-only object
+        self.objects: dict | None = {} if handover else None
+
+    def digest(self, path) -> str:
+        path = os.path.realpath(path)
+        st = os.stat(path)
+        stat = (st.st_size, st.st_mtime_ns, st.st_ino)
+        known = self._digests.get(path)
+        if known is None or known[0] != stat:
+            known = self._digests[path] = (stat, _file_digest(path))
+        return known[1]
+
+    def forget(self, paths) -> None:
+        for path in paths:
+            self._digests.pop(os.path.realpath(path), None)
+
+    def key(self, kind: str, paths) -> tuple:
+        return (kind, *map(self.digest, paths))
+
+    def keep(self, kind: str, paths, obj) -> None:
+        """Store ``obj`` (read-only) as what ``paths`` now hold."""
+        if self.objects is not None:
+            self.objects[self.key(kind, paths)] = obj
+
+    def read(self, kind: str, paths, parse: Callable):
+        """The object stored for what ``paths`` hold, or ``parse()``,
+        which must return it read-only."""
+        if self.objects is None:
+            return parse()
+        key = self.key(kind, paths)
+        if key not in self.objects:
+            self.objects[key] = parse()
+        return self.objects[key]
+
+
 def _params_hash(params: dict) -> str:
     return hashlib.sha256(
         json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
@@ -336,8 +429,17 @@ class Manifest:
         self.path = out_dir / MANIFEST_NAME
         self.data = {"stages": {}}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self.data = json.load(fh)
+            try:
+                data = _read_json(self.path)
+            except CorruptArtifactError:
+                data = {}
+            if isinstance(data.get("stages"), dict):
+                self.data = data
+            else:
+                warnings.warn(
+                    f"{self.path}: damaged, not a JSON object with a 'stages' "
+                    "dict; every stage runs again and rewrites it"
+                )
 
     def entry(self, stage: str):
         return self.data["stages"].get(stage)
@@ -381,17 +483,18 @@ class RunResult:
         return None
 
 
-def run_id_for(config: RunConfig) -> str:
+def run_id_for(config: RunConfig, cache: RunCache | None = None) -> str:
     """Deterministic run id from parameters and input digests."""
+    digest = _file_digest if cache is None else cache.digest
     payload = dict(config.effective_params())
     for name in ("meter", "weather", "survey"):
         path = getattr(config, name)
-        payload[f"digest_{name}"] = _file_digest(path) if path and Path(path).exists() else None
+        payload[f"digest_{name}"] = digest(path) if path and Path(path).exists() else None
     return _params_hash(payload)[:12]
 
 
 def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
-               shapes_memo: dict | None) -> StageResult:
+               cache: RunCache | None) -> StageResult:
     """Check, then run or skip, one stage; every stage function calls this."""
     config.validate()
     out = Path(config.out)
@@ -413,24 +516,25 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
             inputs.append(Path(path))
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest or Manifest(out)
+    if cache is None:
+        cache = RunCache(handover=False)
     effective = config.effective_params()
     entry = {
         "params_hash": _params_hash({key: effective[key] for key in stage.params}),
-        "inputs": {str(p): _file_digest(p) for p in inputs},
+        "inputs": {str(p): cache.digest(p) for p in inputs},
         "outputs": list(stage.outputs),
     }
     outputs_ok = all((out / name).exists() for name in stage.outputs)
     if manifest.entry(stage.name) == entry and outputs_ok:
         return StageResult(stage.name, "cached")
+    cache.forget(out / name for name in stage.outputs)
     try:
         shapes = None
         if "shapes.csv" in stage.requires:
             shapes_path = out / "shapes.csv"
-            digest = entry["inputs"][str(shapes_path)]
-            shapes = ShapeTable.read_csv(shapes_path, shapes_memo, digest)
-        written = stage.body(config, out, shapes)
-        if written is not None and shapes_memo is not None:
-            shapes_memo[_file_digest(out / "shapes.csv")] = written.freeze()
+            shapes = ShapeTable.read_csv(shapes_path, cache.objects,
+                                         cache.key("shapes", [shapes_path]))
+        stage.body(config, out, shapes, cache)
     except StageError:
         raise
     except Exception as exc:
@@ -447,8 +551,8 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
 
 def _stage_function(stage: Stage):
     def run(config: RunConfig, manifest: Manifest | None = None,
-            shapes_memo: dict | None = None) -> StageResult:
-        return _run_stage(stage, config, manifest, shapes_memo)
+            cache: RunCache | None = None) -> StageResult:
+        return _run_stage(stage, config, manifest, cache)
 
     run.__name__ = run.__qualname__ = f"stage_{stage.name}"
     run.__doc__ = f"Run the {stage.name} stage, or report it cached."
@@ -468,9 +572,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
     """Execute the selected stages in order, skipping cached ones."""
     config.validate()
     manifest = Manifest(Path(config.out))
-    shapes_memo: dict = {}  # sha256 of shapes.csv -> ShapeTable, this run only
-    result = RunResult(run_id=run_id_for(config))
+    cache = RunCache()  # this run only
+    result = RunResult(run_id=run_id_for(config, cache))
     for stage in PIPELINE_STAGES:
         if stage in config.stages:
-            result.results.append(_STAGE_FNS[stage](config, manifest, shapes_memo))
+            result.results.append(_STAGE_FNS[stage](config, manifest, cache))
     return result

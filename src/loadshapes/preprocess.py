@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ZeroDiscretionaryError
-from .ingest import HOURS_PER_DAY, DayTable, _csv_key_blocks
+from .ingest import HOURS_PER_DAY, DayTable, _artifact_rows, _csv_key_blocks
 
 LOW_DEMAND_KW = 0.2
 # relative tolerance, at the scale of float64 rounding, within which a day's
@@ -144,11 +144,12 @@ class ShapeTable:
 
     @classmethod
     def read_csv(cls, path, memo: dict | None = None,
-                 digest: str | None = None) -> "ShapeTable":
-        """The table in ``path``. With ``memo`` (sha256 -> table) and
-        ``digest`` (the sha256 of ``path``), a table already remembered under
-        ``digest`` is returned without parsing the file; a parsed one is made
-        read-only and remembered, so the stages of one run share it."""
+                 digest=None) -> "ShapeTable":
+        """The table in ``path``. With ``memo`` and ``digest`` (a key that
+        names the content of ``path``, such as its sha256), a table already
+        remembered under ``digest`` is returned without parsing the file; a
+        parsed one is made read-only and remembered, so the stages of one
+        run share it."""
         if memo is None:
             return cls._parse_csv(path)
         if digest not in memo:
@@ -158,12 +159,8 @@ class ShapeTable:
     @classmethod
     def _parse_csv(cls, path) -> "ShapeTable":
         household_ids, dates, totals, discs, values = [], [], [], [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != SHAPES_HEADER:
-                raise ValueError(f"{path}: unexpected shapes header")
-            for row in reader:
+        with _artifact_rows(path, SHAPES_HEADER) as rows:
+            for row in rows:
                 household_ids.append(row[0])
                 dates.append(dt.date.fromisoformat(row[1]))
                 totals.append(float(row[2]))

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -492,6 +493,105 @@ def test_merge_tie_breaks_to_lowest_id_pair():
     assert sorted(merged.ids.tolist()) == [0, 2]
 
 
+def compacting_merge(model, max_violation):
+    """Reference for hierarchical_merge: after each merge it compacts the
+    distance matrix and the centroid arrays and rescans every label.
+    Returns (centroids, ids, labels, merges, tried), where ``tried`` holds
+    the member count and merged centroid of every pair it tried."""
+    X = model.table.values
+    n = len(X)
+    centroids = model.centroids.copy()
+    ids = model.ids.copy()
+    labels = model.labels.copy()
+    counts = model.counts.astype(np.int64)
+    theta = model.theta
+    violating = cluster.rse_to_assigned(X, centroids, labels) > theta
+    viol_count = int(violating.sum())
+    d2 = _pairwise_sq_dists(centroids, centroids)
+    np.fill_diagonal(d2, np.inf)
+    tri = np.triu(np.ones_like(d2, dtype=bool), k=1)
+    d2 = np.where(tri, d2, np.inf)
+    merges, tried = 0, []
+    while len(centroids) >= 2:
+        flat = int(d2.argmin())
+        p, q = divmod(flat, d2.shape[1])
+        if not np.isfinite(d2[p, q]):
+            break
+        merged = (counts[p] * centroids[p] + counts[q] * centroids[q]) / (
+            counts[p] + counts[q]
+        )
+        members = (labels == p) | (labels == q)
+        tried.append((int(members.sum()), merged.tobytes()))
+        new_rse = cluster.rse_to_assigned(
+            X[members], merged[None, :], np.zeros(int(members.sum()), dtype=np.int64))
+        new_viol = viol_count - int(violating[members].sum()) + int((new_rse > theta).sum())
+        if new_viol / n >= max_violation:
+            break
+        centroids[p] = merged
+        counts[p] += counts[q]
+        labels[members] = p
+        violating[members] = new_rse > theta
+        viol_count = new_viol
+        keep = np.arange(len(centroids)) != q
+        centroids = centroids[keep]
+        ids = ids[keep]
+        counts = counts[keep]
+        labels[labels > q] -= 1
+        d2 = d2[keep][:, keep]
+        dp = ((centroids - centroids[p]) ** 2).sum(axis=1)
+        d2[p, p + 1:] = dp[p + 1:]
+        d2[:p, p] = dp[:p]
+        merges += 1
+    return centroids, ids, labels, merges, tried
+
+
+@st.composite
+def merge_cases(draw):
+    """(model, budget). Rows and centroids can sit on a coarse grid, so
+    that centroid distances tie exactly; ids are shuffled and spaced."""
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(2, min(n, 14)))
+    d = draw(st.sampled_from([2, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    X = rng.integers(1, 5, (n, d)) / 4.0 if grid else rng.random((n, d)) + 0.01
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(labels)
+    if draw(st.booleans()):
+        centroids = np.vstack([X[labels == c].mean(0) for c in range(k)])
+    else:  # far from the member means, and on the grid when X is
+        centroids = X[rng.integers(0, n, k)]
+    model = ClusterModel(
+        table=cluster._bare_table(X), centroids=centroids,
+        ids=rng.permutation(k).astype(np.int64) * 3 + 1, labels=labels,
+        theta=draw(st.sampled_from([0.01, 0.1, 0.3, 1.0])), meta={},
+    )
+    return model, draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_cases())
+def test_merge_equals_the_compacting_loop(case):
+    model, budget = case
+    want_centroids, want_ids, want_labels, want_merges, want_tried = compacting_merge(
+        model, budget)
+    tried = []
+    real = cluster.rse_to_assigned
+
+    def recording(X, centroids, labels):
+        if len(centroids) == 1:  # a merge candidate, not the initial rates
+            tried.append((len(X), centroids[0].tobytes()))
+        return real(X, centroids, labels)
+
+    with mock.patch.object(cluster, "rse_to_assigned", recording):
+        got = hierarchical_merge(model, budget)
+    assert tried == want_tried
+    assert np.array_equal(got.centroids, want_centroids)
+    assert np.array_equal(got.ids, want_ids)
+    assert np.array_equal(got.labels, want_labels)
+    assert got.meta["merges"] == want_merges
+
+
 def test_merge_requires_two_clusters():
     X = np.tile(np.full(24, 1 / 24), (3, 1))
     model = _model_from(X, [0, 0, 0], 1, theta=0.3)
@@ -564,6 +664,39 @@ def test_load_model_rejects_missing_and_repeated_keys(tmp_path):
     lines[twin] = lines[1]
     (tmp_path / "labels.csv").write_text("".join(lines))
     with pytest.raises(CorruptArtifactError, match=r"\('H0', '2011-06-01'\).*twice"):
+        load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
+
+
+def _cut_last_row(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1][:5]]))
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("labels.csv", lambda p: p.write_text(""), "labels.csv: no header"),
+    ("labels.csv", lambda p: p.write_text("household_id,date\n"), "labels.csv: header"),
+    ("labels.csv", _cut_last_row, "labels.csv: data row 60: expected 3 cells, got 2"),
+    ("model.json", lambda p: p.write_text(p.read_text()[:100]), "model.json: not valid JSON"),
+    ("model.json", lambda p: p.write_text("[1, 2]"), "model.json: not a JSON object"),
+])
+def test_load_model_names_the_damaged_file(tmp_path, name, damage, message):
+    table = _keyed_table(unit_shapes(np.random.default_rng(24), 60))
+    model = adaptive_kmeans(table, theta=0.3, k_init=4, seed=2)
+    save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
+    damage(tmp_path / name)
+    with pytest.raises(CorruptArtifactError, match=message):
+        load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
+
+
+def test_load_model_names_the_row_of_a_bad_cluster_id(tmp_path):
+    table = _keyed_table(unit_shapes(np.random.default_rng(24), 60))
+    model = adaptive_kmeans(table, theta=0.3, k_init=4, seed=2)
+    save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
+    lines = (tmp_path / "labels.csv").read_text().splitlines(keepends=True)
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",1e3\r\n"
+    (tmp_path / "labels.csv").write_text("".join(lines))
+    with pytest.raises(CorruptArtifactError,
+                       match="labels.csv: data row 7: invalid literal for int"):
         load_model(tmp_path / "model.json", tmp_path / "labels.csv", table)
 
 

@@ -393,3 +393,17 @@ def test_assignments_read_rejects_misaligned_middle_row(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(CorruptArtifactError, match="aligned"):
         AssignmentTable.read_csv(path, table)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("H1,2011-07-02,1,0.5", "data row 2: expected 5 cells, got 4"),
+    ("H1,2011-07-32,1,0.5,0.1", "data row 2: day is out of range"),
+    ("H1,2011-07-02,x,0.5,0.1", "data row 2: invalid literal for int"),
+    ("H1,2011-07-02,1,0.5,", "data row 2: could not convert"),
+])
+def test_assignments_read_names_file_and_row_of_a_bad_row(tmp_path, line, message):
+    path = tmp_path / "assignments.csv"
+    path.write_text("household_id,date,cluster_id,distance,rse\n"
+                    f"H0,2011-07-01,1,0.5,0.1\n{line}\n")
+    with pytest.raises(CorruptArtifactError, match=f"assignments.csv: {message}"):
+        AssignmentTable.read_csv(path)

@@ -1,25 +1,30 @@
 import argparse
 import builtins
 import dataclasses
+import datetime as dt
 import filecmp
 import hashlib
 import json
+import os
 import shutil
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from loadshapes import analytics
+from loadshapes import analytics, pipeline
 from loadshapes.cli import build_parser, main
 from loadshapes.config import write_config
+from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import ConfigError, EmptyInputError, StageError
 from loadshapes.pipeline import (
     _STAGE_FNS,
     MANIFEST_NAME,
     PIPELINE_STAGES,
     Manifest,
+    RunCache,
     RunConfig,
     run_pipeline,
     stage_analyze,
@@ -421,18 +426,19 @@ def test_rewritten_shapes_reach_later_stages_within_a_run(
 ):
     out = tmp_path / "tamper"
     config = smoke_config(smoke_corpus, out, sample=300)
-    memo: dict = {}
-    stage_ingest(config, shapes_memo=memo)
+    cache = RunCache()
+    stage_ingest(config, cache=cache)
     kept = _keep_every_other_shape(out / "shapes.csv")
     shape_reads.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for stage in (stage_cluster, stage_truncate, stage_assign, stage_analyze):
-            assert stage(config, shapes_memo=memo).status == "ran"
-    assert len(shape_reads) == 1  # the digest changed: cluster misses the memo
+            assert stage(config, cache=cache).status == "ran"
+    assert len(shape_reads) == 1  # the digest changed: cluster misses the cache
     assert _data_rows(out / "assignments.csv") == kept
-    assert len(memo) == 2
-    for table in memo.values():
+    tables = [obj for key, obj in cache.objects.items() if key[0] == "shapes"]
+    assert len(tables) == 2
+    for table in tables:
         assert not any(column.flags.writeable for column in (
             table.values, table.household_ids, table.dates,
             table.day_total_kwh, table.discretionary_kwh))
@@ -573,3 +579,227 @@ def test_run_config_bad_value_names_the_key(tmp_path, key):
     path.write_text(f"seed=1\n{key}=abc\n")
     with pytest.raises(ConfigError, match=f"config key '{key}': bad value 'abc'"):
         RunConfig.from_file(path)
+
+
+def test_damaged_manifest_is_treated_as_empty(smoke_corpus, smoke_run, tmp_path):
+    _, out, _ = smoke_run
+    copy = tmp_path / "damaged"
+    shutil.copytree(out, copy)
+    manifest = copy / MANIFEST_NAME
+    manifest.write_bytes(manifest.read_bytes()[:100])
+    config = smoke_config(smoke_corpus, copy)
+    with pytest.warns(UserWarning, match=MANIFEST_NAME):
+        result = run_pipeline(config)
+    assert [r.status for r in result.results] == ["ran"] * 5
+    assert set(json.loads(manifest.read_text())["stages"]) == set(PIPELINE_STAGES)
+    assert [r.status for r in run_pipeline(config).results] == ["cached"] * 5
+    for name in ARTIFACTS:
+        assert filecmp.cmp(out / name, copy / name, shallow=False), name
+
+
+@pytest.mark.parametrize("text", ['["stages"]', '{"stages": []}', '{"other": {}}'])
+def test_manifest_without_a_stages_dict_is_treated_as_empty(tmp_path, text):
+    (tmp_path / MANIFEST_NAME).write_text(text)
+    with pytest.warns(UserWarning, match=MANIFEST_NAME):
+        manifest = Manifest(tmp_path)
+    assert manifest.entry("ingest") is None
+
+
+def _cut_after_data_row(path, row: int) -> None:
+    """Keep the header and ``row - 1`` data rows whole, then half of data
+    row ``row``: a write cut short."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:row]) + lines[row][: len(lines[row]) // 2])
+
+
+@pytest.mark.parametrize("stage, name, damage, message", [
+    (stage_analyze, "assignments.csv", "empty", "no header"),
+    (stage_analyze, "assignments.csv", "cut", "data row 4: expected 5 cells"),
+    (stage_truncate, "labels.csv", "empty", "no header"),
+    (stage_truncate, "labels.csv", "cut", "data row 4: expected 3 cells"),
+    (stage_cluster, "shapes.csv", "empty", "no header"),
+    (stage_cluster, "shapes.csv", "cut", "data row 4: expected 28 cells"),
+])
+def test_truncated_artifact_names_file_and_row(smoke_corpus, smoke_run, tmp_path,
+                                               stage, name, damage, message):
+    _, out, _ = smoke_run
+    copy = tmp_path / "cut"
+    shutil.copytree(out, copy)
+    if damage == "empty":
+        (copy / name).write_text("")
+    else:
+        _cut_after_data_row(copy / name, 4)
+    with pytest.raises(StageError, match=f"{name}: {message}"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stage(smoke_config(smoke_corpus, copy))
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Names of the files the pipeline hashes while the test runs."""
+    names = []
+    digest = pipeline._file_digest
+
+    def counted(path):
+        names.append(Path(path).name)
+        return digest(path)
+
+    monkeypatch.setattr(pipeline, "_file_digest", counted)
+    return names
+
+
+FILES_OF_A_RUN = ["assignments.csv", "dictionary.json", "labels.csv", "meter.csv",
+                  "model.json", "shapes.csv", "survey.csv", "weather.csv"]
+
+
+def test_cold_run_and_cached_rerun_digest_each_file_once(smoke_corpus, tmp_path, digests):
+    config = smoke_config(smoke_corpus, tmp_path / "once")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert [r.status for r in run_pipeline(config).results] == ["ran"] * 5
+    assert sorted(digests) == FILES_OF_A_RUN
+    digests.clear()
+    assert [r.status for r in run_pipeline(config).results] == ["cached"] * 5
+    assert sorted(digests) == FILES_OF_A_RUN
+
+
+def _counting(calls: list, name: str, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_cold_run_parses_only_its_inputs(smoke_corpus, tmp_path, shape_reads,
+                                         monkeypatch):
+    parsed = []
+    for name in ("read_weather", "read_survey", "load_model", "load_dictionary"):
+        monkeypatch.setattr(pipeline, name, _counting(parsed, name, getattr(pipeline, name)))
+    monkeypatch.setattr(AssignmentTable, "read_csv",
+                        _counting(parsed, "read_csv", AssignmentTable.read_csv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(smoke_config(smoke_corpus, tmp_path / "parsed"))
+    assert sorted(parsed) == ["read_survey", "read_weather"]  # by ingest only
+    assert shape_reads == []
+
+
+def _read_only(obj) -> bool:
+    """Every array, mapping and sequence reachable through ``obj``'s
+    attributes and items refuses writes."""
+    if isinstance(obj, np.ndarray):
+        return not obj.flags.writeable
+    if isinstance(obj, (str, int, float, type(None), dt.date)):
+        return True
+    if isinstance(obj, (list, dict)):
+        return False
+    if isinstance(obj, tuple):
+        return all(map(_read_only, obj))
+    if isinstance(obj, MappingProxyType):
+        return True
+    return all(map(_read_only, vars(obj).values()))
+
+
+def test_handed_over_objects_are_read_only(smoke_corpus, tmp_path):
+    config = smoke_config(smoke_corpus, tmp_path / "frozen", sample=300)
+    cache = RunCache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in _STAGE_FNS.values():
+            assert stage(config, cache=cache).status == "ran"
+    kinds = sorted(key[0] for key in cache.objects)
+    assert kinds == ["assignments", "dictionary", "model", "shapes", "survey", "weather"]
+    for key, obj in cache.objects.items():
+        assert _read_only(obj), key[0]
+    (model,) = [obj for key, obj in cache.objects.items() if key[0] == "model"]
+    with pytest.raises(TypeError):
+        model.meta["k2"] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        model.labels[0] = 1
+
+
+def test_artifact_rewritten_between_stages_is_digested_and_parsed_again(
+    smoke_corpus, smoke_run, tmp_path, digests, monkeypatch
+):
+    out = tmp_path / "rewrite"
+    config = smoke_config(smoke_corpus, out)
+    cache = RunCache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in (stage_ingest, stage_cluster, stage_truncate):
+            assert stage(config, cache=cache).status == "ran"
+    # the same dictionary in other bytes: a new digest, the same results
+    payload = json.loads((out / "dictionary.json").read_text())
+    (out / "dictionary.json").write_text(json.dumps(payload, indent=2))
+    loads = []
+    monkeypatch.setattr(pipeline, "load_dictionary",
+                        _counting(loads, "load_dictionary", pipeline.load_dictionary))
+    digests.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in (stage_assign, stage_analyze):
+            assert stage(config, cache=cache).status == "ran"
+    assert loads == ["load_dictionary"]  # parsed by assign, handed to analyze
+    assert digests.count("dictionary.json") == 1
+    for name in ARTIFACTS:
+        if name != "dictionary.json":
+            assert filecmp.cmp(smoke_run[1] / name, out / name, shallow=False), name
+
+
+def test_run_cache_trusts_the_stat_key_until_it_forgets(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("a,b\n")
+    cache = RunCache()
+    first = cache.digest(path)
+    st = path.stat()
+    path.write_text("c,d\n")  # same size and inode; the old mtime restored
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert cache.digest(path) == first
+    cache.forget([tmp_path / "." / "f.csv"])
+    assert cache.digest(path) == hashlib.sha256(b"c,d\n").hexdigest()
+
+
+def test_a_running_stage_forgets_its_outputs(smoke_corpus, smoke_run, tmp_path,
+                                             monkeypatch):
+    _, out, _ = smoke_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    forgotten = []
+    forget = RunCache.forget
+
+    def recording(self, paths):
+        paths = list(paths)
+        forgotten.extend(p.name for p in paths)
+        forget(self, paths)
+
+    monkeypatch.setattr(RunCache, "forget", recording)
+    config = smoke_config(smoke_corpus, copy, truncate_violation=0.2)
+    cache = RunCache()
+    assert stage_cluster(config, cache=cache).status == "ran"  # new directory
+    assert stage_truncate(config, cache=cache).status == "ran"
+    assert forgotten == ["model.json", "labels.csv", "dictionary.json"]
+    forgotten.clear()
+    assert stage_truncate(config, cache=cache).status == "cached"
+    assert forgotten == []
+
+
+def test_handed_over_model_follows_the_shapes_it_was_joined_with(smoke_corpus, tmp_path):
+    # model.json and labels.csv unchanged, shapes.csv rewritten with the
+    # same keys: truncate must rejoin the labels with the new shapes
+    out = tmp_path / "joined"
+    config = smoke_config(smoke_corpus, out, sample=300)
+    cache = RunCache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in (stage_ingest, stage_cluster):
+            assert stage(config, cache=cache).status == "ran"
+        table = ShapeTable.read_csv(out / "shapes.csv")
+        ShapeTable(table.values[:, ::-1], table.household_ids, table.dates,
+                   table.day_total_kwh, table.discretionary_kwh).write_csv(out / "shapes.csv")
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert stage_truncate(config, cache=cache).status == "ran"
+        assert stage_truncate(smoke_config(smoke_corpus, copy, sample=300)).status == "ran"
+    assert filecmp.cmp(out / "dictionary.json", copy / "dictionary.json", shallow=False)

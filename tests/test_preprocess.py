@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadshapes.errors import ZeroDiscretionaryError
+from loadshapes.errors import CorruptArtifactError, ZeroDiscretionaryError
 from loadshapes.ingest import DayTable, read_meter_corpus
 from loadshapes.preprocess import (
     LOW_DEMAND_KW,
@@ -196,6 +196,34 @@ def test_shape_table_csv_round_trip_lossless(tmp_path):
     assert np.array_equal(back.discretionary_kwh, table.discretionary_kwh)
     assert list(back.household_ids) == list(table.household_ids)
     assert list(back.dates) == list(table.dates)
+
+
+def _damage_cell(path, row: int, cell: int, text: str) -> None:
+    """Replace one cell of data row ``row``; ``cell`` -1 appends a cell."""
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    if cell == -1:
+        cells.append(text)
+    else:
+        cells[cell] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cell, text, message", [
+    (1, "2011-13-01", "month must be in 1..12"),
+    (2, "1.2.3", "could not convert"),
+    (10, "", "could not convert"),
+    (-1, "0.5", "expected 28 cells, got 29"),
+])
+def test_shapes_parse_names_file_and_row_of_a_bad_row(tmp_path, cell, text, message):
+    rng = np.random.default_rng(5)
+    table, _ = preprocess_days(days_of(rng.uniform(0.3, 3.0, (5, 24))))
+    path = tmp_path / "shapes.csv"
+    table.write_csv(path)
+    _damage_cell(path, 3, cell, text)
+    with pytest.raises(CorruptArtifactError, match=f"shapes.csv: data row 3: {message}"):
+        ShapeTable.read_csv(path)
 
 
 # household ids with the characters CSV must quote: comma, quote, CR, LF
