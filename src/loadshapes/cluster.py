@@ -18,7 +18,6 @@ import datetime as dt
 import json
 import warnings
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _artifact_rows, _csv_key_blocks, _read_json
+from .ingest import _artifact_rows, _csv_key_blocks, _frozen, _read_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -245,7 +244,7 @@ class ClusterModel:
         self.table.freeze()
         for array in (self.centroids, self.ids, self.labels):
             array.flags.writeable = False
-        self.meta = MappingProxyType(self.meta)
+        self.meta = _frozen(self.meta)
         return self
 
     def rse_per_shape(self) -> np.ndarray:
@@ -446,7 +445,8 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         "meta": dict(model.meta),
     }
     with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        # default: a frozen meta or provenance holds read-only mappings
+        json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
         fh.write("\n")
     if labels_path is not None:
         with open(labels_path, "w", newline="", encoding="utf-8") as fh:

@@ -21,7 +21,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _artifact_rows, _csv_key_blocks, _read_json
+from .ingest import _artifact_rows, _csv_key_blocks, _frozen, _read_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -74,7 +73,7 @@ class ClusterDictionary:
         for array in (self.values, self.ids, self.member_counts, self.member_kwh,
                       self.member_discretionary_kwh):
             array.flags.writeable = False
-        self.provenance = MappingProxyType(self.provenance)
+        self.provenance = _frozen(self.provenance)
         return self
 
     def validate(self) -> None:
@@ -348,7 +347,8 @@ def save_dictionary(dictionary: ClusterDictionary, path) -> str:
         "digest": _dictionary_digest(dictionary.ids, dictionary.values),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        # default: a frozen meta or provenance holds read-only mappings
+        json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
         fh.write("\n")
     return payload["digest"]
 

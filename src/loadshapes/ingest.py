@@ -30,6 +30,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -280,6 +281,16 @@ def _read_json(path) -> dict:
     if not isinstance(payload, dict):
         raise CorruptArtifactError(f"{path}: not a JSON object")
     return payload
+
+
+def _frozen(value):
+    """``value`` with every dict in it made a read-only mapping and every
+    list a tuple, at any depth, for metadata shared between stages."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    return value
 
 
 def read_meter_corpus(path, schema: str = "wide"):

@@ -19,8 +19,8 @@ dictionary.json, assignments.csv, weather, survey) from the stage that
 wrote or parsed it to the next reader, read-only, under the sha256 of the
 files it was made from. A reader looks the object up by the digests its
 manifest check has just computed and parses only on a miss, so a file
-changed on disk is parsed again. A stage command keeps nothing between
-readers and parses from disk.
+changed on disk is parsed again. A stage command makes a cache for its
+one stage, so it parses from disk.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
@@ -113,6 +113,7 @@ def _truncate(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache)
         out / "model.json", out / "labels.csv", shapes).freeze())
     dictionary = truncate(model, config.truncate_violation)
     dictionary.provenance["run_id"] = run_id_for(config, cache)
+    dictionary.validate()  # the invariants load_dictionary checks
     # the digest load_dictionary would verify and set
     dictionary.digest = save_dictionary(dictionary, out / "dictionary.json")
     cache.keep("dictionary", [out / "dictionary.json"], dictionary.freeze())
@@ -376,15 +377,12 @@ class RunCache:
     ``keep`` and ``read`` hand parsed artifacts between stages: an object
     is stored under its kind and the sha256 of every file it is made from,
     so a reader finds it only while those files hold what it was made
-    from, and parses them otherwise. Stored objects are read-only. Made
-    with ``handover=False`` (stage commands), the cache still digests each
-    file once but stores nothing, so every reader parses from disk.
+    from, and parses them otherwise. Stored objects are read-only.
     """
 
-    def __init__(self, handover: bool = True):
+    def __init__(self):
         self._digests: dict = {}  # resolved path -> (stat key, sha256)
-        # (kind, sha256 of each file) -> read-only object
-        self.objects: dict | None = {} if handover else None
+        self.objects: dict = {}  # (kind, sha256 of each file) -> read-only object
 
     def digest(self, path) -> str:
         path = os.path.realpath(path)
@@ -404,14 +402,11 @@ class RunCache:
 
     def keep(self, kind: str, paths, obj) -> None:
         """Store ``obj`` (read-only) as what ``paths`` now hold."""
-        if self.objects is not None:
-            self.objects[self.key(kind, paths)] = obj
+        self.objects[self.key(kind, paths)] = obj
 
     def read(self, kind: str, paths, parse: Callable):
         """The object stored for what ``paths`` hold, or ``parse()``,
         which must return it read-only."""
-        if self.objects is None:
-            return parse()
         key = self.key(kind, paths)
         if key not in self.objects:
             self.objects[key] = parse()
@@ -483,13 +478,12 @@ class RunResult:
         return None
 
 
-def run_id_for(config: RunConfig, cache: RunCache | None = None) -> str:
+def run_id_for(config: RunConfig, cache: RunCache) -> str:
     """Deterministic run id from parameters and input digests."""
-    digest = _file_digest if cache is None else cache.digest
     payload = dict(config.effective_params())
     for name in ("meter", "weather", "survey"):
         path = getattr(config, name)
-        payload[f"digest_{name}"] = digest(path) if path and Path(path).exists() else None
+        payload[f"digest_{name}"] = cache.digest(path) if path and Path(path).exists() else None
     return _params_hash(payload)[:12]
 
 
@@ -516,8 +510,7 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
             inputs.append(Path(path))
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest or Manifest(out)
-    if cache is None:
-        cache = RunCache(handover=False)
+    cache = cache or RunCache()
     effective = config.effective_params()
     entry = {
         "params_hash": _params_hash({key: effective[key] for key in stage.params}),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from loadshapes.cluster import ClusterModel, _bare_table
+from loadshapes.cluster import ClusterModel, _bare_table, save_model
 from loadshapes.dictionary import (
     AssignmentTable,
     ClusterDictionary,
@@ -317,6 +317,27 @@ def test_dictionary_save_load_round_trip(tmp_path):
     assert back.provenance["note"] == "test"
     assert back.digest == json.loads(path.read_text())["digest"]
     assert dictionary.digest is None  # built in memory, never verified
+
+
+def test_frozen_model_and_dictionary_save_the_same_bytes(tmp_path):
+    """freeze() reaches into nested metadata, and the writers save a frozen
+    model or dictionary as they save it unfrozen."""
+    model = toy_counts_model()
+    model.meta = {"k1": 3, "rounds": [{"k": 3, "ids": [0, 1, 2]}]}
+    save_model(model, tmp_path / "plain_model.json")
+    save_dictionary(truncate(model, 0.3), tmp_path / "plain.json")
+    model.freeze()
+    with pytest.raises(TypeError):
+        model.meta["rounds"][0]["k"] = 0
+    save_model(model, tmp_path / "frozen_model.json")
+    dictionary = truncate(model, 0.3).freeze()
+    with pytest.raises(TypeError):
+        dictionary.provenance["model_meta"]["rounds"][0]["k"] = 0
+    assert isinstance(dictionary.provenance["source_cluster_ids"], tuple)
+    save_dictionary(dictionary, tmp_path / "frozen.json")
+    for plain, frozen in (("plain_model.json", "frozen_model.json"),
+                          ("plain.json", "frozen.json")):
+        assert (tmp_path / frozen).read_bytes() == (tmp_path / plain).read_bytes()
 
 
 def test_dictionary_load_rejects_tampered_digest(tmp_path):

@@ -698,7 +698,7 @@ def _read_only(obj) -> bool:
     if isinstance(obj, tuple):
         return all(map(_read_only, obj))
     if isinstance(obj, MappingProxyType):
-        return True
+        return all(map(_read_only, obj.values()))
     return all(map(_read_only, vars(obj).values()))
 
 
@@ -718,6 +718,33 @@ def test_handed_over_objects_are_read_only(smoke_corpus, tmp_path):
         model.meta["k2"] = 0
     with pytest.raises(ValueError, match="read-only"):
         model.labels[0] = 1
+    (dictionary,) = [obj for key, obj in cache.objects.items() if key[0] == "dictionary"]
+    with pytest.raises(TypeError):
+        dictionary.provenance["model_meta"]["k2"] = 0
+    assert isinstance(dictionary.provenance["source_cluster_ids"], tuple)
+
+
+def test_truncate_stage_checks_the_dictionary_it_hands_over(smoke_corpus, smoke_run,
+                                                            tmp_path, monkeypatch):
+    """A cold run hands the dictionary to assign without load_dictionary, so
+    the truncate stage checks its invariants before saving it."""
+    _, out, _ = smoke_run
+    copy = tmp_path / "unordered"
+    shutil.copytree(out, copy)
+    truncate = pipeline.truncate
+
+    def unordered(model, v):
+        dictionary = truncate(model, v)
+        dictionary.member_kwh = dictionary.member_kwh[::-1].copy()
+        return dictionary
+
+    monkeypatch.setattr(pipeline, "truncate", unordered)
+    config = smoke_config(smoke_corpus, copy, truncate_violation=0.25)
+    with pytest.raises(StageError, match="not ordered by descending member kWh"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stage_truncate(config, cache=RunCache())
+    assert not (copy / "dictionary.json").exists()
 
 
 def test_artifact_rewritten_between_stages_is_digested_and_parsed_again(
