@@ -378,3 +378,85 @@ def test_indicator_vocabulary_is_closed():
     prof = HouseholdProfile("H1", {})
     with pytest.raises(UnknownIndicatorError):
         prof.flag("owns_pool")
+
+
+# One input per reader holding every kind of row or cell it rejects, with
+# the exact diagnostics it gives: their rows and text reach
+# ingest_report.json. Row numbers count the header as row 1 and count
+# blank rows.
+_GOOD_HOURS = ",".join(["0.5"] * HOURS_PER_DAY)
+_ODD_HOURS = ",".join(["abc", "-1", "nan", "inf", ""] + ["0.5"] * (HOURS_PER_DAY - 5))
+DIAGNOSTIC_CASES = {
+    "wide": (
+        lambda path: read_meter_corpus(path, "wide"),
+        [wide_header(),
+         f"H1,2011-06-01,{_GOOD_HOURS}",
+         "",
+         "H1,2011-06-02," + ",".join(["0.5"] * 23),
+         f"H1,06/03/2011,{_GOOD_HOURS}",
+         f"H1,2011-06-04,{_ODD_HOURS}"],
+        [(4, "expected 24 hourly columns"),
+         (5, "bad date '06/03/2011'"),
+         (6, "h1: non-numeric reading 'abc' marked missing"),
+         (6, "h2: invalid reading -1 marked missing"),
+         (6, "h3: invalid reading nan marked missing"),
+         (6, "h4: invalid reading inf marked missing")],
+    ),
+    "long": (
+        lambda path: read_meter_corpus(path, "long"),
+        ["household_id,date,hour,kwh",
+         "H1,2011-06-01,1,0.5",
+         "",
+         "H1,2011-06-01,2",
+         "H1,2011-13-01,3,0.5",
+         "H1,2011-06-01,x,0.5",
+         "H1,2011-06-01,25,0.5",
+         "H1,2011-06-01,3,abc",
+         "H1,2011-06-01,4,-1",
+         "H1,2011-06-01,5,nan"],
+        [(4, "expected 4 columns"),
+         (5, "bad date '2011-13-01'"),
+         (6, "bad hour 'x'"),
+         (7, "hour 25 outside 1..24"),
+         (8, "hour 3: non-numeric reading 'abc' marked missing"),
+         (9, "hour 4: invalid reading -1 marked missing"),
+         (10, "hour 5: invalid reading nan marked missing")],
+    ),
+    "weather": (
+        read_weather,
+        ["date,avg_temp_f",
+         "2011-07-04,78.2",
+         "",
+         "2011-07-05",
+         "07/06/2011,70",
+         "2011-07-07,warm",
+         "2011-07-08,inf",
+         "2011-07-09,nan"],
+        [(4, "expected 2 columns"),
+         (5, "bad date '07/06/2011'"),
+         (6, "non-numeric temperature 'warm'"),
+         (7, "non-finite temperature inf"),
+         (8, "non-finite temperature nan")],
+    ),
+    "survey": (
+        read_survey,
+        ["household_id,elderly,low_income",
+         "H1,1,0",
+         "",
+         "H2,1",
+         "H3,yes,2"],
+        [(4, "expected 3 columns"),
+         (5, "elderly: cell 'yes' not in {0,1,empty}, treated as unknown"),
+         (5, "low_income: cell '2' not in {0,1,empty}, treated as unknown")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))
+def test_reader_diagnostics_golden(kind, tmp_path):
+    read, lines, want = DIAGNOSTIC_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    records, diagnostics = read(path)
+    assert [(d.row, d.message) for d in diagnostics] == want
+    assert len(records) == {"wide": 2, "long": 1, "weather": 1, "survey": 2}[kind]

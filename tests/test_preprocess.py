@@ -415,6 +415,16 @@ GOLDEN_SHA256 = {
     ("long", "cleaning_report.csv"):
         "8dcb2b2ce63dd753aa14952ea4db9f2fd41ac7bb9592f4ad9994ea71e9449421",
 }
+# the generator's side files, whichever meter schema it writes
+for _schema in ("wide", "long"):
+    GOLDEN_SHA256.update({
+        (_schema, "weather.csv"):
+            "8693e639dadd2954d05be9bda63900968dd7f1f868bbf1a4f3947c82016c7e88",
+        (_schema, "survey.csv"):
+            "d850b182d861f11c3696c62ddbb312416612f1285ac091221ceee00c260cd93a",
+        (_schema, "truth.csv"):
+            "9e81567d9bd3670dc6fd70e57271b0b3ac1d49da4a4faeb77b3363ebfc2e33f2",
+    })
 
 
 def test_seeded_corpus_files_match_golden_digests(tmp_path):
@@ -430,6 +440,7 @@ def test_seeded_corpus_files_match_golden_digests(tmp_path):
         assert report.dropped_missing_hours and report.dropped_low_demand
         table.write_csv(out / "shapes.csv")
         report.write_csv(out / "cleaning_report.csv")
-        for name in ("meter.csv", "shapes.csv", "cleaning_report.csv"):
+        for name in ("meter.csv", "shapes.csv", "cleaning_report.csv",
+                     "weather.csv", "survey.csv", "truth.csv"):
             digests[schema, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digests == GOLDEN_SHA256
