@@ -11,8 +11,6 @@ entropy differences.
 
 from __future__ import annotations
 
-import csv
-import json
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +24,7 @@ from .errors import (
     NotADistributionError,
     SingletonClusteringError,
 )
-from .ingest import SeasonCalendar, day_numbers
+from .ingest import DAY_TYPES, SEASONS, SeasonCalendar, _write_table, day_numbers
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -147,14 +145,14 @@ def season_strata() -> list[Stratum]:
     def make(name):
         return Stratum("season", name, lambda f, n=name: f.season == n)
 
-    return [make(n) for n in ("summer", "autumn", "winter", "spring")]
+    return [make(n) for n in SEASONS]
 
 
 def day_type_strata() -> list[Stratum]:
     def make(name):
         return Stratum("day_type", name, lambda f, n=name: f.day_type == n)
 
-    return [make(n) for n in ("weekday", "weekend")]
+    return [make(n) for n in DAY_TYPES]
 
 
 def temperature_quartiles(weather, dates, mode: str = "empirical",
@@ -231,17 +229,6 @@ class EntropyReport:
             if e.label == label:
                 return e
         raise KeyError(label)
-
-    def value(self, label: str) -> float | None:
-        return self.get(label).entropy
-
-    def spread(self, axis: str) -> float:
-        """max - min entropy across the defined strata of one axis."""
-        vals = [e.entropy for e in self.entries
-                if e.axis == axis and e.entropy is not None]
-        if not vals:
-            raise ValueError(f"no defined entropy values on axis '{axis}'")
-        return max(vals) - min(vals)
 
 
 def _frequencies(frame: StratumFrame, sel) -> dict:
@@ -659,94 +646,52 @@ def occurrence_map(frame: StratumFrame, target_ids,
 # ---------------------------------------------------------------------------
 # plot-ready CSV outputs, each with a provenance comment line
 
-def _write_provenance(fh, provenance: dict) -> None:
-    fh.write("# " + json.dumps(provenance, sort_keys=True, default=str) + "\n")
+def _cell(value) -> str:
+    """A number as the repr of its float; None as an empty cell."""
+    return "" if value is None else repr(float(value))
 
 
 def write_entropy_csv(report: EntropyReport, path, provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "stratum", "n_days", "entropy"])
-        for e in report.entries:
-            writer.writerow(
-                [e.axis, e.label, e.n,
-                 "" if e.entropy is None else repr(e.entropy)]
-            )
+    _write_table(path, ["axis", "stratum", "n_days", "entropy"], (
+        [e.axis, e.label, e.n, _cell(e.entropy)] for e in report.entries
+    ), provenance)
 
 
 def write_coverage_csv(curve: CoverageCurve, path, provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "cluster_id", "kwh", "cumulative_fraction"])
-        for rank in range(len(curve.cluster_ids)):
-            writer.writerow(
-                [
-                    rank + 1,
-                    int(curve.cluster_ids[rank]),
-                    repr(float(curve.kwh[rank])),
-                    repr(float(curve.cumulative_fraction[rank])),
-                ]
-            )
+    columns = zip(curve.cluster_ids, curve.kwh, curve.cumulative_fraction)
+    _write_table(path, ["rank", "cluster_id", "kwh", "cumulative_fraction"], (
+        [rank, int(cid), _cell(kwh), _cell(frac)]
+        for rank, (cid, kwh, frac) in enumerate(columns, start=1)
+    ), provenance)
 
 
 def write_taxonomy_csv(taxonomy: PeakTaxonomy, path, provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cluster_id", "peak_count", "peak_count_label",
-             "peak_hours", "primary_peak_hour", "primary_peak_bin"]
-        )
-        for e in taxonomy.entries:
-            writer.writerow(
-                [e.cluster_id, e.peak_count, e.count_label,
-                 " ".join(str(h) for h in e.peak_hours),
-                 e.primary_hour, e.primary_bin]
-            )
+    _write_table(path, ["cluster_id", "peak_count", "peak_count_label", "peak_hours",
+                        "primary_peak_hour", "primary_peak_bin"], (
+        [e.cluster_id, e.peak_count, e.count_label, " ".join(map(str, e.peak_hours)),
+         e.primary_hour, e.primary_bin] for e in taxonomy.entries
+    ), provenance)
 
 
 def write_household_entropy_csv(entropies: dict, summer_entropies: dict, path,
                                 provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "entropy", "entropy_summer"])
-        for hid in sorted(entropies):
-            summer = summer_entropies.get(hid)
-            writer.writerow(
-                [hid, repr(float(entropies[hid])),
-                 "" if summer is None else repr(float(summer))]
-            )
+    _write_table(path, ["household_id", "entropy", "entropy_summer"], (
+        [hid, _cell(entropies[hid]), _cell(summer_entropies.get(hid))]
+        for hid in sorted(entropies)
+    ), provenance)
 
 
 def write_char_deltas_csv(deltas, path, provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["indicator", "delta", "ci_low", "ci_high", "n_with", "n_without"]
-        )
-        for d in deltas:
-            writer.writerow(
-                [d.indicator, repr(d.delta), repr(d.ci_low), repr(d.ci_high),
-                 d.n_with, d.n_without]
-            )
+    _write_table(path, ["indicator", "delta", "ci_low", "ci_high", "n_with", "n_without"], (
+        [d.indicator, repr(d.delta), repr(d.ci_low), repr(d.ci_high), d.n_with, d.n_without]
+        for d in deltas
+    ), provenance)
 
 
 def write_occurrence_csv(occ: OccurrenceMap, path, provenance: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["household_id"] + [d.isoformat() for d in occ.dates])
-        for i, hid in enumerate(occ.household_ids):
-            writer.writerow([hid] + occ.matrix[i].tolist())
-        writer.writerow(
-            ["daily_mean_temp_f"]
-            + ["" if np.isnan(x) else repr(float(x)) for x in occ.daily_mean_temp_f]
-        )
-        writer.writerow(
-            ["daily_entropy"]
-            + ["" if np.isnan(x) else repr(float(x)) for x in occ.daily_entropy]
-        )
+    rows = [[hid] + cells for hid, cells in zip(occ.household_ids, occ.matrix.tolist())]
+    for label, series in (("daily_mean_temp_f", occ.daily_mean_temp_f),
+                          ("daily_entropy", occ.daily_entropy)):
+        rows.append([label] + ["" if np.isnan(x) else repr(float(x)) for x in series])
+    _write_table(path, ["household_id"] + [d.isoformat() for d in occ.dates], rows,
+                 provenance)

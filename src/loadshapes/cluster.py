@@ -355,7 +355,8 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     Each step merges the pair at minimum Euclidean distance (ties broken by
     the lower id pair) into their member-count-weighted mean; members keep
     the merged label and are never re-assigned elsewhere. The result is the
-    model one step before the violation rate would reach max_violation.
+    model one step before the violation rate would reach max_violation, with
+    its centroids in ascending id order.
     """
     if not 0.0 <= max_violation < 1.0:
         raise ValueError(f"max_violation must be in [0, 1), got {max_violation}")
@@ -364,15 +365,18 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     X = model.table.values
     n = len(X)
     k = model.n_clusters
-    centroids = model.centroids.copy()
-    counts = model.counts.astype(np.int64)
+    # centroid rows in ascending id order, so that row order breaks ties
+    order = np.argsort(model.ids, kind="stable")
+    labels = np.argsort(order)[model.labels]
+    centroids, ids = model.centroids[order], model.ids[order]
+    counts = model.counts[order].astype(np.int64)
     theta = model.theta
     # member rows of each cluster; a merge moves q's rows to p
-    by_label = np.argsort(model.labels, kind="stable")
-    bounds = np.searchsorted(model.labels[by_label], np.arange(k + 1))
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[by_label], np.arange(k + 1))
     members = [by_label[bounds[c]:bounds[c + 1]] for c in range(k)]
 
-    violating = rse_to_assigned(X, centroids, model.labels) > theta
+    violating = rse_to_assigned(X, centroids, labels) > theta
     viol_count = int(violating.sum())
 
     # pairs p < q only; a merged-away cluster's row and column become inf,
@@ -412,11 +416,10 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
         merges += 1
 
     keep = np.flatnonzero(alive)
-    labels = np.empty(n, dtype=np.int64)
     for label, c in enumerate(keep):
         labels[members[c]] = label
     centroids = centroids[keep]
-    ids = model.ids[keep]
+    ids = ids[keep]
 
     meta = dict(model.meta)
     meta.update(

@@ -161,11 +161,6 @@ class SeasonCalendar:
     def day_type(date: dt.date) -> str:
         return "weekend" if date.weekday() >= 5 else "weekday"
 
-    @classmethod
-    def labels(cls, dates) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (season, day_type) label arrays for a date sequence."""
-        return cls.day_labels(day_numbers(dates))
-
     @staticmethod
     def day_labels(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(season, day_type) object arrays for ``day_numbers`` output."""
@@ -173,10 +168,6 @@ class SeasonCalendar:
         month0 = months.astype(np.int64) % 12  # months since 1970-01
         weekend = (days + 3) % 7 >= 5  # 1970-01-01 was a Thursday
         return _SEASON_OF_MONTH0[month0], _DAY_TYPE_OF_WEEKEND[weekend.astype(np.intp)]
-
-
-def _parse_date(cell: str) -> dt.date:
-    return dt.date.fromisoformat(cell.strip())
 
 
 def _parse_kwh_cell(cell: str, row_no: int, label: str, diagnostics: list) -> float:
@@ -233,6 +224,43 @@ def _csv_key_blocks(household_ids, dates, *columns):
         keys = [f"{id_text(hid)},{date_text(date)}"
                 for hid, date in zip(household_ids[start:stop], dates[start:stop])]
         yield (keys, *(column[start:stop].tolist() for column in columns))
+
+
+def _write_table(path, header, rows, provenance=None) -> None:
+    """Write ``header`` and ``rows`` to the CSV file ``path`` through one
+    ``csv.writer``, after a ``# <provenance JSON>`` line if ``provenance``
+    is given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if provenance is not None:
+            fh.write("# " + json.dumps(provenance, sort_keys=True, default=str) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _input_rows(reader, width: int, width_note: str, diagnostics: list, date_col=None):
+    """Yield ``(row_no, row, date)`` for the data rows of the input CSV
+    ``reader``, numbered from 2 (the header is row 1).
+
+    Blank rows are skipped. A row without ``width`` cells, or without an ISO
+    date in column ``date_col`` when one is given, gets a diagnostic
+    (``width_note`` or the bad date) and is skipped; ``date`` is the parsed
+    date, or None without ``date_col``.
+    """
+    date = None
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            diagnostics.append(Diagnostic(row_no, width_note))
+            continue
+        if date_col is not None:
+            try:
+                date = dt.date.fromisoformat(row[date_col].strip())
+            except ValueError:
+                diagnostics.append(Diagnostic(row_no, f"bad date '{row[date_col]}'"))
+                continue
+        yield row_no, row, date
 
 
 @contextlib.contextmanager
@@ -317,20 +345,10 @@ def _read_meter_wide(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, WIDE_HEADER, path)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(WIDE_HEADER):
-                diagnostics.append(
-                    Diagnostic(row_no, "expected 24 hourly columns")
-                )
-                continue
+        for row_no, row, date in _input_rows(reader, len(WIDE_HEADER),
+                                             "expected 24 hourly columns",
+                                             diagnostics, date_col=1):
             household_id = row[0].strip()
-            try:
-                date = _parse_date(row[1])
-            except ValueError:
-                diagnostics.append(Diagnostic(row_no, f"bad date '{row[1]}'"))
-                continue
             key = (household_id, date)
             if key in seen:
                 raise DuplicateRecordError(
@@ -370,20 +388,10 @@ def _read_meter_long(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, LONG_HEADER, path)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LONG_HEADER):
-                diagnostics.append(
-                    Diagnostic(row_no, f"expected {len(LONG_HEADER)} columns")
-                )
-                continue
+        for row_no, row, date in _input_rows(reader, len(LONG_HEADER),
+                                             f"expected {len(LONG_HEADER)} columns",
+                                             diagnostics, date_col=1):
             household_id = row[0].strip()
-            try:
-                date = _parse_date(row[1])
-            except ValueError:
-                diagnostics.append(Diagnostic(row_no, f"bad date '{row[1]}'"))
-                continue
             try:
                 hour = int(row[2])
             except ValueError:
@@ -452,17 +460,8 @@ def read_weather(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, WEATHER_HEADER, path)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                diagnostics.append(Diagnostic(row_no, "expected 2 columns"))
-                continue
-            try:
-                date = _parse_date(row[0])
-            except ValueError:
-                diagnostics.append(Diagnostic(row_no, f"bad date '{row[0]}'"))
-                continue
+        for row_no, row, date in _input_rows(reader, 2, "expected 2 columns",
+                                             diagnostics, date_col=0):
             try:
                 temp = float(row[1])
             except ValueError:
@@ -483,11 +482,8 @@ def read_weather(path):
 
 
 def write_weather(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEATHER_HEADER)
-        for rec in records:
-            writer.writerow([rec.date.isoformat(), repr(float(rec.avg_temp_f))])
+    _write_table(path, WEATHER_HEADER,
+                 ([rec.date.isoformat(), repr(float(rec.avg_temp_f))] for rec in records))
 
 
 def read_survey(path):
@@ -513,14 +509,9 @@ def read_survey(path):
                 f"{path}: unknown indicator column(s) {unknown}; "
                 f"allowed: {list(INDICATOR_VOCABULARY)}"
             )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns) + 1:
-                diagnostics.append(
-                    Diagnostic(row_no, f"expected {len(columns) + 1} columns")
-                )
-                continue
+        width = len(columns) + 1
+        for row_no, row, _ in _input_rows(reader, width, f"expected {width} columns",
+                                          diagnostics):
             household_id = row[0].strip()
             if household_id in seen:
                 raise DuplicateRecordError(
@@ -530,13 +521,9 @@ def read_survey(path):
             indicators: dict[str, bool] = {}
             for col, cell in zip(columns, row[1:]):
                 text = cell.strip()
-                if text == "":
-                    continue
-                if text == "1":
-                    indicators[col] = True
-                elif text == "0":
-                    indicators[col] = False
-                else:
+                if text in ("0", "1"):
+                    indicators[col] = text == "1"
+                elif text:
                     diagnostics.append(
                         Diagnostic(
                             row_no,
@@ -547,13 +534,12 @@ def read_survey(path):
     return profiles, diagnostics
 
 
-def write_survey(profiles, path, columns=INDICATOR_VOCABULARY) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id"] + list(columns))
-        for prof in profiles:
-            row = [prof.household_id]
-            for col in columns:
-                flag = prof.indicators.get(col)
-                row.append("" if flag is None else ("1" if flag else "0"))
-            writer.writerow(row)
+def write_survey(profiles, path) -> None:
+    """Write every indicator of the vocabulary: 1, 0, or empty if unknown."""
+    def cell(flag):
+        return "" if flag is None else ("1" if flag else "0")
+
+    _write_table(path, ["household_id", *INDICATOR_VOCABULARY], (
+        [prof.household_id, *(cell(prof.indicators.get(col)) for col in INDICATOR_VOCABULARY)]
+        for prof in profiles
+    ))

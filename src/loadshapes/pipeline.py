@@ -79,13 +79,7 @@ def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None
             {"row": d.row, "message": d.message} for d in diags
         ]
     table, report = preprocess_days(days)
-    report_payload["cleaning"] = {
-        "input": report.n_input,
-        "dropped_missing_hours": report.dropped_missing_hours,
-        "dropped_low_demand": report.dropped_low_demand,
-        "dropped_zero_discretionary": report.dropped_zero_discretionary,
-        "retained": report.retained,
-    }
+    report_payload["cleaning"] = report.counts()
     table.write_csv(out / "shapes.csv")
     report.write_csv(out / "cleaning_report.csv")
     with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
@@ -261,8 +255,6 @@ STAGES = {stage.name: stage for stage in (
 )}
 
 PIPELINE_STAGES = tuple(STAGES)
-
-STAGE_OUTPUTS = {name: stage.outputs for name, stage in STAGES.items()}
 
 # stage that produces each artifact, for "run X first" diagnostics
 _PRODUCER = {name: stage.name for stage in STAGES.values() for name in stage.outputs}
@@ -470,12 +462,6 @@ class StageResult:
 class RunResult:
     run_id: str
     results: list = field(default_factory=list)
-
-    def status_of(self, stage: str) -> str | None:
-        for r in self.results:
-            if r.stage == stage:
-                return r.status
-        return None
 
 
 def run_id_for(config: RunConfig, cache: RunCache) -> str:

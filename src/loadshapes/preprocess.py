@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, ZeroDiscretionaryError
-from .ingest import HOURS_PER_DAY, DayTable, _artifact_rows, _csv_key_blocks
+from .errors import CorruptArtifactError, EmptyInputError, ZeroDiscretionaryError
+from .ingest import HOURS_PER_DAY, DayTable, _artifact_rows, _csv_key_blocks, _write_table
 
 LOW_DEMAND_KW = 0.2
 # relative tolerance, at the scale of float64 rounding, within which a day's
 # mean demand counts as on the 0.2 kW boundary: twelve 0.3 and twelve 0.1
 # readings average 0.19999999999999998
 LOW_DEMAND_RTOL = 1e-12
-UNIT_SUM_TOL = 1e-9
 
 # Recorded in run provenance so the subsample draw is reproducible.
 SUBSAMPLE_ALGORITHM = "numpy.Generator(PCG64).choice(replace=False), sorted indices"
@@ -32,6 +31,15 @@ SHAPES_HEADER = (
     ["household_id", "date", "day_total_kwh", "discretionary_kwh"]
     + [f"v{i}" for i in range(1, 25)]
 )
+REPORT_HEADER = ["rule", "count"]
+# cleaning_report.csv rule -> CleaningReport field
+_RULE_FIELDS = {
+    "input": "n_input",
+    "dropped_missing_hours": "dropped_missing_hours",
+    "dropped_low_demand": "dropped_low_demand",
+    "dropped_zero_discretionary": "dropped_zero_discretionary",
+    "retained": "retained",
+}
 
 
 @dataclass
@@ -59,31 +67,23 @@ class CleaningReport:
     def check(self) -> None:
         assert self.dropped + self.retained == self.n_input
 
+    def counts(self) -> dict:
+        """Rule name -> count, in the order of cleaning_report.csv."""
+        return {rule: getattr(self, name) for rule, name in _RULE_FIELDS.items()}
+
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rule", "count"])
-            writer.writerow(["input", self.n_input])
-            writer.writerow(["dropped_missing_hours", self.dropped_missing_hours])
-            writer.writerow(["dropped_low_demand", self.dropped_low_demand])
-            writer.writerow(
-                ["dropped_zero_discretionary", self.dropped_zero_discretionary]
-            )
-            writer.writerow(["retained", self.retained])
+        _write_table(path, REPORT_HEADER, self.counts().items())
 
     @classmethod
     def read_csv(cls, path) -> "CleaningReport":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = dict(
-                (row[0], int(row[1])) for row in csv.reader(fh) if row[0] != "rule"
-            )
-        return cls(
-            n_input=rows["input"],
-            dropped_missing_hours=rows["dropped_missing_hours"],
-            dropped_low_demand=rows["dropped_low_demand"],
-            dropped_zero_discretionary=rows["dropped_zero_discretionary"],
-            retained=rows["retained"],
-        )
+        """The report in ``path``; a damaged file, or one without a row
+        for some rule, raises CorruptArtifactError naming it."""
+        with _artifact_rows(path, REPORT_HEADER) as rows:
+            counts = {rule: int(count) for rule, count in rows}
+        for rule in _RULE_FIELDS:
+            if rule not in counts:
+                raise CorruptArtifactError(f"{path}: no count for rule '{rule}'")
+        return cls(**{name: counts[rule] for rule, name in _RULE_FIELDS.items()})
 
 
 class ShapeTable:

@@ -35,6 +35,8 @@ from .ingest import (
     DayTable,
     HouseholdProfile,
     WeatherDay,
+    _artifact_rows,
+    _write_table,
     write_meter_corpus,
     write_survey,
     write_weather,
@@ -172,29 +174,17 @@ class SyntheticTruth:
     archetype_ids: np.ndarray
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRUTH_HEADER)
-            for i in range(len(self.archetype_ids)):
-                writer.writerow(
-                    [
-                        self.household_ids[i],
-                        self.dates[i].isoformat(),
-                        int(self.archetype_ids[i]),
-                    ]
-                )
+        _write_table(path, TRUTH_HEADER, zip(
+            self.household_ids, (date.isoformat() for date in self.dates),
+            map(int, self.archetype_ids)))
 
     @classmethod
     def read_csv(cls, path) -> "SyntheticTruth":
-        import csv
-
+        """The truth in ``path``; a damaged file raises CorruptArtifactError
+        naming it and, where there is one, the data row."""
         hids, dates, ids = [], [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
+        with _artifact_rows(path, TRUTH_HEADER) as rows:
+            for row in rows:
                 hids.append(row[0])
                 dates.append(dt.date.fromisoformat(row[1]))
                 ids.append(int(row[2]))

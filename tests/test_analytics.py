@@ -96,15 +96,15 @@ def test_stratified_entropy_single_shape_summer():
     records += [("H1", D(2011, 1, i + 1), 1 + (i % 3)) for i in range(9)]
     frame, _ = frame_from(records)
     report = stratified_entropy(frame, season_strata())
-    assert report.value("summer") == 0.0
-    assert report.value("winter") == pytest.approx(math.log(3), abs=1e-12)
+    assert report.get("summer").entropy == 0.0
+    assert report.get("winter").entropy == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_stratified_entropy_empty_stratum_is_undefined():
     records = [("H1", D(2011, 7, 1), 2)]
     frame, _ = frame_from(records)
     report = stratified_entropy(frame, season_strata())
-    assert report.value("winter") is None
+    assert report.get("winter").entropy is None
     assert report.get("winter").n == 0
 
 

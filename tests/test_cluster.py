@@ -492,18 +492,27 @@ def test_merge_tie_breaks_to_lowest_id_pair():
     assert merged.n_clusters == 2
     assert sorted(merged.ids.tolist()) == [0, 2]
 
+    # ids out of row order: the lowest id pair (1, 3) sits in rows 1 and 2
+    model.ids = np.array([5, 1, 3], dtype=np.int64)
+    merged = hierarchical_merge(model, max_violation=0.7)
+    assert merged.ids.tolist() == [1, 5]
+    assert np.array_equal(merged.centroids, np.vstack([(c1 + c2) / 2, c0]))
+    assert merged.ids[merged.labels].tolist() == [5, 5, 1, 1, 1, 1]
+
 
 def compacting_merge(model, max_violation):
-    """Reference for hierarchical_merge: after each merge it compacts the
-    distance matrix and the centroid arrays and rescans every label.
+    """Reference for hierarchical_merge: it puts the centroids in ascending
+    id order, and after each merge it compacts the distance matrix and the
+    centroid arrays and rescans every label.
     Returns (centroids, ids, labels, merges, tried), where ``tried`` holds
     the member count and merged centroid of every pair it tried."""
     X = model.table.values
     n = len(X)
-    centroids = model.centroids.copy()
-    ids = model.ids.copy()
-    labels = model.labels.copy()
-    counts = model.counts.astype(np.int64)
+    order = np.argsort(model.ids)
+    centroids = model.centroids[order]
+    ids = model.ids[order]
+    labels = np.argsort(order)[model.labels]
+    counts = np.bincount(labels, minlength=len(ids)).astype(np.int64)
     theta = model.theta
     violating = cluster.rse_to_assigned(X, centroids, labels) > theta
     viol_count = int(violating.sum())

@@ -367,7 +367,7 @@ def test_day_type_weekend_rule():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.dates(), max_size=40))
 def test_vectorized_labels_match_per_date_rules(dates):
-    seasons, day_types = SeasonCalendar.labels(dates)
+    seasons, day_types = SeasonCalendar.day_labels(ingest.day_numbers(dates))
     assert seasons.tolist() == [SeasonCalendar.season(d) for d in dates]
     assert day_types.tolist() == [SeasonCalendar.day_type(d) for d in dates]
     assert seasons.dtype == object and day_types.dtype == object

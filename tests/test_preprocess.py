@@ -180,6 +180,22 @@ def test_cleaning_report_csv_round_trip(tmp_path):
     assert CleaningReport.read_csv(path) == report
 
 
+@pytest.mark.parametrize("text, message", [
+    ("rule,count\r\ninput,10\r\n", "no count for rule 'dropped_missing_hours'"),
+    ("rule,count\r\ninput,10\r\ndropped_missing_hours,x\r\n",
+     "data row 2: invalid literal for int"),
+    ("rule,count\r\ninput,10\r\ndropped_missing_hours\r\n",
+     "data row 2: expected 2 cells, got 1"),
+    ("input,10\r\n", "header"),
+    ("", "no header"),
+])
+def test_damaged_cleaning_report_names_file_and_row(tmp_path, text, message):
+    path = tmp_path / "cleaning_report.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(CorruptArtifactError, match=f"cleaning_report.csv: {message}"):
+        CleaningReport.read_csv(path)
+
+
 def test_shape_table_csv_round_trip_lossless(tmp_path):
     rng = np.random.default_rng(5)
     days = days_of(

@@ -8,7 +8,7 @@ from scipy import stats
 
 from loadshapes.analytics import build_frame, household_entropy
 from loadshapes.dictionary import AssignmentTable
-from loadshapes.errors import GeneratorConfigError
+from loadshapes.errors import CorruptArtifactError, GeneratorConfigError
 from loadshapes.ingest import read_meter_corpus, read_survey, read_weather
 from loadshapes.preprocess import preprocess_days
 from loadshapes.synthetic import (
@@ -101,6 +101,22 @@ def test_generated_files_parse_cleanly(tmp_path):
     assert list(zip(days.household_ids, days.dates)) == [
         (truth.household_ids[i], truth.dates[i]) for i in range(600)
     ]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("household_id,date\r\nH1,2011-06-01\r\n", "header"),
+    ("household_id,date,archetype_id\r\nH1,2011-06-01,2\r\nH1,2011-06-02\r\n",
+     "data row 2: expected 3 cells, got 2"),
+    ("household_id,date,archetype_id\r\nH1,2011-06-31,2\r\n",
+     "data row 1: day is out of range"),
+    ("household_id,date,archetype_id\r\nH1,2011-06-01,two\r\n",
+     "data row 1: invalid literal for int"),
+])
+def test_damaged_truth_names_file_and_row(tmp_path, text, message):
+    path = tmp_path / "truth.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(CorruptArtifactError, match=f"truth.csv: {message}"):
+        SyntheticTruth.read_csv(path)
 
 
 def test_baseload_exercises_deminning():
