@@ -431,7 +431,13 @@ def coverage_curve(assignments: AssignmentTable, dictionary: ClusterDictionary,
         raise ValueError(f"unknown coverage weight '{weight}'")
     if np.isnan(weights).any():
         raise ValueError("assignments lack kWh weights")
-    positions = np.searchsorted(dictionary.ids, assignments.cluster_ids)
+    by_id = np.argsort(dictionary.ids)
+    found = np.searchsorted(dictionary.ids, assignments.cluster_ids, sorter=by_id)
+    positions = by_id[np.minimum(found, len(by_id) - 1)]
+    unknown = dictionary.ids[positions] != assignments.cluster_ids
+    if unknown.any():
+        raise ValueError(f"assignments name cluster id {assignments.cluster_ids[unknown][0]}, "
+                         "which the dictionary lacks")
     kwh = np.zeros(len(dictionary))
     np.add.at(kwh, positions, weights)
     total = kwh.sum()

@@ -13,7 +13,6 @@ are fixed, so a given seed reproduces the model bit for bit.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import warnings
@@ -27,11 +26,10 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _artifact_rows, _csv_key_blocks, _frozen, _read_json
+from .ingest import KeyedTable, _frozen, _read_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
-LABELS_HEADER = ["household_id", "date", "cluster_id"]
 
 DEFAULT_K_INIT = 10
 DEFAULT_MAX_ITER = 100
@@ -438,6 +436,12 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     )
 
 
+class _Labels(KeyedTable):
+    """labels.csv: the cluster id of each shape of a model's table."""
+
+    COLUMNS = (("cluster_ids", np.int64, ["cluster_id"]),)
+
+
 def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -452,11 +456,8 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
         fh.write("\n")
     if labels_path is not None:
-        with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(LABELS_HEADER)
-            for block in _csv_key_blocks(model.table.household_ids, model.table.dates,
-                                         model.ids[model.labels]):
-                fh.write("".join([f"{key},{cid}\r\n" for key, cid in zip(*block)]))
+        _Labels(model.table.household_ids, model.table.dates,
+                cluster_ids=model.ids[model.labels]).write_csv(labels_path)
 
 
 def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
@@ -476,27 +477,23 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     ids = np.asarray(payload["ids"], dtype=np.int64)
     centroids = np.asarray(payload["centroids"], dtype=float)
     position = {int(cid): pos for pos, cid in enumerate(ids)}
-    row_of = {
-        (hid, date.isoformat()): i
-        for i, (hid, date) in enumerate(zip(table.household_ids, table.dates))
-    }
+    row_of = {key: i for i, key in enumerate(zip(table.household_ids, table.dates))}
+    labelled = _Labels.read_csv(labels_path)
     rows, labels = [], []
-    with _artifact_rows(labels_path, LABELS_HEADER) as reader:
-        for row in reader:
-            key = (row[0], row[1])
-            if key not in row_of:
-                raise CorruptArtifactError(
-                    f"{labels_path}: data row {len(rows) + 1} names shape key {key}, "
-                    "which the shape table lacks"
-                )
-            cid = int(row[2])
-            if cid not in position:
-                raise CorruptArtifactError(
-                    f"{labels_path}: data row {len(rows) + 1} names cluster id {cid}, "
-                    "which model.json lacks"
-                )
-            rows.append(row_of[key])
-            labels.append(position[cid])
+    for key, cid in zip(zip(labelled.household_ids, labelled.dates),
+                        labelled.cluster_ids.tolist()):
+        if key not in row_of:
+            raise CorruptArtifactError(
+                f"{labels_path}: data row {len(rows) + 1} names shape key "
+                f"{(key[0], key[1].isoformat())}, which the shape table lacks"
+            )
+        if cid not in position:
+            raise CorruptArtifactError(
+                f"{labels_path}: data row {len(rows) + 1} names cluster id {cid}, "
+                "which model.json lacks"
+            )
+        rows.append(row_of[key])
+        labels.append(position[cid])
     rows = np.array(rows, dtype=np.int64)
     repeated = np.flatnonzero(np.bincount(rows, minlength=len(table)) > 1)
     if len(repeated):

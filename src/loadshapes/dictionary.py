@@ -14,8 +14,6 @@ shape by Euclidean distance, exact ties resolved to the lowest shape id.
 
 from __future__ import annotations
 
-import csv
-import datetime as dt
 import hashlib
 import json
 import math
@@ -30,7 +28,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import _artifact_rows, _csv_key_blocks, _frozen, _read_json
+from .ingest import KeyedTable, _frozen, _read_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -39,8 +37,6 @@ CENTROID_SUM_TOL = 1e-6
 # relative margin, far above the expanded form's rounding (~1e-15), within
 # which assign_all re-ranks candidates by direct differences
 TIE_RTOL = 1e-12
-
-ASSIGNMENTS_HEADER = ["household_id", "date", "cluster_id", "distance", "rse"]
 
 
 @dataclass
@@ -174,61 +170,38 @@ def truncate(model: ClusterModel, v: float) -> ClusterDictionary:
     )
 
 
-class AssignmentTable:
+class AssignmentTable(KeyedTable):
     """Per household-day: assigned dictionary shape id, distance, and RSE.
 
     Also carries each day's raw and discretionary kWh so coverage analytics
-    can weight by either without re-joining the source shapes.
+    can weight by either without re-joining the source shapes; they are NaN
+    when not given.
     """
+
+    COLUMNS = (
+        ("cluster_ids", np.int64, ["cluster_id"]),
+        ("distances", float, ["distance"]),
+        ("rses", float, ["rse"]),
+        # not in assignments.csv: read_csv takes them from the shapes
+        ("day_total_kwh", float, []),
+        ("discretionary_kwh", float, []),
+    )
 
     def __init__(self, household_ids, dates, cluster_ids, distances, rses,
                  day_total_kwh=None, discretionary_kwh=None):
-        self.household_ids = np.asarray(household_ids, dtype=object)
-        self.dates = np.asarray(dates, dtype=object)
-        self.cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-        self.distances = np.asarray(distances, dtype=float)
-        self.rses = np.asarray(rses, dtype=float)
-        n = len(self.cluster_ids)
-        self.day_total_kwh = (
-            np.full(n, np.nan) if day_total_kwh is None
-            else np.asarray(day_total_kwh, dtype=float)
-        )
-        self.discretionary_kwh = (
-            np.full(n, np.nan) if discretionary_kwh is None
-            else np.asarray(discretionary_kwh, dtype=float)
+        n = len(household_ids)
+        super().__init__(
+            household_ids, dates, cluster_ids=cluster_ids, distances=distances, rses=rses,
+            day_total_kwh=np.full(n, np.nan) if day_total_kwh is None else day_total_kwh,
+            discretionary_kwh=(np.full(n, np.nan) if discretionary_kwh is None
+                               else discretionary_kwh),
         )
 
-    def __len__(self) -> int:
-        return len(self.cluster_ids)
-
-    def freeze(self) -> "AssignmentTable":
-        """Mark every column read-only; returns the table."""
-        for column in (self.household_ids, self.dates, self.cluster_ids, self.distances,
-                       self.rses, self.day_total_kwh, self.discretionary_kwh):
-            column.flags.writeable = False
-        return self
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(ASSIGNMENTS_HEADER)
-            for block in _csv_key_blocks(self.household_ids, self.dates,
-                                         self.cluster_ids, self.distances, self.rses):
-                fh.write("".join([
-                    f"{key},{cid},{dist!r},{rse!r}\r\n"
-                    for key, cid, dist, rse in zip(*block)
-                ]))
+    write_csv = KeyedTable.write_csv  # perfbench traces the class's own methods
 
     @classmethod
     def read_csv(cls, path, shapes: ShapeTable | None = None) -> "AssignmentTable":
-        household_ids, dates, cids, dists, rses = [], [], [], [], []
-        with _artifact_rows(path, ASSIGNMENTS_HEADER) as rows:
-            for row in rows:
-                household_ids.append(row[0])
-                dates.append(dt.date.fromisoformat(row[1]))
-                cids.append(int(row[2]))
-                dists.append(float(row[3]))
-                rses.append(float(row[4]))
-        table = cls(household_ids, dates, cids, dists, rses)
+        table = super().read_csv(path)
         if shapes is not None:
             if len(shapes) != len(table):
                 raise CorruptArtifactError(
@@ -246,6 +219,9 @@ class AssignmentTable:
             table.day_total_kwh = shapes.day_total_kwh.copy()
             table.discretionary_kwh = shapes.discretionary_kwh.copy()
         return table
+
+
+ASSIGNMENTS_HEADER = AssignmentTable.HEADER
 
 
 def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,

@@ -15,8 +15,9 @@ File formats are UTF-8 CSV with ISO-8601 dates:
 
 A missing or malformed hourly cell becomes a NaN slot, never 0.0.
 
-The CSV and JSON helpers that the artifact writers and readers of the
-other modules share live here too.
+The keyed-table base of the per-day tables, and the CSV and JSON helpers
+that the artifact writers and readers of the other modules share, live
+here too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import csv
 import datetime as dt
 import functools
 import io
+import itertools
 import json
 import math
 import warnings
@@ -43,7 +45,7 @@ from .errors import (
 
 HOURS_PER_DAY = 24
 
-# Rows per block in the CSV writers of the per-day tables and in the wide
+# Rows per block in the keyed-table and meter CSV writers and in the wide
 # meter reader: each block is formatted with one join and written with one
 # write, or parsed into one flat float list, so the per-cell work stays in C
 # without a whole-table string or list in memory.
@@ -78,28 +80,128 @@ class Diagnostic:
     message: str
 
 
-class DayTable:
+class KeyedTable:
+    """Columns with one row per household-day, keyed by the object arrays
+    ``household_ids`` (str) and ``dates`` (``datetime.date``).
+
+    A subclass lists its other columns in ``COLUMNS`` as ``(attribute,
+    dtype, cells)``; each is also a constructor argument of that name.
+    ``cells`` names the column's cells in the table's CSV file after the
+    keys: one for a vector, one per column of an (N, len(cells)) matrix,
+    none for a column the file does not hold.
+    """
+
+    COLUMNS: tuple = ()
+
+    def __init_subclass__(cls):
+        cls.HEADER = ["household_id", "date", *(c for _, _, cells in cls.COLUMNS for c in cells)]
+
+    def __init__(self, household_ids, dates, **columns):
+        self.household_ids = np.asarray(household_ids, dtype=object)
+        self.dates = np.asarray(dates, dtype=object)
+        for name, dtype, _ in self.COLUMNS:
+            setattr(self, name, np.ascontiguousarray(columns[name], dtype=dtype))
+        if len({len(column) for column in self._columns().values()}) > 1:
+            raise ValueError("column lengths differ")
+
+    def _columns(self) -> dict:
+        """Attribute -> array of every column, the keys first."""
+        names = ["household_ids", "dates", *(name for name, _, _ in self.COLUMNS)]
+        return {name: getattr(self, name) for name in names}
+
+    def __len__(self) -> int:
+        return len(self.household_ids)
+
+    def take(self, indices):
+        """A table of copies of the rows at ``indices`` (positions or a mask)."""
+        idx = np.asarray(indices)
+        return type(self)(**{name: column[idx] for name, column in self._columns().items()})
+
+    def freeze(self):
+        """Mark every column read-only, so a table shared between pipeline
+        stages cannot be changed by one of them; returns the table."""
+        for column in self._columns().values():
+            column.flags.writeable = False
+        return self
+
+    def _csv_blocks(self):
+        """Yield ``(keys, *columns)`` per block of ``CSV_BLOCK_ROWS`` rows.
+
+        ``keys`` holds each row's ``household_id,date`` text as ``csv.writer``
+        writes it: every distinct id goes through ``csv.writer`` once, so ids
+        with a comma, quote, CR or LF are quoted as csv quotes them, and
+        every distinct date is ``isoformat``-ed once. Each column with CSV
+        cells comes as the block's ``.tolist()``.
+        """
+        @functools.cache
+        def id_text(household_id) -> str:
+            buffer = io.StringIO()
+            # the default line end: csv quotes a field holding any of its characters
+            csv.writer(buffer).writerow([household_id, ""])
+            return buffer.getvalue()[:-len(",\r\n")]
+
+        date_text = functools.cache(dt.date.isoformat)
+        columns = [getattr(self, name) for name, _, cells in self.COLUMNS if cells]
+        for start in range(0, len(self), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            keys = [f"{id_text(hid)},{date_text(date)}"
+                    for hid, date in zip(self.household_ids[start:stop], self.dates[start:stop])]
+            yield (keys, *(column[start:stop].tolist() for column in columns))
+
+    def write_csv(self, path) -> None:
+        """Write the table to the CSV file ``path``, byte for byte as
+        ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
+        of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time."""
+        texts = [repr if len(cells) == 1 else _repr_cells for _, _, cells in self.COLUMNS if cells]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(self.HEADER)
+            for keys, *columns in self._csv_blocks():
+                cells = [keys, *(list(map(text, column)) for text, column in zip(texts, columns))]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+    @classmethod
+    def read_csv(cls, path):
+        """The table in the CSV file ``path``; a damaged file raises
+        CorruptArtifactError naming it and, where there is one, the data row."""
+        # (attribute, dtype, cell parser, cell count, parsed cells) per column in the file
+        columns = [(name, dtype, int if np.dtype(dtype).kind == "i" else float, len(cells), [])
+                   for name, dtype, cells in cls.COLUMNS if cells]
+        household_ids, dates = [], []
+        with _artifact_rows(path, cls.HEADER) as rows:
+            for row in rows:
+                household_ids.append(row[0])
+                dates.append(dt.date.fromisoformat(row[1]))
+                cells = iter(row[2:])
+                for _, _, parse, width, values in columns:
+                    if width == 1:
+                        values.append(parse(next(cells)))
+                    else:
+                        values.extend(map(parse, itertools.islice(cells, width)))
+        return cls(household_ids=household_ids, dates=dates, **{
+            name: np.array(values, dtype).reshape((-1, width) if width > 1 else -1)
+            for name, dtype, _, width, values in columns
+        })
+
+
+def _repr_cells(row: list) -> str:
+    """A matrix row's cells, each the ``repr`` of its number."""
+    return ",".join(map(repr, row))
+
+
+class DayTable(KeyedTable):
     """Household-days as columns, one row per day.
 
     ``kwh[i, t-1]`` holds slot t of day i, covering clock hour [t-1, t);
-    slot 1 is midnight to 1am. Missing readings are NaN.
+    slot 1 is midnight to 1am. Missing readings are NaN. Meter files are
+    written by ``write_meter_corpus`` and read by ``read_meter_corpus``.
     """
 
+    COLUMNS = (("kwh", float, WIDE_HEADER[2:]),)
+
     def __init__(self, household_ids, dates, kwh):
-        self.household_ids = np.asarray(household_ids, dtype=object)
-        self.dates = np.asarray(dates, dtype=object)
-        self.kwh = np.ascontiguousarray(kwh, dtype=float)
+        super().__init__(household_ids, dates, kwh=kwh)
         if self.kwh.ndim != 2 or self.kwh.shape[1] != HOURS_PER_DAY:
             raise ValueError(f"expected (N, 24) hourly slots, got shape {self.kwh.shape}")
-        if not len(self.household_ids) == len(self.dates) == len(self.kwh):
-            raise ValueError("column lengths differ")
-
-    def __len__(self) -> int:
-        return len(self.kwh)
-
-    def take(self, indices) -> "DayTable":
-        idx = np.asarray(indices)
-        return DayTable(self.household_ids[idx], self.dates[idx], self.kwh[idx])
 
 
 @dataclass(frozen=True)
@@ -190,42 +292,6 @@ def _parse_kwh_cell(cell: str, row_no: int, label: str, diagnostics: list) -> fl
     return value
 
 
-def _check_header(actual: list[str] | None, expected: list[str], path) -> None:
-    if actual is None:
-        raise HeaderMismatchError(f"{path}: file is empty, expected header {expected}")
-    if [c.strip() for c in actual] != expected:
-        raise HeaderMismatchError(
-            f"{path}: header {actual} does not match schema {expected}"
-        )
-
-
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` writes it in a row of several fields."""
-    buffer = io.StringIO()
-    # the default line end: csv quotes a field holding any of its characters
-    csv.writer(buffer).writerow([value, ""])
-    return buffer.getvalue()[:-len(",\r\n")]
-
-
-def _csv_key_blocks(household_ids, dates, *columns):
-    """Yield ``(keys, *column_lists)`` per block of ``CSV_BLOCK_ROWS`` rows.
-
-    ``keys`` holds each row's ``household_id,date`` text as ``csv.writer``
-    writes it: every distinct id goes through ``csv.writer`` once, so ids
-    with a comma, quote, CR or LF are quoted as csv quotes them, and every
-    distinct date is ``isoformat``-ed once. Each column comes as the block's
-    ``.tolist()``. Writers format a block's rows with ``repr`` and end each
-    line with ``\\r\\n``, as ``csv.writer`` does.
-    """
-    id_text = functools.cache(_csv_field)
-    date_text = functools.cache(dt.date.isoformat)
-    for start in range(0, len(household_ids), CSV_BLOCK_ROWS):
-        stop = start + CSV_BLOCK_ROWS
-        keys = [f"{id_text(hid)},{date_text(date)}"
-                for hid, date in zip(household_ids[start:stop], dates[start:stop])]
-        yield (keys, *(column[start:stop].tolist() for column in columns))
-
-
 def _write_table(path, header, rows, provenance=None) -> None:
     """Write ``header`` and ``rows`` to the CSV file ``path`` through one
     ``csv.writer``, after a ``# <provenance JSON>`` line if ``provenance``
@@ -238,7 +304,7 @@ def _write_table(path, header, rows, provenance=None) -> None:
         writer.writerows(rows)
 
 
-def _input_rows(reader, width: int, width_note: str, diagnostics: list, date_col=None):
+def _data_rows(reader, width: int, width_note: str, diagnostics: list, date_col=None):
     """Yield ``(row_no, row, date)`` for the data rows of the input CSV
     ``reader``, numbered from 2 (the header is row 1).
 
@@ -261,6 +327,25 @@ def _input_rows(reader, width: int, width_note: str, diagnostics: list, date_col
                 diagnostics.append(Diagnostic(row_no, f"bad date '{row[date_col]}'"))
                 continue
         yield row_no, row, date
+
+
+@contextlib.contextmanager
+def _input_rows(path, header: list[str], width_note: str, diagnostics: list, date_col=None):
+    """Open the input CSV ``path``, check that its header is ``header``
+    (cells stripped), and yield ``_data_rows`` over its data rows.
+
+    An empty file or another header raises HeaderMismatchError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        actual = next(reader, None)
+        if actual is None:
+            raise HeaderMismatchError(f"{path}: file is empty, expected header {header}")
+        if [c.strip() for c in actual] != header:
+            raise HeaderMismatchError(
+                f"{path}: header {actual} does not match schema {header}"
+            )
+        yield _data_rows(reader, len(header), width_note, diagnostics, date_col)
 
 
 @contextlib.contextmanager
@@ -341,13 +426,9 @@ def _read_meter_wide(path):
     flat: list[float] = []  # the readings of the current block, row after row
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, WIDE_HEADER, path)
-        for row_no, row, date in _input_rows(reader, len(WIDE_HEADER),
-                                             "expected 24 hourly columns",
-                                             diagnostics, date_col=1):
+    with _input_rows(path, WIDE_HEADER, "expected 24 hourly columns", diagnostics,
+                     date_col=1) as rows:
+        for row_no, row, date in rows:
             household_id = row[0].strip()
             key = (household_id, date)
             if key in seen:
@@ -384,13 +465,9 @@ def _read_meter_long(path):
     diagnostics: list[Diagnostic] = []
     slots: dict[tuple[str, dt.date], np.ndarray] = {}
     filled: set[tuple[str, dt.date, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, LONG_HEADER, path)
-        for row_no, row, date in _input_rows(reader, len(LONG_HEADER),
-                                             f"expected {len(LONG_HEADER)} columns",
-                                             diagnostics, date_col=1):
+    with _input_rows(path, LONG_HEADER, f"expected {len(LONG_HEADER)} columns",
+                     diagnostics, date_col=1) as rows:
+        for row_no, row, date in rows:
             household_id = row[0].strip()
             try:
                 hour = int(row[2])
@@ -432,13 +509,13 @@ def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if schema == "wide":
             csv.writer(fh).writerow(WIDE_HEADER)
-            for block in _csv_key_blocks(days.household_ids, days.dates, days.kwh):
+            for block in days._csv_blocks():
                 fh.write("".join([
                     f"{key},{_meter_cells(kwh)}\r\n" for key, kwh in zip(*block)
                 ]))
         else:
             csv.writer(fh).writerow(LONG_HEADER)
-            for block in _csv_key_blocks(days.household_ids, days.dates, days.kwh):
+            for block in days._csv_blocks():
                 fh.write("".join([
                     f"{key},{t},{'' if v != v else repr(v)}\r\n"
                     for key, kwh in zip(*block)
@@ -456,12 +533,9 @@ def read_weather(path):
     records: list[WeatherDay] = []
     diagnostics: list[Diagnostic] = []
     seen: set[dt.date] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, WEATHER_HEADER, path)
-        for row_no, row, date in _input_rows(reader, 2, "expected 2 columns",
-                                             diagnostics, date_col=0):
+    with _input_rows(path, WEATHER_HEADER, "expected 2 columns", diagnostics,
+                     date_col=0) as rows:
+        for row_no, row, date in rows:
             try:
                 temp = float(row[1])
             except ValueError:
@@ -509,9 +583,12 @@ def read_survey(path):
                 f"{path}: unknown indicator column(s) {unknown}; "
                 f"allowed: {list(INDICATOR_VOCABULARY)}"
             )
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise HeaderMismatchError(f"{path}: survey header repeats column(s) {repeated}")
         width = len(columns) + 1
-        for row_no, row, _ in _input_rows(reader, width, f"expected {width} columns",
-                                          diagnostics):
+        for row_no, row, _ in _data_rows(reader, width, f"expected {width} columns",
+                                         diagnostics):
             household_id = row[0].strip()
             if household_id in seen:
                 raise DuplicateRecordError(

@@ -9,14 +9,12 @@ discretionary signal and are dropped with their own tally.
 
 from __future__ import annotations
 
-import csv
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptArtifactError, EmptyInputError, ZeroDiscretionaryError
-from .ingest import HOURS_PER_DAY, DayTable, _artifact_rows, _csv_key_blocks, _write_table
+from .ingest import HOURS_PER_DAY, DayTable, KeyedTable, _artifact_rows, _write_table
 
 LOW_DEMAND_KW = 0.2
 # relative tolerance, at the scale of float64 rounding, within which a day's
@@ -27,10 +25,6 @@ LOW_DEMAND_RTOL = 1e-12
 # Recorded in run provenance so the subsample draw is reproducible.
 SUBSAMPLE_ALGORITHM = "numpy.Generator(PCG64).choice(replace=False), sorted indices"
 
-SHAPES_HEADER = (
-    ["household_id", "date", "day_total_kwh", "discretionary_kwh"]
-    + [f"v{i}" for i in range(1, 25)]
-)
 REPORT_HEADER = ["rule", "count"]
 # cleaning_report.csv rule -> CleaningReport field
 _RULE_FIELDS = {
@@ -65,7 +59,12 @@ class CleaningReport:
         return self.retained / self.n_input if self.n_input else float("nan")
 
     def check(self) -> None:
-        assert self.dropped + self.retained == self.n_input
+        """Raise ValueError unless dropped + retained equals the input count."""
+        if self.dropped + self.retained != self.n_input:
+            raise ValueError(
+                f"tallies do not sum: {self.dropped} dropped and {self.retained} "
+                f"retained of {self.n_input} input days"
+            )
 
     def counts(self) -> dict:
         """Rule name -> count, in the order of cleaning_report.csv."""
@@ -76,71 +75,46 @@ class CleaningReport:
 
     @classmethod
     def read_csv(cls, path) -> "CleaningReport":
-        """The report in ``path``; a damaged file, or one without a row
-        for some rule, raises CorruptArtifactError naming it."""
+        """The report in ``path``; a damaged file, one with an unknown or
+        repeated rule or without a row for some rule, and one whose tallies
+        do not sum raise CorruptArtifactError naming it."""
+        counts = {}
         with _artifact_rows(path, REPORT_HEADER) as rows:
-            counts = {rule: int(count) for rule, count in rows}
+            for rule, count in rows:
+                if rule not in _RULE_FIELDS:
+                    raise ValueError(f"unknown rule '{rule}'")
+                if rule in counts:
+                    raise ValueError(f"rule '{rule}' listed twice")
+                counts[rule] = int(count)
         for rule in _RULE_FIELDS:
             if rule not in counts:
                 raise CorruptArtifactError(f"{path}: no count for rule '{rule}'")
-        return cls(**{name: counts[rule] for rule, name in _RULE_FIELDS.items()})
+        report = cls(**{name: counts[rule] for rule, name in _RULE_FIELDS.items()})
+        try:
+            report.check()
+        except ValueError as exc:
+            raise CorruptArtifactError(f"{path}: {exc}") from exc
+        return report
 
 
-class ShapeTable:
+class ShapeTable(KeyedTable):
     """De-minned, unit-sum shapes as columns, one row per retained
     household-day, with the day's raw and discretionary kWh.
 
     Bulk operations (clustering, assignment) work on ``values`` directly.
     """
 
+    COLUMNS = (
+        ("day_total_kwh", float, ["day_total_kwh"]),
+        ("discretionary_kwh", float, ["discretionary_kwh"]),
+        ("values", float, [f"v{i}" for i in range(1, HOURS_PER_DAY + 1)]),
+    )
+
     def __init__(self, values, household_ids, dates, day_total_kwh, discretionary_kwh):
-        self.values = np.ascontiguousarray(values, dtype=float)
-        self.household_ids = np.asarray(household_ids, dtype=object)
-        self.dates = np.asarray(dates, dtype=object)
-        self.day_total_kwh = np.asarray(day_total_kwh, dtype=float)
-        self.discretionary_kwh = np.asarray(discretionary_kwh, dtype=float)
-        n = len(self.values)
-        if not (
-            len(self.household_ids)
-            == len(self.dates)
-            == len(self.day_total_kwh)
-            == len(self.discretionary_kwh)
-            == n
-        ):
-            raise ValueError("column lengths differ")
+        super().__init__(household_ids, dates, values=values, day_total_kwh=day_total_kwh,
+                         discretionary_kwh=discretionary_kwh)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def take(self, indices) -> "ShapeTable":
-        idx = np.asarray(indices)
-        return ShapeTable(
-            self.values[idx],
-            self.household_ids[idx],
-            self.dates[idx],
-            self.day_total_kwh[idx],
-            self.discretionary_kwh[idx],
-        )
-
-    def freeze(self) -> "ShapeTable":
-        """Mark every column read-only, so a table shared between pipeline
-        stages cannot be changed by one of them; returns the table."""
-        for column in (self.values, self.household_ids, self.dates,
-                       self.day_total_kwh, self.discretionary_kwh):
-            column.flags.writeable = False
-        return self
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(SHAPES_HEADER)
-            for block in _csv_key_blocks(
-                self.household_ids, self.dates, self.day_total_kwh,
-                self.discretionary_kwh, self.values,
-            ):
-                fh.write("".join([
-                    f"{key},{total!r},{disc!r},{','.join(map(repr, row))}\r\n"
-                    for key, total, disc, row in zip(*block)
-                ]))
+    write_csv = KeyedTable.write_csv  # perfbench traces the class's own methods
 
     @classmethod
     def read_csv(cls, path, memo: dict | None = None,
@@ -158,15 +132,10 @@ class ShapeTable:
 
     @classmethod
     def _parse_csv(cls, path) -> "ShapeTable":
-        household_ids, dates, totals, discs, values = [], [], [], [], []
-        with _artifact_rows(path, SHAPES_HEADER) as rows:
-            for row in rows:
-                household_ids.append(row[0])
-                dates.append(dt.date.fromisoformat(row[1]))
-                totals.append(float(row[2]))
-                discs.append(float(row[3]))
-                values.append([float(v) for v in row[4:]])
-        return cls(np.array(values).reshape(-1, HOURS_PER_DAY), household_ids, dates, totals, discs)
+        return super().read_csv(path)
+
+
+SHAPES_HEADER = ShapeTable.HEADER
 
 
 def clean(days: DayTable) -> tuple[DayTable, CleaningReport]:

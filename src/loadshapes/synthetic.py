@@ -34,9 +34,8 @@ from .ingest import (
     INDICATOR_VOCABULARY,
     DayTable,
     HouseholdProfile,
+    KeyedTable,
     WeatherDay,
-    _artifact_rows,
-    _write_table,
     write_meter_corpus,
     write_survey,
     write_weather,
@@ -55,8 +54,6 @@ RAMP_LOW_F = 72.0
 RAMP_SPAN_F = 14.0
 
 ENTROPY_JITTER = 0.05
-
-TRUTH_HEADER = ["household_id", "date", "archetype_id"]
 
 
 @dataclass(frozen=True)
@@ -164,35 +161,14 @@ def _mixtures_for_entropy(k: int, preferred: np.ndarray,
     return mixtures
 
 
-@dataclass
-class SyntheticTruth:
+class SyntheticTruth(KeyedTable):
     """Sidecar ground truth aligned with the meter rows; -1 marks days not
     drawn from any archetype (spike or fuzz)."""
 
-    household_ids: np.ndarray
-    dates: np.ndarray
-    archetype_ids: np.ndarray
+    COLUMNS = (("archetype_ids", np.int64, ["archetype_id"]),)
 
-    def write_csv(self, path) -> None:
-        _write_table(path, TRUTH_HEADER, zip(
-            self.household_ids, (date.isoformat() for date in self.dates),
-            map(int, self.archetype_ids)))
-
-    @classmethod
-    def read_csv(cls, path) -> "SyntheticTruth":
-        """The truth in ``path``; a damaged file raises CorruptArtifactError
-        naming it and, where there is one, the data row."""
-        hids, dates, ids = [], [], []
-        with _artifact_rows(path, TRUTH_HEADER) as rows:
-            for row in rows:
-                hids.append(row[0])
-                dates.append(dt.date.fromisoformat(row[1]))
-                ids.append(int(row[2]))
-        return cls(
-            np.array(hids, dtype=object),
-            np.array(dates, dtype=object),
-            np.array(ids, dtype=np.int64),
-        )
+    def __init__(self, household_ids, dates, archetype_ids):
+        super().__init__(household_ids, dates, archetype_ids=archetype_ids)
 
 
 @dataclass

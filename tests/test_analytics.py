@@ -543,6 +543,24 @@ def test_coverage_curve_properties_and_weight_modes():
         assert (np.diff(increments) <= 1e-12).all()  # concave in rank
 
 
+def test_coverage_curve_rejects_an_id_the_dictionary_lacks():
+    d = dictionary_of([np.full(24, 1 / 24)] * 2)
+    d.ids = np.array([1, 3], dtype=np.int64)
+    _, table = frame_from([("H1", D(2011, 7, 1), 1, 3.0), ("H2", D(2011, 7, 1), 2, 7.0)])
+    with pytest.raises(ValueError, match="cluster id 2"):
+        coverage_curve(table, d)
+
+
+def test_coverage_curve_maps_ids_that_do_not_ascend():
+    d = dictionary_of([np.full(24, 1 / 24)] * 2)
+    d.ids = np.array([2, 1], dtype=np.int64)
+    d.validate()
+    _, table = frame_from([("H1", D(2011, 7, 1), 1, 3.0), ("H2", D(2011, 7, 1), 2, 7.0)])
+    curve = coverage_curve(table, d)
+    assert curve.cluster_ids.tolist() == [2, 1]
+    assert curve.kwh.tolist() == [7.0, 3.0]
+
+
 def test_coverage_requires_weights():
     d = dictionary_of([np.full(24, 1 / 24)])
     table = AssignmentTable(["H1"], [D(2011, 7, 1)], [1], [0.0], [0.0])

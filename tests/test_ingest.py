@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadshapes import ingest
+from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import (
     DuplicateRecordError,
     HeaderMismatchError,
@@ -31,6 +32,8 @@ from loadshapes.ingest import (
     write_survey,
     write_weather,
 )
+from loadshapes.preprocess import ShapeTable
+from loadshapes.synthetic import SyntheticTruth
 
 D = dt.date
 
@@ -256,6 +259,30 @@ def test_daytable_requires_24_slots():
         DayTable(["H1", "H2"], [D(2011, 6, 1)], np.ones((2, 24)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda ids, dates: DayTable(ids, dates, np.ones((2, 24))),
+    lambda ids, dates: ShapeTable(np.ones((2, 24)) / 24, ids, dates, [1.0, 2.0], [0.5, 1.0]),
+    lambda ids, dates: AssignmentTable(ids, dates, [1, 2], [0.1, 0.2], [0.01, 0.02]),
+    lambda ids, dates: SyntheticTruth(ids, dates, [0, -1]),
+], ids=["DayTable", "ShapeTable", "AssignmentTable", "SyntheticTruth"])
+def test_keyed_table_checks_lengths_freezes_and_takes_copies(make):
+    with pytest.raises(ValueError, match="column lengths"):
+        make(["H1", "H2"], [D(2011, 6, 1)])
+    table = make(["H1", "H2"], [D(2011, 6, 1), D(2011, 6, 2)])
+    assert table.freeze() is table
+    columns = {name: value for name, value in vars(table).items()
+               if isinstance(value, np.ndarray)}
+    assert {"household_ids", "dates"} < set(columns)
+    for column in columns.values():
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    copy = table.take([1, 0])
+    for name in columns:
+        column = getattr(copy, name)
+        assert column.flags.writeable, name
+        assert np.array_equal(column, columns[name][[1, 0]], equal_nan=column.dtype != object)
+
+
 def test_weather_parses(tmp_path):
     path = tmp_path / "weather.csv"
     path.write_text("date,avg_temp_f\n2011-07-04,78.2\n")
@@ -316,6 +343,13 @@ def test_survey_unknown_column_lists_vocabulary(tmp_path):
         read_survey(path)
     assert "owns_pool" in str(err.value)
     assert "low_income" in str(err.value)
+
+
+def test_survey_repeated_column_raises(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text("household_id,elderly,elderly\nH1,1,0\n")
+    with pytest.raises(HeaderMismatchError, match="'elderly'"):
+        read_survey(path)
 
 
 def test_survey_duplicate_household_raises(tmp_path):

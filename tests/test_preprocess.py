@@ -180,6 +180,12 @@ def test_cleaning_report_csv_round_trip(tmp_path):
     assert CleaningReport.read_csv(path) == report
 
 
+def test_cleaning_report_check_raises_on_unbalanced_tallies():
+    # a ValueError, not an assert, so that it also holds under python -O
+    with pytest.raises(ValueError, match="1 dropped and 8 retained of 10 input days"):
+        CleaningReport(10, 1, 0, 0, 8).check()
+
+
 @pytest.mark.parametrize("text, message", [
     ("rule,count\r\ninput,10\r\n", "no count for rule 'dropped_missing_hours'"),
     ("rule,count\r\ninput,10\r\ndropped_missing_hours,x\r\n",
@@ -188,6 +194,11 @@ def test_cleaning_report_csv_round_trip(tmp_path):
      "data row 2: expected 2 cells, got 1"),
     ("input,10\r\n", "header"),
     ("", "no header"),
+    ("rule,count\r\ninput,10\r\ninput,12\r\n", "data row 2: rule 'input' listed twice"),
+    ("rule,count\r\ninput,10\r\nbogus,3\r\n", "data row 2: unknown rule 'bogus'"),
+    ("rule,count\r\ninput,10\r\ndropped_missing_hours,1\r\ndropped_low_demand,2\r\n"
+     "dropped_zero_discretionary,3\r\nretained,5\r\n",
+     "tallies do not sum: 6 dropped and 5 retained of 10 input days"),
 ])
 def test_damaged_cleaning_report_names_file_and_row(tmp_path, text, message):
     path = tmp_path / "cleaning_report.csv"

@@ -2,9 +2,11 @@
 
 Each reference below is the row-at-a-time loop the writer had before it
 formatted blocks of rows; the writer's file must equal it byte for byte.
-The block size is patched to 3 rows so a table spans several blocks.
+The block size is patched to 3 rows so a table spans several blocks. A
+last check keeps every other module from opening a CSV for writing.
 """
 
+import ast
 import csv
 import datetime as dt
 import math
@@ -22,6 +24,7 @@ from loadshapes.cluster import ClusterModel, save_model
 from loadshapes.dictionary import ASSIGNMENTS_HEADER, AssignmentTable
 from loadshapes.ingest import LONG_HEADER, WIDE_HEADER, DayTable, write_meter_corpus
 from loadshapes.preprocess import SHAPES_HEADER, ShapeTable
+from loadshapes.synthetic import SyntheticTruth
 
 _NUMBERS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 2.5e-310, 1.7976931348623157e308]),
@@ -141,6 +144,16 @@ def test_labels_writer_bytes_equal_csv_writer_rows(key_columns, data):
 
     assert_same_bytes(write, reference)
 
+    # truth.csv has the same key columns and one integer column
+    truth = SyntheticTruth(ids, dates, model.ids[model.labels])
+
+    def truth_reference(writer):
+        writer.writerow(["household_id", "date", "archetype_id"])
+        writer.writerows(zip(truth.household_ids, (date.isoformat() for date in truth.dates),
+                             map(int, truth.archetype_ids)))
+
+    assert_same_bytes(truth.write_csv, truth_reference)
+
 
 @settings(max_examples=80, deadline=None)
 @given(keys(), st.data(), st.sampled_from(["wide", "long"]))
@@ -180,3 +193,37 @@ def test_meter_writer_rejects_unknown_schema_before_opening_the_file(tmp_path):
     with pytest.raises(ValueError, match="unknown meter schema"):
         write_meter_corpus(days, path, "bogus")
     assert path.read_text() == "kept\n"
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "loadshapes"
+
+
+def csv_write_opens(path):
+    """``module.qualified_function`` of each ``open`` call in ``path`` that
+    opens a CSV for writing: a write mode with ``newline=""``, which the
+    csv module needs to end lines itself."""
+    module = path.stem
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "open"):
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), None)
+                newline = next((k.value for k in child.keywords if k.arg == "newline"), None)
+                writes = isinstance(mode, ast.Constant) and set(mode.value) & set("wax")
+                if writes and isinstance(newline, ast.Constant) and newline.value == "":
+                    yield ".".join([module] + scope)
+            yield from visit(child, scope)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8")), []))
+
+
+def test_only_the_three_csv_writers_open_a_csv_for_writing():
+    opens = [name for path in sorted(SRC_DIR.glob("*.py")) for name in csv_write_opens(path)]
+    assert sorted(opens) == [
+        "ingest.KeyedTable.write_csv", "ingest._write_table", "ingest.write_meter_corpus",
+    ]
