@@ -439,7 +439,7 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
 class _Labels(KeyedTable):
     """labels.csv: the cluster id of each shape of a model's table."""
 
-    COLUMNS = (("cluster_ids", np.int64, ["cluster_id"]),)
+    COLUMNS = (("cluster_ids", int, ["cluster_id"]),)
 
 
 def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
@@ -457,7 +457,7 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         fh.write("\n")
     if labels_path is not None:
         _Labels(model.table.household_ids, model.table.dates,
-                cluster_ids=model.ids[model.labels]).write_csv(labels_path)
+                cluster_ids=model.ids[model.labels])._write_csv(labels_path)
 
 
 def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
@@ -478,7 +478,7 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     centroids = np.asarray(payload["centroids"], dtype=float)
     position = {int(cid): pos for pos, cid in enumerate(ids)}
     row_of = {key: i for i, key in enumerate(zip(table.household_ids, table.dates))}
-    labelled = _Labels.read_csv(labels_path)
+    labelled = _Labels._parse_csv(labels_path)
     rows, labels = [], []
     for key, cid in zip(zip(labelled.household_ids, labelled.dates),
                         labelled.cluster_ids.tolist()):

@@ -27,9 +27,9 @@ import csv
 import datetime as dt
 import functools
 import io
-import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -85,10 +85,15 @@ class KeyedTable:
     ``household_ids`` (str) and ``dates`` (``datetime.date``).
 
     A subclass lists its other columns in ``COLUMNS`` as ``(attribute,
-    dtype, cells)``; each is also a constructor argument of that name.
-    ``cells`` names the column's cells in the table's CSV file after the
-    keys: one for a vector, one per column of an (N, len(cells)) matrix,
-    none for a column the file does not hold.
+    kind, cells)``; each is also a constructor argument of that name.
+    ``kind``, ``int`` or ``float``, is the column's dtype and parses its
+    cells. ``cells`` names the column's cells in the table's CSV file after
+    the keys: one for a vector, one per column of an (N, len(cells))
+    matrix, none for a column the file does not hold. Every instance
+    attribute is a column.
+
+    A table with a file of its own publishes ``_write_csv`` as its
+    ``write_csv`` and reads through ``_parse_csv``.
     """
 
     COLUMNS: tuple = ()
@@ -97,17 +102,12 @@ class KeyedTable:
         cls.HEADER = ["household_id", "date", *(c for _, _, cells in cls.COLUMNS for c in cells)]
 
     def __init__(self, household_ids, dates, **columns):
-        self.household_ids = np.asarray(household_ids, dtype=object)
-        self.dates = np.asarray(dates, dtype=object)
-        for name, dtype, _ in self.COLUMNS:
-            setattr(self, name, np.ascontiguousarray(columns[name], dtype=dtype))
-        if len({len(column) for column in self._columns().values()}) > 1:
+        self.household_ids = np.ascontiguousarray(household_ids, dtype=object)
+        self.dates = np.ascontiguousarray(dates, dtype=object)
+        for name, kind, _ in self.COLUMNS:
+            setattr(self, name, np.ascontiguousarray(columns[name], dtype=kind))
+        if len({len(column) for column in vars(self).values()}) > 1:
             raise ValueError("column lengths differ")
-
-    def _columns(self) -> dict:
-        """Attribute -> array of every column, the keys first."""
-        names = ["household_ids", "dates", *(name for name, _, _ in self.COLUMNS)]
-        return {name: getattr(self, name) for name in names}
 
     def __len__(self) -> int:
         return len(self.household_ids)
@@ -115,23 +115,24 @@ class KeyedTable:
     def take(self, indices):
         """A table of copies of the rows at ``indices`` (positions or a mask)."""
         idx = np.asarray(indices)
-        return type(self)(**{name: column[idx] for name, column in self._columns().items()})
+        return type(self)(**{name: column[idx] for name, column in vars(self).items()})
 
     def freeze(self):
         """Mark every column read-only, so a table shared between pipeline
         stages cannot be changed by one of them; returns the table."""
-        for column in self._columns().values():
+        for column in vars(self).values():
             column.flags.writeable = False
         return self
 
-    def _csv_blocks(self):
-        """Yield ``(keys, *columns)`` per block of ``CSV_BLOCK_ROWS`` rows.
+    def _csv_blocks(self, *columns):
+        """Yield ``(keys, *columns)`` per block of ``CSV_BLOCK_ROWS`` rows of
+        the table and of the row-aligned arrays ``columns``.
 
         ``keys`` holds each row's ``household_id,date`` text as ``csv.writer``
         writes it: every distinct id goes through ``csv.writer`` once, so ids
         with a comma, quote, CR or LF are quoted as csv quotes them, and
-        every distinct date is ``isoformat``-ed once. Each column with CSV
-        cells comes as the block's ``.tolist()``.
+        every distinct date is ``isoformat``-ed once. Each column comes as
+        the block's ``.tolist()``.
         """
         @functools.cache
         def id_text(household_id) -> str:
@@ -141,51 +142,45 @@ class KeyedTable:
             return buffer.getvalue()[:-len(",\r\n")]
 
         date_text = functools.cache(dt.date.isoformat)
-        columns = [getattr(self, name) for name, _, cells in self.COLUMNS if cells]
         for start in range(0, len(self), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
             keys = [f"{id_text(hid)},{date_text(date)}"
                     for hid, date in zip(self.household_ids[start:stop], self.dates[start:stop])]
             yield (keys, *(column[start:stop].tolist() for column in columns))
 
-    def write_csv(self, path) -> None:
+    def _write_csv(self, path) -> None:
         """Write the table to the CSV file ``path``, byte for byte as
         ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
         of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time."""
-        texts = [repr if len(cells) == 1 else _repr_cells for _, _, cells in self.COLUMNS if cells]
+        vectors = []  # one per cell of a data row after the keys
+        for name, _, cells in self.COLUMNS:
+            if cells:
+                column = getattr(self, name)
+                vectors += list(column.T) if column.ndim == 2 else [column]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(self.HEADER)
-            for keys, *columns in self._csv_blocks():
-                cells = [keys, *(list(map(text, column)) for text, column in zip(texts, columns))]
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            for keys, *block in self._csv_blocks(*vectors):
+                lines = zip(keys, *(map(repr, vector) for vector in block))
+                fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
     @classmethod
-    def read_csv(cls, path):
+    def _parse_csv(cls, path):
         """The table in the CSV file ``path``; a damaged file raises
         CorruptArtifactError naming it and, where there is one, the data row."""
-        # (attribute, dtype, cell parser, cell count, parsed cells) per column in the file
-        columns = [(name, dtype, int if np.dtype(dtype).kind == "i" else float, len(cells), [])
-                   for name, dtype, cells in cls.COLUMNS if cells]
-        household_ids, dates = [], []
+        parsers = [str, dt.date.fromisoformat,
+                   *(kind for _, kind, cells in cls.COLUMNS for _ in cells)]
+        parsed = []  # the cells of every data row, row after row
         with _artifact_rows(path, cls.HEADER) as rows:
             for row in rows:
-                household_ids.append(row[0])
-                dates.append(dt.date.fromisoformat(row[1]))
-                cells = iter(row[2:])
-                for _, _, parse, width, values in columns:
-                    if width == 1:
-                        values.append(parse(next(cells)))
-                    else:
-                        values.extend(map(parse, itertools.islice(cells, width)))
-        return cls(household_ids=household_ids, dates=dates, **{
-            name: np.array(values, dtype).reshape((-1, width) if width > 1 else -1)
-            for name, dtype, _, width, values in columns
-        })
-
-
-def _repr_cells(row: list) -> str:
-    """A matrix row's cells, each the ``repr`` of its number."""
-    return ",".join(map(repr, row))
+                parsed += map(operator.call, parsers, row)
+        by_cell = np.array(parsed, dtype=object).reshape(-1, len(parsers)).T
+        columns, start = {}, 2
+        for name, _, cells in cls.COLUMNS:
+            if cells:
+                stop = start + len(cells)
+                columns[name] = by_cell[start] if len(cells) == 1 else by_cell[start:stop].T
+                start = stop
+        return cls(household_ids=by_cell[0], dates=by_cell[1], **columns)
 
 
 class DayTable(KeyedTable):
@@ -196,7 +191,7 @@ class DayTable(KeyedTable):
     written by ``write_meter_corpus`` and read by ``read_meter_corpus``.
     """
 
-    COLUMNS = (("kwh", float, WIDE_HEADER[2:]),)
+    COLUMNS = (("kwh", float, []),)
 
     def __init__(self, household_ids, dates, kwh):
         super().__init__(household_ids, dates, kwh=kwh)
@@ -509,13 +504,13 @@ def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if schema == "wide":
             csv.writer(fh).writerow(WIDE_HEADER)
-            for block in days._csv_blocks():
+            for block in days._csv_blocks(days.kwh):
                 fh.write("".join([
                     f"{key},{_meter_cells(kwh)}\r\n" for key, kwh in zip(*block)
                 ]))
         else:
             csv.writer(fh).writerow(LONG_HEADER)
-            for block in days._csv_blocks():
+            for block in days._csv_blocks(days.kwh):
                 fh.write("".join([
                     f"{key},{t},{'' if v != v else repr(v)}\r\n"
                     for key, kwh in zip(*block)

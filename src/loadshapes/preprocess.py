@@ -114,7 +114,7 @@ class ShapeTable(KeyedTable):
         super().__init__(household_ids, dates, values=values, day_total_kwh=day_total_kwh,
                          discretionary_kwh=discretionary_kwh)
 
-    write_csv = KeyedTable.write_csv  # perfbench traces the class's own methods
+    write_csv = KeyedTable._write_csv
 
     @classmethod
     def read_csv(cls, path, memo: dict | None = None,
@@ -129,13 +129,6 @@ class ShapeTable(KeyedTable):
         if digest not in memo:
             memo[digest] = cls._parse_csv(path).freeze()
         return memo[digest]
-
-    @classmethod
-    def _parse_csv(cls, path) -> "ShapeTable":
-        return super().read_csv(path)
-
-
-SHAPES_HEADER = ShapeTable.HEADER
 
 
 def clean(days: DayTable) -> tuple[DayTable, CleaningReport]:

@@ -165,10 +165,16 @@ class SyntheticTruth(KeyedTable):
     """Sidecar ground truth aligned with the meter rows; -1 marks days not
     drawn from any archetype (spike or fuzz)."""
 
-    COLUMNS = (("archetype_ids", np.int64, ["archetype_id"]),)
+    COLUMNS = (("archetype_ids", int, ["archetype_id"]),)
 
     def __init__(self, household_ids, dates, archetype_ids):
         super().__init__(household_ids, dates, archetype_ids=archetype_ids)
+
+    write_csv = KeyedTable._write_csv
+
+    @classmethod
+    def read_csv(cls, path) -> "SyntheticTruth":
+        return cls._parse_csv(path)
 
 
 @dataclass

@@ -21,9 +21,9 @@ from test_preprocess import _HOUSEHOLD_IDS
 
 from loadshapes import ingest
 from loadshapes.cluster import ClusterModel, save_model
-from loadshapes.dictionary import ASSIGNMENTS_HEADER, AssignmentTable
+from loadshapes.dictionary import AssignmentTable
 from loadshapes.ingest import LONG_HEADER, WIDE_HEADER, DayTable, write_meter_corpus
-from loadshapes.preprocess import SHAPES_HEADER, ShapeTable
+from loadshapes.preprocess import ShapeTable
 from loadshapes.synthetic import SyntheticTruth
 
 _NUMBERS = st.one_of(
@@ -71,7 +71,7 @@ def test_shape_table_writer_bytes_equal_csv_writer_rows(key_columns, data):
                        columns(data.draw, n, _NUMBERS), columns(data.draw, n, _NUMBERS))
 
     def reference(writer):
-        writer.writerow(SHAPES_HEADER)
+        writer.writerow(ShapeTable.HEADER)
         for hid, date, total, disc, row in zip(
             table.household_ids, table.dates, table.day_total_kwh,
             table.discretionary_kwh, table.values,
@@ -96,7 +96,7 @@ def test_assignment_table_writer_bytes_equal_csv_writer_rows(key_columns, data):
     )
 
     def reference(writer):
-        writer.writerow(ASSIGNMENTS_HEADER)
+        writer.writerow(AssignmentTable.HEADER)
         for i in range(len(table)):
             writer.writerow(
                 [
@@ -225,5 +225,5 @@ def csv_write_opens(path):
 def test_only_the_three_csv_writers_open_a_csv_for_writing():
     opens = [name for path in sorted(SRC_DIR.glob("*.py")) for name in csv_write_opens(path)]
     assert sorted(opens) == [
-        "ingest.KeyedTable.write_csv", "ingest._write_table", "ingest.write_meter_corpus",
+        "ingest.KeyedTable._write_csv", "ingest._write_table", "ingest.write_meter_corpus",
     ]
