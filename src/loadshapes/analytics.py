@@ -66,7 +66,7 @@ class StratumFrame:
     """
 
     def __init__(self, household_id, date, day, season, day_type, avg_temp_f,
-                 cluster_id, weight_total, weight_disc):
+                 cluster_id):
         self.household_id = household_id
         self.date = date
         self.day = day
@@ -74,8 +74,6 @@ class StratumFrame:
         self.day_type = day_type
         self.avg_temp_f = avg_temp_f
         self.cluster_id = cluster_id
-        self.weight_total = weight_total
-        self.weight_disc = weight_disc
         self.households, self.household_code = np.unique(household_id,
                                                          return_inverse=True)
         self.clusters, self.cluster_code = np.unique(cluster_id, return_inverse=True)
@@ -96,6 +94,26 @@ def _code_counts(rows, n_rows, cols, n_cols) -> np.ndarray:
     return flat.reshape(n_rows, n_cols).astype(float)
 
 
+def _row_entropy(counts) -> np.ndarray:
+    """Entropy (nats) of each row of a count matrix; NaN for an empty row."""
+    totals = counts.sum(axis=1, keepdims=True)
+    p = counts / np.maximum(totals, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p), 0.0)
+    return np.where(totals[:, 0] > 0, -terms.sum(axis=1), np.nan)
+
+
+def _lookup(keys, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's row in the array ``keys`` and whether it is there at
+    all; a key listed twice maps to its last row."""
+    if len(keys) == 0:
+        return np.zeros(len(queries), dtype=np.intp), np.zeros(len(queries), dtype=bool)
+    order = np.argsort(keys, kind="stable")
+    # the last of the sorted keys <= each query; -1 wraps to a non-match
+    rows = order[np.searchsorted(keys[order], queries, side="right") - 1]
+    return rows, keys[rows] == queries
+
+
 def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
     """Join assignments with season/day-type labels and daily temperatures.
 
@@ -106,16 +124,8 @@ def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
     seasons, day_types = SeasonCalendar.day_labels(days)
     temps = np.full(len(days), np.nan)
     if weather:
-        w_days = day_numbers([w.date for w in weather])
-        order = np.argsort(w_days, kind="stable")
-        w_days = w_days[order]
-        w_temps = np.array([w.avg_temp_f for w in weather], dtype=float)[order]
-        last = np.ones(len(w_days), dtype=bool)
-        last[:-1] = w_days[1:] != w_days[:-1]
-        w_days, w_temps = w_days[last], w_temps[last]
-        pos = np.minimum(np.searchsorted(w_days, days), len(w_days) - 1)
-        hit = w_days[pos] == days
-        temps[hit] = w_temps[pos[hit]]
+        rows, found = _lookup(day_numbers([w.date for w in weather]), days)
+        temps[found] = np.array([w.avg_temp_f for w in weather], dtype=float)[rows[found]]
     return StratumFrame(
         household_id=assignments.household_ids,
         date=assignments.dates,
@@ -124,8 +134,6 @@ def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
         day_type=day_types,
         avg_temp_f=temps,
         cluster_id=assignments.cluster_ids,
-        weight_total=assignments.day_total_kwh,
-        weight_disc=assignments.discretionary_kwh,
     )
 
 
@@ -142,17 +150,11 @@ class Stratum:
 
 
 def season_strata() -> list[Stratum]:
-    def make(name):
-        return Stratum("season", name, lambda f, n=name: f.season == n)
-
-    return [make(n) for n in SEASONS]
+    return [Stratum("season", n, lambda f, n=n: f.season == n) for n in SEASONS]
 
 
 def day_type_strata() -> list[Stratum]:
-    def make(name):
-        return Stratum("day_type", name, lambda f, n=name: f.day_type == n)
-
-    return [make(n) for n in DAY_TYPES]
+    return [Stratum("day_type", n, lambda f, n=n: f.day_type == n) for n in DAY_TYPES]
 
 
 def temperature_quartiles(weather, dates, mode: str = "empirical",
@@ -163,13 +165,14 @@ def temperature_quartiles(weather, dates, mode: str = "empirical",
     daily average temperatures on those dates; fixed mode takes explicit
     boundaries (e.g. 68/71/76 F).
     """
-    date_set = frozenset(dates)
-    temps = {w.date: w.avg_temp_f for w in weather}
-    missing = [d for d in date_set if d not in temps]
-    if missing:
-        raise ValueError(f"weather missing for {len(missing)} dates, e.g. {sorted(missing)[0]}")
+    date_list = sorted(set(dates))
+    date_days = day_numbers(date_list)
+    rows, found = _lookup(day_numbers([w.date for w in weather]), date_days)
+    if not found.all():
+        raise ValueError(f"weather missing for {int((~found).sum())} dates, "
+                         f"e.g. {date_list[int(found.argmin())]}")
     if mode == "empirical":
-        pool = np.array([temps[d] for d in sorted(date_set)])
+        pool = np.array([w.avg_temp_f for w in weather], dtype=float)[rows]
         if len(np.unique(pool)) < 4:
             raise ValueError("need at least 4 distinct temperatures for quartiles")
         boundaries = tuple(np.quantile(pool, [0.25, 0.5, 0.75]))
@@ -183,14 +186,9 @@ def temperature_quartiles(weather, dates, mode: str = "empirical",
     if not b1 <= b2 <= b3:
         raise ValueError(f"boundaries must be non-decreasing, got {boundaries}")
 
-    date_days = day_numbers(list(date_set))
-
-    def in_dates(f):
-        return np.isin(f.day, date_days)
-
     def make(label, lo, hi):
         def mask_fn(f):
-            sel = in_dates(f)
+            sel = np.isin(f.day, date_days)
             t = f.avg_temp_f
             if lo is not None:
                 sel &= t >= lo
@@ -268,12 +266,7 @@ def household_entropy(frame: StratumFrame, mask=None) -> dict:
     has_c, c_idx = _present(frame.cluster_code[sel], len(frame.clusters))
     # columns: the clusters present under the mask, in np.unique order
     counts = _code_counts(h_idx, int(has_h.sum()), c_idx, int(has_c.sum()))
-    totals = counts.sum(axis=1, keepdims=True)
-    p = counts / totals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    values = -terms.sum(axis=1)
-    return {h: float(v) for h, v in zip(frame.households[has_h], values)}
+    return {h: float(v) for h, v in zip(frame.households[has_h], _row_entropy(counts))}
 
 
 @dataclass(frozen=True)
@@ -431,12 +424,9 @@ def coverage_curve(assignments: AssignmentTable, dictionary: ClusterDictionary,
         raise ValueError(f"unknown coverage weight '{weight}'")
     if np.isnan(weights).any():
         raise ValueError("assignments lack kWh weights")
-    by_id = np.argsort(dictionary.ids)
-    found = np.searchsorted(dictionary.ids, assignments.cluster_ids, sorter=by_id)
-    positions = by_id[np.minimum(found, len(by_id) - 1)]
-    unknown = dictionary.ids[positions] != assignments.cluster_ids
-    if unknown.any():
-        raise ValueError(f"assignments name cluster id {assignments.cluster_ids[unknown][0]}, "
+    positions, found = _lookup(dictionary.ids, assignments.cluster_ids)
+    if not found.all():
+        raise ValueError(f"assignments name cluster id {assignments.cluster_ids[~found][0]}, "
                          "which the dictionary lacks")
     kwh = np.zeros(len(dictionary))
     np.add.at(kwh, positions, weights)
@@ -463,11 +453,6 @@ def peak_bin_of_hour(hour: int) -> str:
     raise ValueError(f"hour {hour} outside 0..23")
 
 
-def _circular_distance(a: int, b: int, period: int = 24) -> int:
-    d = abs(a - b)
-    return min(d, period - d)
-
-
 def find_peaks_circular(values, prominence_frac: float = 0.25,
                         min_separation: int = 3) -> list[int]:
     """Hours of local maxima on a circular 24-point profile.
@@ -478,73 +463,32 @@ def find_peaks_circular(values, prominence_frac: float = 0.25,
     (circularly) from any stronger accepted peak. A flat or under-prominent
     profile falls back to the single global argmax.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).tolist()
     n = len(v)
-    vmax = float(v.max())
-    argmax = int(v.argmax())
-    if vmax - float(v.min()) == 0.0:
-        return [argmax]
-
-    # runs of equal value around the circle
-    runs = []  # (value, [indices in circular scan order])
-    start = 0
-    while start < n and v[start] == v[(start - 1) % n]:
-        start += 1
-    if start == n:  # fully constant, handled above
-        return [argmax]
-    i = start
-    while True:
-        j = i
-        idxs = [i % n]
-        while v[(j + 1) % n] == v[i % n]:
-            j += 1
-            idxs.append(j % n)
-        runs.append((float(v[i % n]), idxs))
-        i = j + 1
-        if i % n == start:
-            break
-
-    candidates = []
-    nruns = len(runs)
-    for r, (value, idxs) in enumerate(runs):
-        prev_v = runs[(r - 1) % nruns][0]
-        next_v = runs[(r + 1) % nruns][0]
-        if value > prev_v and value > next_v:
-            candidates.append((value, idxs[0]))
-
-    def prominence(value, hour):
-        if value == vmax:
-            return vmax - float(v.min())
-        lowest = value
-        for step in range(1, n):
-            x = float(v[(hour - step) % n])
-            if x > value:
-                break
-            lowest = min(lowest, x)
-        left_base = lowest
-        lowest = value
-        for step in range(1, n):
-            x = float(v[(hour + step) % n])
-            if x > value:
-                break
-            lowest = min(lowest, x)
-        right_base = lowest
-        return value - max(left_base, right_base)
-
-    threshold = prominence_frac * vmax
-    prominent = [
-        (value, hour)
-        for value, hour in candidates
-        if prominence(value, hour) >= threshold
-    ]
-    prominent.sort(key=lambda p: (-p[0], p[1]))
+    vmax = max(v)
+    prominent = []  # (-value, hour) of each prominent run's first hour
+    for hour, value in enumerate(v):
+        if v[hour - 1] >= value:
+            continue  # not the first hour of a run above its left neighbour
+        # the lowest point on each side before the profile rises above value
+        bases = []
+        for step in (-1, 1):
+            lowest = value
+            for i in range(1, n):
+                x = v[(hour + step * i) % n]
+                if x > value:
+                    break
+                lowest = min(lowest, x)
+            bases.append(lowest)
+        # the run is a local maximum exactly when its right base is lower too
+        prominence = value - max(bases)
+        if prominence > 0 and prominence >= prominence_frac * vmax:
+            prominent.append((-value, hour))
     accepted: list[int] = []
-    for value, hour in prominent:
-        if all(_circular_distance(hour, a) >= min_separation for a in accepted):
+    for _, hour in sorted(prominent):
+        if all(min(abs(hour - a), n - abs(hour - a)) >= min_separation for a in accepted):
             accepted.append(hour)
-    if not accepted:
-        return [argmax]
-    return sorted(accepted)
+    return sorted(accepted) or [v.index(vmax)]
 
 
 @dataclass(frozen=True)
@@ -639,13 +583,8 @@ def occurrence_map(frame: StratumFrame, target_ids,
     with np.errstate(invalid="ignore"):
         daily_temp = np.where(temp_counts > 0, temp_sums / np.maximum(temp_counts, 1), np.nan)
 
-    day_counts = _code_counts(date_idx, len(dates), frame.cluster_code,
-                              len(frame.clusters))
-    day_totals = day_counts.sum(axis=1, keepdims=True)
-    p = day_counts / np.maximum(day_totals, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    daily_ent = np.where(day_totals[:, 0] > 0, -terms.sum(axis=1), np.nan)
+    daily_ent = _row_entropy(_code_counts(date_idx, len(dates), frame.cluster_code,
+                                          len(frame.clusters)))
     return OccurrenceMap(households, dates, matrix, daily_temp, daily_ent)
 
 

@@ -14,7 +14,6 @@ are fixed, so a given seed reproduces the model bit for bit.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import KeyedTable, _frozen, _read_json
+from .ingest import KeyedTable, _frozen, _read_json, _write_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -451,10 +450,7 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         "centroids": [list(map(float, row)) for row in model.centroids],
         "meta": dict(model.meta),
     }
-    with open(model_path, "w", encoding="utf-8") as fh:
-        # default: a frozen meta or provenance holds read-only mappings
-        json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
-        fh.write("\n")
+    _write_json(model_path, payload)
     if labels_path is not None:
         _Labels(model.table.household_ids, model.table.dates,
                 cluster_ids=model.ids[model.labels])._write_csv(labels_path)

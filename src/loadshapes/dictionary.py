@@ -28,7 +28,7 @@ from .errors import (
     EmptyInputError,
     VersionMismatchError,
 )
-from .ingest import KeyedTable, _frozen, _read_json
+from .ingest import KeyedTable, _frozen, _read_json, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -319,10 +319,7 @@ def save_dictionary(dictionary: ClusterDictionary, path) -> str:
         "provenance": dict(dictionary.provenance),
         "digest": _dictionary_digest(dictionary.ids, dictionary.values),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        # default: a frozen meta or provenance holds read-only mappings
-        json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
-        fh.write("\n")
+    _write_json(path, payload)
     return payload["digest"]
 
 

@@ -30,6 +30,7 @@ import io
 import json
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -115,6 +116,8 @@ class KeyedTable:
     def take(self, indices):
         """A table of copies of the rows at ``indices`` (positions or a mask)."""
         idx = np.asarray(indices)
+        if not idx.size:  # np.asarray([]) is float64, which cannot index
+            idx = idx.astype(np.intp)
         return type(self)(**{name: column[idx] for name, column in vars(self).items()})
 
     def freeze(self):
@@ -389,6 +392,21 @@ def _read_json(path) -> dict:
     if not isinstance(payload, dict):
         raise CorruptArtifactError(f"{path}: not a JSON object")
     return payload
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented, key-sorted JSON, a
+    read-only mapping as a dict. The file is replaced in one step: a failed
+    write leaves the previous file whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True, default=dict)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _frozen(value):

@@ -52,6 +52,7 @@ from .errors import ConfigError, CorruptArtifactError, EmptyInputError, StageErr
 from .ingest import (
     INDICATOR_VOCABULARY,
     _read_json,
+    _write_json,
     read_meter_corpus,
     read_survey,
     read_weather,
@@ -82,9 +83,7 @@ def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None
     report_payload["cleaning"] = report.counts()
     table.write_csv(out / "shapes.csv")
     report.write_csv(out / "cleaning_report.csv")
-    with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "ingest_report.json", report_payload)
     cache.keep("shapes", [out / "shapes.csv"], table.freeze())
 
 
@@ -134,11 +133,12 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
     }
 
     strata = analytics.day_type_strata() + analytics.season_strata()
-    quartile_note = None
     mode, fixed_bounds = config.quartile_spec()
     summer_mask = frame.season == "summer"
     summer_dates = sorted(set(frame.date[summer_mask]))
-    if weather is not None and summer_dates:
+    if weather is None or not summer_dates:
+        provenance["temperature_strata_skipped"] = "no weather or no summer dates"
+    else:
         try:
             temp_strata, bounds = analytics.temperature_quartiles(
                 weather, summer_dates, mode=mode, boundaries=fixed_bounds
@@ -146,11 +146,7 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
             strata += temp_strata
             provenance["temperature_boundaries"] = list(bounds)
         except ValueError as exc:
-            quartile_note = str(exc)
-    else:
-        quartile_note = "no weather or no summer dates"
-    if quartile_note:
-        provenance["temperature_strata_skipped"] = quartile_note
+            provenance["temperature_strata_skipped"] = str(exc)
 
     report = analytics.stratified_entropy(frame, strata)
     analytics.write_entropy_csv(report, out / "entropy_by_stratum.csv", provenance)
@@ -164,11 +160,7 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
     analytics.write_taxonomy_csv(taxonomy, out / "taxonomy.csv", provenance)
 
     entropies = analytics.household_entropy(frame)
-    summer_entropies = (
-        analytics.household_entropy(frame, summer_mask)
-        if summer_mask.any()
-        else {}
-    )
+    summer_entropies = analytics.household_entropy(frame, summer_mask)
     analytics.write_household_entropy_csv(
         entropies, summer_entropies, out / "household_entropy.csv", provenance
     )
@@ -440,16 +432,7 @@ class Manifest:
             self._save()
 
     def _save(self) -> None:
-        """Replace the manifest in one step: a failed write leaves the
-        previous file whole."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _write_json(self.path, self.data)
 
 
 @dataclass

@@ -168,8 +168,10 @@ def test_temperature_quartiles_need_distinct_values():
 def test_temperature_quartiles_missing_weather_rejected():
     dates = [D(2011, 7, 1), D(2011, 7, 2)]
     weather = weather_for(dates[:1], [70.0])
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="missing for 1 dates, e.g. 2011-07-02"):
         temperature_quartiles(weather, dates)
+    with pytest.raises(ValueError, match="missing for 2 dates, e.g. 2011-07-01"):
+        temperature_quartiles([], dates)
 
 
 def test_household_entropy_identical_and_uniform():
@@ -640,6 +642,37 @@ def test_find_peaks_prominence_filters_ripples():
     v = spike_shape([18]) + 0.02 * spike_shape([6])
     hours = find_peaks_circular(v / v.sum(), 0.25, 3)
     assert hours == [18]
+
+
+GOLDEN_PEAKS_SHA256 = (
+    "c09f8e3c314f418ce20a6d281e5d5c638012e6b999ca21b49a720c93f01af8a6"
+)
+
+
+def seeded_peaks_digest() -> str:
+    """sha256 over find_peaks_circular's hours on 2,000 seeded profiles:
+    continuous ones, ones quantized to 1-5 levels (plateaus, and runs that
+    wrap past midnight), flat ones and single spikes, cycling through
+    prominence_frac 0/0.1/0.25/0.5 and min_separation 1-7."""
+    rng = np.random.default_rng(1313)
+    levels = rng.integers(1, 6, size=(800, 1))
+    spikes = np.zeros((200, 24))
+    spikes[np.arange(200), rng.integers(0, 24, 200)] = rng.uniform(0.1, 2.0, 200)
+    profiles = np.concatenate([
+        rng.random((800, 24)),
+        np.floor(rng.random((800, 24)) * levels) / levels,
+        np.repeat(rng.uniform(0.0, 1.0, (200, 1)), 24, axis=1),
+        spikes,
+    ])
+    fracs = (0.0, 0.1, 0.25, 0.5)
+    hours = [find_peaks_circular(v, fracs[i % 4], 1 + i // 4 % 7)
+             for i, v in enumerate(profiles)]
+    return hashlib.sha256(repr(hours).encode()).hexdigest()
+
+
+def test_find_peaks_golden_digest():
+    # computed with the run-list finder that the one-pass finder replaced
+    assert seeded_peaks_digest() == GOLDEN_PEAKS_SHA256
 
 
 def test_occurrence_map_all_targets_all_ones():

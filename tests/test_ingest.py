@@ -281,6 +281,10 @@ def test_keyed_table_checks_lengths_freezes_and_takes_copies(make):
         column = getattr(copy, name)
         assert column.flags.writeable, name
         assert np.array_equal(column, columns[name][[1, 0]], equal_nan=column.dtype != object)
+    empty = table.take([])
+    assert type(empty) is type(table)
+    assert all(len(getattr(empty, name)) == 0 for name in columns)
+    assert list(table.take(np.array([False, True])).household_ids) == ["H2"]
 
 
 def test_weather_parses(tmp_path):
