@@ -23,9 +23,8 @@ from .errors import (
     CorruptArtifactError,
     DegenerateCenterError,
     EmptyInputError,
-    VersionMismatchError,
 )
-from .ingest import KeyedTable, _frozen, _read_json, _write_json
+from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _frozen, _write_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -334,10 +333,17 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
     )
 
 
+class _BareShapes(ShapeTable):
+    """A bare array's rows when they are not 24 wide, which no file holds."""
+
+    COLUMNS = (*ShapeTable.COLUMNS[:2], ("values", float, []))
+
+
 def _bare_table(shapes) -> ShapeTable:
     X = np.asarray(shapes, dtype=float)
     n = len(X)
-    return ShapeTable(
+    table = ShapeTable if X.shape[1:] == (HOURS_PER_DAY,) else _BareShapes
+    return table(
         X,
         np.array([f"s{i}" for i in range(n)], dtype=object),
         np.array([dt.date(2000, 1, 1)] * n, dtype=object),
@@ -464,14 +470,9 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     labels.csv names, in labels.csv order. A key the table lacks, or one
     labels.csv lists twice, raises CorruptArtifactError.
     """
-    payload = _read_json(model_path)
-    version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise VersionMismatchError(
-            f"model schema {version}, supported {MODEL_SCHEMA_VERSION}"
-        )
-    ids = np.asarray(payload["ids"], dtype=np.int64)
-    centroids = np.asarray(payload["centroids"], dtype=float)
+    with _centroid_json(model_path, "model", MODEL_SCHEMA_VERSION) as (payload, ids, centroids):
+        theta = float(payload["theta"])
+        counts = payload["counts"]
     position = {int(cid): pos for pos, cid in enumerate(ids)}
     row_of = {key: i for i, key in enumerate(zip(table.household_ids, table.dates))}
     labelled = _Labels._parse_csv(labels_path)
@@ -503,9 +504,9 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
         centroids=centroids,
         ids=ids,
         labels=labels,
-        theta=float(payload["theta"]),
+        theta=theta,
         meta=payload.get("meta", {}),
     )
-    if model.counts.tolist() != payload["counts"]:
-        raise CorruptArtifactError("label counts disagree with persisted counts")
+    if model.counts.tolist() != counts:
+        raise CorruptArtifactError(f"{model_path}: label counts disagree with persisted counts")
     return model

@@ -7,6 +7,10 @@ comma-separated ``tuple``; ``X | None`` casts as ``X``. A ``dict[str, T]``
 field takes one line per entry, ``<prefix>.<name>=value``, where the prefix
 is the field's ``metadata["key"]`` (the field name by default). A new field
 needs no parser change.
+
+A field made by ``flag`` is also a command line flag: ``add_flags`` adds it
+as text, and ``config_from`` lays the given flags over the file's lines and
+casts them once, so a flag and a file line fail with the same message.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import dataclasses
 import datetime as dt
 import types
 import typing
+
+
+def flag(default, help: str):
+    """A dataclass field with ``default`` that is also a flag, as ``help`` says."""
+    return dataclasses.field(default=default, metadata={"help": help})
 
 
 def _cast(hint, text: str):
@@ -65,8 +74,8 @@ def parse_fields(cls, raw: dict, error) -> dict:
     return values
 
 
-def read_config(cls, path, error) -> dict:
-    """Constructor arguments for dataclass ``cls`` from the file at ``path``."""
+def _read_lines(path, error) -> dict:
+    """``{key: text}`` from the config file at ``path``."""
     raw: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -77,7 +86,44 @@ def read_config(cls, path, error) -> dict:
                 raise error(f"{path}:{line_no}: expected key=value")
             key, text = (s.strip() for s in line.split("=", 1))
             raw[key] = text
-    return parse_fields(cls, raw, error)
+    return raw
+
+
+def read_config(cls, path, error) -> dict:
+    """Constructor arguments for dataclass ``cls`` from the file at ``path``."""
+    return parse_fields(cls, _read_lines(path, error), error)
+
+
+def add_flags(parser, cls) -> None:
+    """Add ``--config`` and one text flag per ``flag`` field of ``cls`` to
+    the argparse ``parser``; the flag's value is that field's file text."""
+    hints = typing.get_type_hints(cls)
+    parser.add_argument("--config", help="flat key=value config file")
+    for f in dataclasses.fields(cls):
+        if "help" not in f.metadata:
+            continue
+        if typing.get_origin(hints[f.name]) is dict:
+            parser.add_argument(f"--{f.metadata.get('key', f.name)}", dest=f.name,
+                                action="append", metavar="NAME=VALUE", help=f.metadata["help"])
+        else:
+            parser.add_argument(f"--{f.name.replace('_', '-')}", help=f.metadata["help"])
+
+
+def config_from(cls, args, error):
+    """``cls`` from the ``--config`` file in the argparse namespace ``args``
+    with the flags given in ``args`` over its lines (a dict field entry by
+    entry), cast once by ``parse_fields``."""
+    raw = _read_lines(args.config, error) if args.config else {}
+    for f in dataclasses.fields(cls):
+        value = getattr(args, f.name, None)
+        if isinstance(value, list):  # a dict field's name=value flags
+            prefix = f.metadata.get("key", f.name)
+            for pair in value:  # "name" alone reads as the line "<prefix>.name="
+                name, _, text = pair.partition("=")
+                raw[f"{prefix}.{name.strip()}"] = text.strip()
+        elif value is not None:
+            raw[f.name] = value
+    return cls(**parse_fields(cls, raw, error))
 
 
 def write_config(obj, path) -> None:

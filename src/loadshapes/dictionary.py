@@ -26,9 +26,8 @@ from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assig
 from .errors import (
     CorruptArtifactError,
     EmptyInputError,
-    VersionMismatchError,
 )
-from .ingest import KeyedTable, _frozen, _read_json, _write_json
+from .ingest import KeyedTable, _centroid_json, _frozen, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -325,29 +324,22 @@ def save_dictionary(dictionary: ClusterDictionary, path) -> str:
 
 def load_dictionary(path) -> ClusterDictionary:
     """Load and verify dictionary.json (version, digest, invariants)."""
-    payload = _read_json(path)
-    version = payload.get("schema_version")
-    if version != DICTIONARY_SCHEMA_VERSION:
-        raise VersionMismatchError(
-            f"dictionary schema {version}, supported {DICTIONARY_SCHEMA_VERSION}"
+    with _centroid_json(path, "dictionary", DICTIONARY_SCHEMA_VERSION) as (payload, ids, values):
+        digest = _dictionary_digest(ids, values)
+        if digest != payload.get("digest"):
+            raise CorruptArtifactError(f"{path}: digest mismatch, file corrupted")
+        dictionary = ClusterDictionary(
+            values=values,
+            ids=ids,
+            member_counts=np.asarray(payload["member_counts"], dtype=np.int64),
+            member_kwh=np.asarray(payload["member_kwh"], dtype=float),
+            member_discretionary_kwh=np.asarray(
+                payload["member_discretionary_kwh"], dtype=float
+            ),
+            theta=float(payload["theta"]),
+            truncation_v=float(payload["truncation_v"]),
+            provenance=payload.get("provenance", {}),
+            digest=digest,
         )
-    ids = np.asarray(payload["ids"], dtype=np.int64)
-    values = np.asarray(payload["centroids"], dtype=float)
-    digest = _dictionary_digest(ids, values)
-    if digest != payload.get("digest"):
-        raise CorruptArtifactError(f"{path}: digest mismatch, file corrupted")
-    dictionary = ClusterDictionary(
-        values=values,
-        ids=ids,
-        member_counts=np.asarray(payload["member_counts"], dtype=np.int64),
-        member_kwh=np.asarray(payload["member_kwh"], dtype=float),
-        member_discretionary_kwh=np.asarray(
-            payload["member_discretionary_kwh"], dtype=float
-        ),
-        theta=float(payload["theta"]),
-        truncation_v=float(payload["truncation_v"]),
-        provenance=payload.get("provenance", {}),
-        digest=digest,
-    )
-    dictionary.validate()
+        dictionary.validate()
     return dictionary

@@ -42,6 +42,7 @@ from .errors import (
     DuplicateRecordError,
     HeaderMismatchError,
     UnknownIndicatorError,
+    VersionMismatchError,
 )
 
 HOURS_PER_DAY = 24
@@ -86,12 +87,13 @@ class KeyedTable:
     ``household_ids`` (str) and ``dates`` (``datetime.date``).
 
     A subclass lists its other columns in ``COLUMNS`` as ``(attribute,
-    kind, cells)``; each is also a constructor argument of that name.
+    kind, cells)``; each is also a constructor argument of that name, which
+    may be given by position after the keys, in ``COLUMNS`` order.
     ``kind``, ``int`` or ``float``, is the column's dtype and parses its
     cells. ``cells`` names the column's cells in the table's CSV file after
     the keys: one for a vector, one per column of an (N, len(cells))
-    matrix, none for a column the file does not hold. Every instance
-    attribute is a column.
+    matrix (the constructor rejects another shape), none for a column the
+    file does not hold. Every instance attribute is a column.
 
     A table with a file of its own publishes ``_write_csv`` as its
     ``write_csv`` and reads through ``_parse_csv``.
@@ -102,11 +104,16 @@ class KeyedTable:
     def __init_subclass__(cls):
         cls.HEADER = ["household_id", "date", *(c for _, _, cells in cls.COLUMNS for c in cells)]
 
-    def __init__(self, household_ids, dates, **columns):
+    def __init__(self, household_ids, dates, *values, **columns):
+        names = [name for name, _, _ in self.COLUMNS][:len(values)]
+        columns.update(zip(names, values, strict=True))  # more values than columns: ValueError
         self.household_ids = np.ascontiguousarray(household_ids, dtype=object)
         self.dates = np.ascontiguousarray(dates, dtype=object)
-        for name, kind, _ in self.COLUMNS:
-            setattr(self, name, np.ascontiguousarray(columns[name], dtype=kind))
+        for name, kind, cells in self.COLUMNS:
+            column = np.ascontiguousarray(columns[name], dtype=kind)
+            if len(cells) > 1 and (column.ndim != 2 or column.shape[1] != len(cells)):
+                raise ValueError(f"{name}: expected shape (N, {len(cells)}), got {column.shape}")
+            setattr(self, name, column)
         if len({len(column) for column in vars(self).values()}) > 1:
             raise ValueError("column lengths differ")
 
@@ -194,12 +201,7 @@ class DayTable(KeyedTable):
     written by ``write_meter_corpus`` and read by ``read_meter_corpus``.
     """
 
-    COLUMNS = (("kwh", float, []),)
-
-    def __init__(self, household_ids, dates, kwh):
-        super().__init__(household_ids, dates, kwh=kwh)
-        if self.kwh.ndim != 2 or self.kwh.shape[1] != HOURS_PER_DAY:
-            raise ValueError(f"expected (N, 24) hourly slots, got shape {self.kwh.shape}")
+    COLUMNS = (("kwh", float, WIDE_HEADER[2:]),)
 
 
 @dataclass(frozen=True)
@@ -392,6 +394,29 @@ def _read_json(path) -> dict:
     if not isinstance(payload, dict):
         raise CorruptArtifactError(f"{path}: not a JSON object")
     return payload
+
+
+@contextlib.contextmanager
+def _centroid_json(path, kind: str, version: int):
+    """Yield the JSON object in the ``kind`` artifact ``path`` with its
+    ``ids`` and (len(ids), 24) ``centroids`` arrays. A schema other than
+    ``version`` raises VersionMismatchError; a missing key, or a TypeError or
+    ValueError raised here or in the ``with`` block while it reads the object,
+    becomes a CorruptArtifactError naming the file."""
+    payload = _read_json(path)
+    found = payload.get("schema_version")
+    if found != version:
+        raise VersionMismatchError(f"{kind} schema {found}, supported {version}")
+    try:
+        ids = np.asarray(payload["ids"], dtype=np.int64)
+        centroids = np.asarray(payload["centroids"], dtype=float)
+        if ids.ndim != 1 or centroids.shape != (len(ids), HOURS_PER_DAY):
+            raise ValueError(f"centroids of shape {centroids.shape} for {len(ids)} ids")
+        yield payload, ids, centroids
+    except KeyError as exc:
+        raise CorruptArtifactError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorruptArtifactError(f"{path}: malformed value ({exc})") from exc
 
 
 def _write_json(path, payload) -> None:

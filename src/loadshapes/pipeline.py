@@ -33,14 +33,14 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable
 
 from . import analytics
 from .cluster import adaptive_kmeans, hierarchical_merge, load_model, save_model
-from .config import read_config
+from .config import flag, read_config
 from .dictionary import (
     AssignmentTable,
     assign_all,
@@ -256,20 +256,20 @@ _PRODUCER = {name: stage.name for stage in STAGES.values() for name in stage.out
 class RunConfig:
     """Single configuration surface for the pipeline and stage commands."""
 
-    meter: str | None = None
-    weather: str | None = None
-    survey: str | None = None
-    out: str = "out"
-    theta: float = 0.3
-    merge_violation: float = 0.05
-    truncate_violation: float = 0.30
-    sample: int = 100_000
-    seed: int | None = None
-    threads: int = 1
-    quartiles: str = "empirical"
-    coverage_weight: str = "total"
-    meter_schema: str = "wide"
-    k_init: int = 10
+    meter: str | None = flag(None, "meter readings CSV")
+    weather: str | None = flag(None, "daily weather CSV")
+    survey: str | None = flag(None, "household survey CSV")
+    out: str = flag("out", "output directory")
+    theta: float = flag(0.3, "RSE threshold")
+    merge_violation: float = flag(0.05, "violation budget for hierarchical merging")
+    truncate_violation: float = flag(0.30, "violation budget V for dictionary truncation")
+    sample: int = flag(100_000, "clustering subsample size")
+    seed: int | None = flag(None, "seed for all stochastic stages")
+    threads: int = flag(1, "worker bound (outputs unaffected)")
+    quartiles: str = flag("empirical", "'empirical' or 'fixed:68,71,76'")
+    coverage_weight: str = flag("total", "kWh weighting for coverage: total or discretionary")
+    meter_schema: str = flag("wide", "meter CSV layout: wide or long")
+    k_init: int = flag(10, "initial k")
     stages: tuple = PIPELINE_STAGES
 
     def validate(self) -> None:
@@ -290,9 +290,9 @@ class RunConfig:
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.coverage_weight not in ("total", "discretionary"):
-            raise ConfigError(f"unknown coverage weight '{self.coverage_weight}'")
+            raise ConfigError(f"config key 'coverage_weight': bad value '{self.coverage_weight}'")
         if self.meter_schema not in ("wide", "long"):
-            raise ConfigError(f"unknown meter schema '{self.meter_schema}'")
+            raise ConfigError(f"config key 'meter_schema': bad value '{self.meter_schema}'")
         self.quartile_spec()
         unknown = set(self.stages) - set(PIPELINE_STAGES)
         if unknown:
@@ -303,22 +303,20 @@ class RunConfig:
         if self.quartiles == "empirical":
             return "empirical", None
         if self.quartiles.startswith("fixed:"):
-            parts = self.quartiles[len("fixed:"):].split(",")
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"fixed quartiles need 3 boundaries, got '{self.quartiles}'"
-                )
             try:
-                bounds = tuple(float(p) for p in parts)
+                b1, b2, b3 = map(float, self.quartiles[len("fixed:"):].split(","))
             except ValueError as exc:
-                raise ConfigError(f"bad quartile boundary in '{self.quartiles}'") from exc
-            if not all(map(math.isfinite, bounds)):
                 raise ConfigError(
-                    f"quartiles boundaries must be finite, got '{self.quartiles}'"
+                    f"config key 'quartiles': expected 3 numeric boundaries, got '{self.quartiles}'"
+                ) from exc
+            if not all(map(math.isfinite, (b1, b2, b3))) or not b1 <= b2 <= b3:
+                raise ConfigError(
+                    f"config key 'quartiles': boundaries must be finite and "
+                    f"non-decreasing, got '{self.quartiles}'"
                 )
-            return "fixed", bounds
+            return "fixed", (b1, b2, b3)
         raise ConfigError(
-            f"quartiles must be 'empirical' or 'fixed:a,b,c', got '{self.quartiles}'"
+            f"config key 'quartiles': expected 'empirical' or 'fixed:a,b,c', got '{self.quartiles}'"
         )
 
     @classmethod
@@ -327,19 +325,12 @@ class RunConfig:
         return cls(**{**read_config(cls, path, ConfigError), **(overrides or {})})
 
     def effective_params(self) -> dict:
-        """All parameters that shape the outputs (threads excluded)."""
-        return {
-            "theta": self.theta,
-            "merge_violation": self.merge_violation,
-            "truncate_violation": self.truncate_violation,
-            "sample": self.sample,
-            "seed": self.seed,
-            "quartiles": self.quartiles,
-            "coverage_weight": self.coverage_weight,
-            "meter_schema": self.meter_schema,
-            "k_init": self.k_init,
-            "subsample_algorithm": SUBSAMPLE_ALGORITHM,
-        }
+        """All parameters that shape the outputs: every field but the file
+        paths, ``threads`` and ``stages``, in field order, and the subsample
+        algorithm."""
+        params = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("meter", "weather", "survey", "out", "threads", "stages")}
+        return {**params, "subsample_algorithm": SUBSAMPLE_ALGORITHM}
 
 
 def _file_digest(path) -> str:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import read_config, write_config
+from .config import flag, read_config, write_config
 from .errors import GeneratorConfigError
 from .ingest import (
     HOURS_PER_DAY,
@@ -60,18 +60,19 @@ ENTROPY_JITTER = 0.05
 class GeneratorConfig:
     """Knobs for the synthetic corpus; flat key=value file serializable."""
 
-    archetypes: int = 5
-    households: int = 100
-    days: int = 90
-    start_date: dt.date = dt.date(2011, 6, 1)
-    noise_level: float = 0.05
-    temperature_response: float = 1.0
-    base_entropy: float = 0.9
+    archetypes: int = flag(5, "number of planted archetype shapes")
+    households: int = flag(100, "number of households")
+    days: int = flag(90, "number of days")
+    start_date: dt.date = flag(dt.date(2011, 6, 1), "first day (ISO date)")
+    noise_level: float = flag(0.05, "log-normal noise scale of each hourly reading")
+    temperature_response: float = flag(1.0, "weight of the cooling shape on the hottest days")
+    base_entropy: float = flag(0.9, "target entropy (nats) of a household's daily shape mix")
     # written as one bias.<indicator>=value line per entry
-    entropy_bias: dict[str, float] = field(default_factory=dict, metadata={"key": "bias"})
-    outlier_rate: float = 0.0
-    fuzz_rate: float = 0.0
-    bad_day_rate: float = 0.0
+    entropy_bias: dict[str, float] = field(default_factory=dict, metadata={
+        "key": "bias", "help": "entropy bias as indicator=value (repeatable)"})
+    outlier_rate: float = flag(0.0, "share of days with a single spike hour")
+    fuzz_rate: float = flag(0.0, "share of days blended toward a random shape")
+    bad_day_rate: float = flag(0.0, "share of days with missing hours or too low a demand")
     baseload_low_kw: float = 0.25
     baseload_high_kw: float = 0.9
     discretionary_kwh_mean: float = 6.0
@@ -166,9 +167,6 @@ class SyntheticTruth(KeyedTable):
     drawn from any archetype (spike or fuzz)."""
 
     COLUMNS = (("archetype_ids", int, ["archetype_id"]),)
-
-    def __init__(self, household_ids, dates, archetype_ids):
-        super().__init__(household_ids, dates, archetype_ids=archetype_ids)
 
     write_csv = KeyedTable._write_csv
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 from unittest import mock
 
@@ -681,12 +682,35 @@ def _cut_last_row(path):
     path.write_text("\n".join(lines[:-1] + [lines[-1][:5]]))
 
 
+def _edit_json(change):
+    def edit(path):
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+    return edit
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("labels.csv", lambda p: p.write_text(""), "labels.csv: no header"),
     ("labels.csv", lambda p: p.write_text("household_id,date\n"), "labels.csv: header"),
     ("labels.csv", _cut_last_row, "labels.csv: data row 60: expected 3 cells, got 2"),
     ("model.json", lambda p: p.write_text(p.read_text()[:100]), "model.json: not valid JSON"),
     ("model.json", lambda p: p.write_text("[1, 2]"), "model.json: not a JSON object"),
+    ("model.json", lambda p: p.write_text('{"schema_version": 1}'),
+     "model.json: missing key 'ids'"),
+    ("model.json", _edit_json(lambda m: m.pop("counts")), "model.json: missing key 'counts'"),
+    ("model.json", _edit_json(lambda m: m["centroids"][0].pop()),
+     r"model.json: malformed value \(.*inhomogeneous"),
+    ("model.json", _edit_json(lambda m: [row.pop() for row in m["centroids"]]),
+     r"model.json: malformed value \(centroids of shape \(\d+, 23\)"),
+    ("model.json", _edit_json(lambda m: m.update(ids=m["ids"][:-1])),
+     r"model.json: malformed value \(centroids of shape \(\d+, 24\) for \d+ ids"),
+    ("model.json", _edit_json(lambda m: m.update(theta="loose")),
+     "model.json: malformed value .*could not convert"),
+    ("model.json", _edit_json(lambda m: m.update(ids=["a"] * len(m["ids"]))),
+     "model.json: malformed value .*invalid literal"),
+    ("model.json", _edit_json(lambda m: m.update(counts=[0] * len(m["counts"]))),
+     "model.json: label counts disagree"),
 ])
 def test_load_model_names_the_damaged_file(tmp_path, name, damage, message):
     table = _keyed_table(unit_shapes(np.random.default_rng(24), 60))

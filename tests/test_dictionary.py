@@ -365,6 +365,29 @@ def test_dictionary_load_rejects_bad_centroid_sum(tmp_path):
         load_dictionary(path)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: d.clear() or d.update(schema_version=1), "missing key 'ids'"),
+    (lambda d: d.pop("member_kwh"), "missing key 'member_kwh'"),
+    (lambda d: d["centroids"][0].pop(), r"malformed value \(.*inhomogeneous"),
+    (lambda d: [row.pop() for row in d["centroids"]],
+     r"malformed value \(centroids of shape \(\d+, 23\)"),
+    (lambda d: d.update(centroids=[]),
+     r"malformed value \(centroids of shape \(0,\) for \d+ ids"),
+    (lambda d: d.update(theta="tight"), "malformed value .*could not convert"),
+    (lambda d: d.update(member_counts=[1, None]), r"malformed value \(.*NoneType"),
+])
+def test_dictionary_load_names_the_file_of_a_malformed_payload(tmp_path, damage, message):
+    """A dictionary.json that is valid JSON but lacks a key or holds a value
+    of the wrong type or shape is reported as a damaged file, by name."""
+    path = tmp_path / "dictionary.json"
+    save_dictionary(small_dictionary(), path)
+    payload = json.loads(path.read_text())
+    damage(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptArtifactError, match=f"dictionary.json: {message}"):
+        load_dictionary(path)
+
+
 def test_dictionary_load_version_mismatch_names_versions(tmp_path):
     dictionary = small_dictionary()
     path = tmp_path / "dictionary.json"

@@ -257,6 +257,11 @@ def test_daytable_requires_24_slots():
         DayTable(["H1"], [D(2011, 6, 1)], np.ones(24))
     with pytest.raises(ValueError, match="column lengths"):
         DayTable(["H1", "H2"], [D(2011, 6, 1)], np.ones((2, 24)))
+    # a shapes.csv written from these would not read back
+    with pytest.raises(ValueError, match=r"values: expected shape \(N, 24\), got \(1, 23\)"):
+        ShapeTable(np.ones((1, 23)) / 23, ["H1"], [D(2011, 6, 1)], [1.0], [0.5])
+    with pytest.raises(ValueError, match=r"values: expected shape \(N, 24\), got \(24,\)"):
+        ShapeTable(np.ones(24) / 24, ["H1"], [D(2011, 6, 1)], [1.0], [0.5])
 
 
 @pytest.mark.parametrize("make", [

@@ -14,9 +14,9 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from loadshapes import analytics, pipeline
+from loadshapes import analytics, cli, pipeline
 from loadshapes.cli import build_parser, main
-from loadshapes.config import write_config
+from loadshapes.config import config_from, write_config
 from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import ConfigError, EmptyInputError, StageError
 from loadshapes.pipeline import (
@@ -175,7 +175,7 @@ def test_run_config_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("quartiles", ["fixed:nan,71,76", "fixed:68,71,inf",
-                                       "fixed:-inf,71,76"])
+                                       "fixed:-inf,71,76", "fixed:76,71,68"])
 def test_run_config_rejects_non_finite_quartiles(quartiles):
     with pytest.raises(ConfigError, match="quartiles"):
         RunConfig(seed=1, quartiles=quartiles).validate()
@@ -507,15 +507,21 @@ def test_analyze_skips_only_unusable_indicators(
 
 
 @pytest.mark.parametrize("flags, key", [
-    (["--bias", "children_in_home=abc"], "bias.children_in_home"),
-    (["--start-date", "2011-13-01"], "start_date"),
-    (["--config", "{cfg}"], "days"),
+    (["synth", "--bias", "children_in_home=abc"], "bias.children_in_home"),
+    (["synth", "--start-date", "2011-13-01"], "start_date"),
+    (["synth", "--config", "{cfg}"], "days"),
+    (["run", "--theta", "abc"], "theta"),
+    (["run", "--coverage-weight", "foo"], "coverage_weight"),
+    (["run", "--quartiles", "fixed:76,71,68"], "quartiles"),
+    (["cluster", "--sample", "many"], "sample"),
 ])
 def test_cli_synth_bad_value_is_a_configuration_error(tmp_path, capsys, flags, key):
+    """``flags`` starts with the subcommand; a value its key cannot take
+    fails the same way from a flag or a config file, for every command."""
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("households=5\ndays=ten\n")
     flags = [f.format(cfg=cfg) for f in flags]
-    code = main(["synth", "--seed", "1", "--out", str(tmp_path / "x")] + flags)
+    code = main(flags + ["--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error")
@@ -558,6 +564,44 @@ def test_cli_stage_commands_follow_the_stage_table():
     assert [name for name in subcommands if name not in ("run", "synth")] == list(
         PIPELINE_STAGES)
     assert list(_STAGE_FNS) == list(PIPELINE_STAGES)
+
+
+RUN_FLAGS = {"--config", "--meter", "--weather", "--survey", "--out", "--theta",
+             "--merge-violation", "--truncate-violation", "--sample", "--seed",
+             "--threads", "--quartiles", "--coverage-weight", "--meter-schema",
+             "--k-init"}
+SYNTH_FLAGS = {"--config", "--out", "--seed", "--schema", "--households", "--days",
+               "--archetypes", "--start-date", "--noise-level", "--temperature-response",
+               "--outlier-rate", "--fuzz-rate", "--bad-day-rate", "--base-entropy", "--bias"}
+
+
+def test_cli_flag_sets_and_flags_over_config_files(tmp_path, monkeypatch, capsys):
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in subcommands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == (SYNTH_FLAGS if name == "synth" else RUN_FLAGS), name
+
+    generated = []
+
+    def spy(config, seed):
+        generated.append(config)
+        return generate_synthetic(config, seed)
+
+    monkeypatch.setattr(cli, "generate_synthetic", spy)
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("households=4\ndays=40\nnoise_level=0.3\n"
+                   "bias.elderly=0.2\nbias.electric_dryer=0.1\n")
+    assert main(["synth", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "c"),
+                 "--days", "3", "--noise", "0.01", "--bias", "electric_dryer=-0.4"]) == 0
+    # file keys the flags leave alone stay; a flag wins, bias entry by entry
+    assert generated == [GeneratorConfig(households=4, days=3, noise_level=0.01, entropy_bias={
+        "elderly": 0.2, "electric_dryer": -0.4})]
+
+    cfg.write_text("theta=0.25\nseed=11\nstages=ingest\n")
+    args = build_parser().parse_args(["run", "--config", str(cfg), "--theta", "0.5"])
+    assert config_from(RunConfig, args, ConfigError) == RunConfig(
+        theta=0.5, seed=11, stages=("ingest",))
 
 
 def test_run_config_file_round_trip(tmp_path):
