@@ -384,20 +384,12 @@ def davies_bouldin(points, labels, centroids) -> float:
         if len(members) == 0:
             raise EmptyInputError(f"cluster {i} has no members")
         sigma[i] = float(np.sqrt(((members - C[i]) ** 2).sum(axis=1)).mean())
-    worst = np.empty(k)
-    for i in range(k):
-        ratios = []
-        for j in range(k):
-            if i == j:
-                continue
-            d = float(np.sqrt(((C[i] - C[j]) ** 2).sum()))
-            if d == 0.0:
-                raise CoincidentCentroidsError(
-                    f"clusters {i} and {j} share a centroid"
-                )
-            ratios.append((sigma[i] + sigma[j]) / d)
-        worst[i] = max(ratios)
-    return float(worst.mean())
+    d = np.sqrt(((C[:, None] - C[None]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    if (d == 0.0).any():
+        i, j = np.argwhere(d == 0.0)[0]  # row-major: the first coincident pair
+        raise CoincidentCentroidsError(f"clusters {i} and {j} share a centroid")
+    return float(((sigma[:, None] + sigma) / d).max(axis=1).mean())  # the diagonal gives 0
 
 
 @dataclass

@@ -172,11 +172,8 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
         dirty = np.zeros(k, dtype=bool)
         dirty[labels[moved]] = dirty[prev[moved]] = True
     if len(empties):
-        keep = np.flatnonzero(counts > 0)
-        remap = np.full(k, -1, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        centers = centers[keep]
-        labels = remap[labels]
+        centers = centers[counts > 0]
+        labels = (np.cumsum(counts > 0) - 1)[labels]  # each label's rank among the kept
     inertia = float(((X - centers[labels]) ** 2).sum())
     return centers, labels, inertia
 

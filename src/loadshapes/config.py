@@ -75,9 +75,14 @@ def parse_fields(cls, raw: dict, error) -> dict:
 
 
 def _read_lines(path, error) -> dict:
-    """``{key: text}`` from the config file at ``path``."""
+    """``{key: text}`` from the config file at ``path``; a file that cannot
+    be read raises ``error`` naming it."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read config file ({exc.strerror})") from exc
     raw: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

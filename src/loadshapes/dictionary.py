@@ -73,10 +73,10 @@ class ClusterDictionary:
 
     def validate(self) -> None:
         sums = self.values.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > CENTROID_SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= CENTROID_SUM_TOL):  # NaN fails too
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise CorruptArtifactError(
-                f"dictionary shape id {int(self.ids[bad])} sums to {sums[bad]!r}, "
+                f"dictionary shape id {int(self.ids[bad])} sums to {float(sums[bad])!r}, "
                 f"expected 1 +/- {CENTROID_SUM_TOL}"
             )
         if len(set(self.ids.tolist())) != len(self.ids):
@@ -134,9 +134,7 @@ def truncate(model: ClusterModel, v: float) -> ClusterDictionary:
         )
         viol_count += int((new_rse > theta).sum()) - int(violating[removed_mask].sum())
         violating[removed_mask] = new_rse > theta
-        remap = np.full(len(centroids), -1, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        labels = remap[labels]
+        labels = np.searchsorted(keep, labels)  # every label is now in keep, which is sorted
         centroids = centroids[keep]
         ids = ids[keep]
         counts = np.bincount(labels, minlength=len(centroids)).astype(np.int64)
@@ -185,16 +183,6 @@ class AssignmentTable(KeyedTable):
         ("day_total_kwh", float, []),
         ("discretionary_kwh", float, []),
     )
-
-    def __init__(self, household_ids, dates, cluster_ids, distances, rses,
-                 day_total_kwh=None, discretionary_kwh=None):
-        n = len(household_ids)
-        super().__init__(
-            household_ids, dates, cluster_ids=cluster_ids, distances=distances, rses=rses,
-            day_total_kwh=np.full(n, np.nan) if day_total_kwh is None else day_total_kwh,
-            discretionary_kwh=(np.full(n, np.nan) if discretionary_kwh is None
-                               else discretionary_kwh),
-        )
 
     write_csv = KeyedTable._write_csv
 
@@ -272,13 +260,8 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
         dist[start:stop] = np.sqrt(diff2)
         rse_vals[start:stop] = diff2 / denom[lab]
 
-    starts = range(0, n, chunk_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
-    else:
-        for s in starts:
-            work(s)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(0, n, chunk_size)))
 
     return AssignmentTable(
         table.household_ids,
@@ -341,5 +324,8 @@ def load_dictionary(path) -> ClusterDictionary:
             provenance=payload.get("provenance", {}),
             digest=digest,
         )
-        dictionary.validate()
+        try:
+            dictionary.validate()
+        except CorruptArtifactError as exc:
+            raise CorruptArtifactError(f"{path}: {exc}") from exc
     return dictionary

@@ -22,6 +22,7 @@ here too.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import datetime as dt
@@ -47,10 +48,9 @@ from .errors import (
 
 HOURS_PER_DAY = 24
 
-# Rows per block in the keyed-table and meter CSV writers and in the wide
-# meter reader: each block is formatted with one join and written with one
-# write, or parsed into one flat float list, so the per-cell work stays in C
-# without a whole-table string or list in memory.
+# Rows per block in the keyed-table and meter CSV writers: each block is
+# formatted with one join and written with one write, so the per-cell work
+# stays in C without a whole-table string in memory.
 CSV_BLOCK_ROWS = 256
 
 WIDE_HEADER = ["household_id", "date"] + [f"h{i}" for i in range(1, 25)]
@@ -93,7 +93,8 @@ class KeyedTable:
     cells. ``cells`` names the column's cells in the table's CSV file after
     the keys: one for a vector, one per column of an (N, len(cells))
     matrix (the constructor rejects another shape), none for a column the
-    file does not hold. Every instance attribute is a column.
+    file does not hold, which is NaN when left out or None. Every instance
+    attribute is a column.
 
     A table with a file of its own publishes ``_write_csv`` as its
     ``write_csv`` and reads through ``_parse_csv``.
@@ -110,6 +111,8 @@ class KeyedTable:
         self.household_ids = np.ascontiguousarray(household_ids, dtype=object)
         self.dates = np.ascontiguousarray(dates, dtype=object)
         for name, kind, cells in self.COLUMNS:
+            if not cells and columns.get(name) is None:
+                columns[name] = np.full(len(self.household_ids), np.nan)
             column = np.ascontiguousarray(columns[name], dtype=kind)
             if len(cells) > 1 and (column.ndim != 2 or column.shape[1] != len(cells)):
                 raise ValueError(f"{name}: expected shape (N, {len(cells)}), got {column.shape}")
@@ -460,8 +463,7 @@ def read_meter_corpus(path, schema: str = "wide"):
 def _read_meter_wide(path):
     household_ids: list[str] = []
     dates: list[dt.date] = []
-    blocks: list[np.ndarray] = []
-    flat: list[float] = []  # the readings of the current block, row after row
+    readings = array.array("d")  # every day's 24 readings, row after row
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
     with _input_rows(path, WIDE_HEADER, "expected 24 hourly columns", diagnostics,
@@ -490,12 +492,8 @@ def _read_meter_wide(path):
                 ]
             household_ids.append(household_id)
             dates.append(date)
-            flat += kwh
-            if len(flat) == CSV_BLOCK_ROWS * HOURS_PER_DAY:
-                blocks.append(np.array(flat))
-                flat = []
-    blocks.append(np.array(flat))
-    kwh = np.concatenate(blocks).reshape(-1, HOURS_PER_DAY)
+            readings.extend(kwh)
+    kwh = np.frombuffer(readings, dtype=float).reshape(-1, HOURS_PER_DAY)
     return DayTable(household_ids, dates, kwh), diagnostics
 
 

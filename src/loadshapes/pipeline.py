@@ -334,11 +334,8 @@ class RunConfig:
 
 
 def _file_digest(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 class RunCache:
@@ -416,14 +413,11 @@ class Manifest:
 
     def update(self, stage: str, entry: dict) -> None:
         self.data["stages"][stage] = entry
-        self._save()
+        _write_json(self.path, self.data)
 
     def drop(self, stage: str) -> None:
         if self.data["stages"].pop(stage, None) is not None:
-            self._save()
-
-    def _save(self) -> None:
-        _write_json(self.path, self.data)
+            _write_json(self.path, self.data)
 
 
 @dataclass

@@ -301,9 +301,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
         )
 
     noise = np.exp(config.noise_level * rng.standard_normal((n_total, HOURS_PER_DAY)))
-    profile = base * noise
-    profile -= profile.min(axis=1, keepdims=True)
-    profile /= profile.sum(axis=1, keepdims=True)
+    profile = normalize(demin(base * noise))
 
     disc = rng.lognormal(np.log(config.discretionary_kwh_mean), 0.35, n_total)
     baseload = rng.uniform(config.baseload_low_kw, config.baseload_high_kw, n_house)

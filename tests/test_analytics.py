@@ -496,6 +496,47 @@ def test_davies_bouldin_errors():
         davies_bouldin(X, labels, co)
 
 
+GOLDEN_DBI_SHA256 = (
+    "7e2c351160c95952bce0bbd698c5eb44affcba73ba55dd3958637b19b481d963"
+)
+
+
+def seeded_dbi_digest() -> str:
+    """sha256 over davies_bouldin's value, or its error, on 300 seeded
+    partitions: k of 2-8 in 24 or 3 dimensions, points continuous or
+    quantized to quarters, centroids the member means (some jittered),
+    some clusters left empty and some centroids copied onto others."""
+    rng = np.random.default_rng(2718)
+    values = []
+    for i in range(300):
+        k = int(rng.integers(2, 9))
+        dim = (24, 24, 3)[i % 3]
+        n = int(rng.integers(k, 8 * k + 1)) if i % 4 else int(rng.integers(2, k + 3))
+        X = rng.random((n, dim))
+        if i % 2:
+            X = np.floor(X * 4) / 4
+        labels = rng.integers(0, k, n)
+        if i % 4:
+            labels[:k] = rng.permutation(k)
+        C = np.vstack([X[labels == c].mean(0) if (labels == c).any() else rng.random(dim)
+                       for c in range(k)])
+        if i % 6 == 0:
+            C = C + rng.normal(0.0, 0.05, C.shape)
+        for _ in range((i % 5 == 0) + (i % 10 == 0)):
+            a, b = rng.choice(k, 2, replace=False)
+            C[a] = C[b]
+        try:
+            values.append(davies_bouldin(X, labels, C))
+        except (EmptyInputError, CoincidentCentroidsError) as exc:
+            values.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_davies_bouldin_golden_digest():
+    # computed with the pair-by-pair loop that the array form replaced
+    assert seeded_dbi_digest() == GOLDEN_DBI_SHA256
+
+
 def dictionary_of(values, kwh=None):
     k = len(values)
     return ClusterDictionary(

@@ -365,6 +365,15 @@ def test_dictionary_load_rejects_bad_centroid_sum(tmp_path):
         load_dictionary(path)
 
 
+def _redigest(payload, **changes):
+    """Apply ``changes`` to a dictionary.json payload and record the digest
+    of its new ids and centroids, so only the invariant checks can fail."""
+    payload.update(changes)
+    payload["digest"] = _dictionary_digest(
+        np.asarray(payload["ids"]), np.asarray(payload["centroids"])
+    )
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda d: d.clear() or d.update(schema_version=1), "missing key 'ids'"),
     (lambda d: d.pop("member_kwh"), "missing key 'member_kwh'"),
@@ -375,6 +384,14 @@ def test_dictionary_load_rejects_bad_centroid_sum(tmp_path):
      r"malformed value \(centroids of shape \(0,\) for \d+ ids"),
     (lambda d: d.update(theta="tight"), "malformed value .*could not convert"),
     (lambda d: d.update(member_counts=[1, None]), r"malformed value \(.*NoneType"),
+    (lambda d: _redigest(d, centroids=[[0.5] * 24, *d["centroids"][1:]]),
+     "dictionary shape id 1 sums to 12.0"),
+    (lambda d: _redigest(d, centroids=[d["centroids"][0], [float("nan")] * 24,
+                                       *d["centroids"][2:]]),
+     "dictionary shape id 2 sums to nan"),
+    (lambda d: _redigest(d, ids=[1] * len(d["ids"])), "dictionary ids are not unique"),
+    (lambda d: d.update(member_kwh=d["member_kwh"][::-1]),
+     "dictionary rows are not ordered by descending member kWh"),
 ])
 def test_dictionary_load_names_the_file_of_a_malformed_payload(tmp_path, damage, message):
     """A dictionary.json that is valid JSON but lacks a key or holds a value

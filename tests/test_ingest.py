@@ -22,6 +22,7 @@ from loadshapes.ingest import (
     DayTable,
     Diagnostic,
     HouseholdProfile,
+    KeyedTable,
     SeasonCalendar,
     WeatherDay,
     _parse_kwh_cell,
@@ -140,10 +141,9 @@ _CLEAN = ["0.5"] * HOURS_PER_DAY
 @example([_CLEAN, ["0.5", "nan"] + _CLEAN[2:], "short", _CLEAN[1:] + ["inf"],
           "date", _CLEAN[:12] + ["-1"] + _CLEAN[13:], "long", _CLEAN])
 def test_whole_row_parse_matches_per_cell_parse(rows):
-    # 3-row blocks, so the rows span several blocks; diagnostics of rejected
-    # rows and of missing-marked cells must come out in row order
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "CSV_BLOCK_ROWS", 3)
+    # diagnostics of rejected rows and of missing-marked cells must come out
+    # in row order
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "meter.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -290,6 +290,30 @@ def test_keyed_table_checks_lengths_freezes_and_takes_copies(make):
     assert type(empty) is type(table)
     assert all(len(getattr(empty, name)) == 0 for name in columns)
     assert list(table.take(np.array([False, True])).household_ids) == ["H2"]
+
+
+def test_keyed_table_defaults_only_columns_its_file_does_not_hold():
+    """A column without cells in the table's file may be left out and is
+    then NaN; leaving out a column that the file holds still fails."""
+    ids, dates = ["H1", "H2"], [D(2011, 6, 1), D(2011, 6, 2)]
+    for table in (AssignmentTable(ids, dates, [1, 2], [0.1, 0.2], [0.01, 0.02]),
+                  AssignmentTable(household_ids=ids, dates=dates, cluster_ids=[1, 2],
+                                  distances=[0.1, 0.2], rses=[0.01, 0.02]),
+                  AssignmentTable(ids, dates, [1, 2], [0.1, 0.2], [0.01, 0.02], None, None)):
+        assert np.isnan(table.day_total_kwh).all() and len(table.day_total_kwh) == 2
+        assert np.isnan(table.discretionary_kwh).all()
+        assert not np.shares_memory(table.day_total_kwh, table.discretionary_kwh)
+    given = AssignmentTable(ids, dates, [1, 2], [0.1, 0.2], [0.01, 0.02], [3.0, 4.0], [1.0, 2.0])
+    assert given.day_total_kwh.tolist() == [3.0, 4.0]
+    assert given.discretionary_kwh.tolist() == [1.0, 2.0]
+    with pytest.raises(KeyError, match="rses"):
+        AssignmentTable(ids, dates, [1, 2], [0.1, 0.2])
+    with pytest.raises(KeyError, match="rses"):
+        AssignmentTable(ids, dates, cluster_ids=[1, 2], distances=[0.1, 0.2],
+                        day_total_kwh=[3.0, 4.0], discretionary_kwh=[1.0, 2.0])
+    with pytest.raises(KeyError, match="values"):
+        KeyedTable.__init__(object.__new__(ShapeTable), ids, dates,
+                            day_total_kwh=[3.0, 4.0], discretionary_kwh=[1.0, 2.0])
 
 
 def test_weather_parses(tmp_path):

@@ -346,6 +346,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_cli_missing_config_file_is_a_config_error(tmp_path, capsys, command):
+    missing = tmp_path / "nope.cfg"
+    out = ["--out", str(tmp_path / "x")] if command == "synth" else []
+    assert main([command, "--config", str(missing), "--seed", "1", *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "nope.cfg" in err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ConfigError, match="nope.cfg: cannot read config file"):
+        RunConfig.from_file(missing)
+
+
 def test_cli_non_finite_theta_is_a_config_error(tmp_path, capsys):
     code = main(["run", "--meter", "x.csv", "--out", str(tmp_path), "--seed",
                  "1", "--theta", "nan"])
