@@ -32,6 +32,9 @@ import json
 import math
 import operator
 import os
+import shutil
+import signal
+import threading
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -137,9 +140,10 @@ class KeyedTable:
             column.flags.writeable = False
         return self
 
-    def _csv_blocks(self, *columns):
-        """Yield ``(keys, *columns)`` per block of ``CSV_BLOCK_ROWS`` rows of
-        the table and of the row-aligned arrays ``columns``.
+    def _csv_blocks(self, lo, hi, *columns):
+        """Yield ``(keys, *columns)`` per block of up to ``CSV_BLOCK_ROWS``
+        rows of the rows ``lo`` to ``hi`` (exclusive) of the table and of
+        the row-aligned arrays ``columns``.
 
         ``keys`` holds each row's ``household_id,date`` text as ``csv.writer``
         writes it: every distinct id goes through ``csv.writer`` once, so ids
@@ -155,26 +159,90 @@ class KeyedTable:
             return buffer.getvalue()[:-len(",\r\n")]
 
         date_text = functools.cache(dt.date.isoformat)
-        for start in range(0, len(self), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
+        for start in range(lo, hi, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, hi)
             keys = [f"{id_text(hid)},{date_text(date)}"
                     for hid, date in zip(self.household_ids[start:stop], self.dates[start:stop])]
             yield (keys, *(column[start:stop].tolist() for column in columns))
 
-    def _write_csv(self, path) -> None:
+    def _write_csv(self, path, workers: int = 1) -> None:
         """Write the table to the CSV file ``path``, byte for byte as
         ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
-        of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time."""
+        of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time.
+
+        Every line depends on its own row only, so the rows are written as
+        up to ``workers`` contiguous ranges of at least ``CSV_BLOCK_ROWS``
+        rows each, and the bytes do not depend on the split. Where
+        ``os.fork`` exists and this process runs no other thread (a child
+        could inherit a lock that thread holds), a forked child formats each
+        range after the first into a part file beside ``path`` while this
+        process writes the header and the first range; this process then
+        waits for each child in row order and appends its part. Otherwise
+        this process writes the one range. A child only formats its range
+        and ends with ``os._exit``. Before the call returns or raises, every
+        child is reaped (and killed first if this process raised) and every
+        part file is removed; a child that fails makes the call raise
+        OSError naming ``path``.
+        """
         vectors = []  # one per cell of a data row after the keys
         for name, _, cells in self.COLUMNS:
             if cells:
                 column = getattr(self, name)
                 vectors += list(column.T) if column.ndim == 2 else [column]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(self.HEADER)
-            for keys, *block in self._csv_blocks(*vectors):
-                lines = zip(keys, *(map(repr, vector) for vector in block))
-                fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+        n = len(self)
+        forks = hasattr(os, "fork") and threading.active_count() == 1
+        shards = max(1, min(workers, n // CSV_BLOCK_ROWS)) if forks else 1
+        bounds = [n * i // shards for i in range(shards + 1)]
+        targets = [path, *(f"{path}.part{i}" for i in range(1, shards))]
+        # the unreaped children in row order; this process's range (0 in the caller)
+        pids, shard, failed = [], 0, True
+        try:
+            if shards > 1:
+                # no signal may land between a fork and the code that owns the child
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+                try:
+                    while shard == 0 and len(pids) < shards - 1:
+                        pid = os.fork()
+                        if pid:
+                            pids.append(pid)
+                        else:
+                            shard = len(pids) + 1
+                finally:
+                    if not shard:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            try:
+                if shard:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                with open(targets[shard], "w", newline="", encoding="utf-8") as fh:
+                    if not shard:
+                        csv.writer(fh).writerow(self.HEADER)
+                    for keys, *block in self._csv_blocks(*bounds[shard:shard + 2], *vectors):
+                        lines = zip(keys, *(map(repr, vector) for vector in block))
+                        fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+                    if not shard:
+                        fh.flush()
+                        for i, part in enumerate(targets[1:], start=1):
+                            status = os.waitpid(pids[0], 0)[1]
+                            del pids[0]
+                            if status:
+                                raise OSError(
+                                    f"{path}: the process formatting rows {bounds[i]} to "
+                                    f"{bounds[i + 1]} failed "
+                                    f"(exit code {os.waitstatus_to_exitcode(status)})")
+                            with open(part, "rb") as src:
+                                shutil.copyfileobj(src, fh.buffer)
+                failed = False
+            finally:
+                if shard:
+                    os._exit(1 if failed else 0)
+        finally:
+            for pid in pids:  # not yet reaped: this process raised
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            for part in targets[1:]:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(part)
 
     @classmethod
     def _parse_csv(cls, path):
@@ -545,13 +613,13 @@ def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if schema == "wide":
             csv.writer(fh).writerow(WIDE_HEADER)
-            for block in days._csv_blocks(days.kwh):
+            for block in days._csv_blocks(0, len(days), days.kwh):
                 fh.write("".join([
                     f"{key},{_meter_cells(kwh)}\r\n" for key, kwh in zip(*block)
                 ]))
         else:
             csv.writer(fh).writerow(LONG_HEADER)
-            for block in days._csv_blocks(days.kwh):
+            for block in days._csv_blocks(0, len(days), days.kwh):
                 fh.write("".join([
                     f"{key},{t},{'' if v != v else repr(v)}\r\n"
                     for key, kwh in zip(*block)

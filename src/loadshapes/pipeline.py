@@ -81,7 +81,7 @@ def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None
         ]
     table, report = preprocess_days(days)
     report_payload["cleaning"] = report.counts()
-    table.write_csv(out / "shapes.csv")
+    table.write_csv(out / "shapes.csv", workers=config.threads)
     report.write_csv(out / "cleaning_report.csv")
     _write_json(out / "ingest_report.json", report_payload)
     cache.keep("shapes", [out / "shapes.csv"], table.freeze())
@@ -114,7 +114,7 @@ def _truncate(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache)
 
 def _assign(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
     assignments = assign_all(shapes, _read_dictionary(out, cache), workers=config.threads)
-    assignments.write_csv(out / "assignments.csv")
+    assignments.write_csv(out / "assignments.csv", workers=config.threads)
     cache.keep("assignments", _assignment_files(out), assignments.freeze())
 
 

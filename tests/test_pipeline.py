@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from loadshapes import analytics, cli, pipeline
+from loadshapes import analytics, cli, ingest, pipeline
 from loadshapes.cli import build_parser, main
 from loadshapes.config import config_from, write_config
 from loadshapes.dictionary import AssignmentTable
@@ -35,6 +35,7 @@ from loadshapes.pipeline import (
 )
 from loadshapes.preprocess import ShapeTable
 from loadshapes.synthetic import GeneratorConfig, generate_synthetic
+from test_writers import forks  # noqa: F401  (a fixture: block size 3, forked pids)
 
 SMOKE_CFG = GeneratorConfig(
     archetypes=4, households=50, days=40,
@@ -249,6 +250,51 @@ def test_smoke_run_artifacts_match_golden_digests(smoke_run):
                for name in SMOKE_SHA256}
     assert set(ARTIFACTS) <= set(digests)
     assert digests == SMOKE_SHA256
+
+
+def test_artifacts_and_run_id_do_not_depend_on_threads(smoke_corpus, smoke_run, tmp_path,
+                                                       forks):
+    config, out, result = smoke_run
+    assert config.threads == 1
+    sharded_out = tmp_path / "threads2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sharded = run_pipeline(smoke_config(smoke_corpus, sharded_out, threads=2))
+    # shapes.csv and assignments.csv were each formatted by two processes
+    assert len(forks) == 2
+    assert sharded.run_id == result.run_id
+    for name in SMOKE_SHA256:
+        assert filecmp.cmp(out / name, sharded_out / name, shallow=False), name
+    # a directory one process wrote is up to date for two
+    again = run_pipeline(dataclasses.replace(config, threads=2))
+    assert [r.status for r in again.results] == ["cached"] * 5
+    assert again.run_id == result.run_id
+
+
+def test_failed_sharded_shapes_write_removes_its_output_and_manifest_entry(
+    smoke_corpus, tmp_path, monkeypatch, forks
+):
+    out = tmp_path / "out"
+    config = smoke_config(smoke_corpus, out, threads=2)
+    assert stage_ingest(config).status == "ran"
+    assert Manifest(out).entry("ingest") is not None
+    (out / "shapes.csv").unlink()
+    real = ingest.KeyedTable._csv_blocks
+
+    def blocks(self, lo, hi, *columns):
+        if lo:  # a child's range
+            raise RuntimeError("shard failed")
+        return real(self, lo, hi, *columns)
+
+    monkeypatch.setattr(ingest.KeyedTable, "_csv_blocks", blocks)
+    with pytest.raises(StageError, match=r"stage 'ingest': .*shapes\.csv: the process formatting"):
+        stage_ingest(config)
+    assert len(forks) == 2  # one per ingest
+    assert not (out / "shapes.csv").exists()
+    assert not list(out.glob("*.part*"))
+    assert Manifest(out).entry("ingest") is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_analytics_carry_run_id_provenance(smoke_run):

@@ -2,15 +2,23 @@
 
 Each reference below is the row-at-a-time loop the writer had before it
 formatted blocks of rows; the writer's file must equal it byte for byte.
-The block size is patched to 3 rows so a table spans several blocks. A
-last check keeps every other module from opening a CSV for writing.
+The block size is patched to 3 rows so a table spans several blocks, and
+a keyed table of 6 rows or more is written by forked row-range shards
+when it is given 2 or 3 workers. A last check keeps every other module
+from opening a CSV for writing.
 """
 
 import ast
 import csv
 import datetime as dt
+import functools
 import math
+import os
+import re
+import signal
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +68,7 @@ def assert_same_bytes(write, reference):
         with open(theirs, "w", newline="", encoding="utf-8") as fh:
             reference(csv.writer(fh))
         assert ours.read_bytes() == theirs.read_bytes()
+        assert not list(Path(tmp).glob("*.part*"))
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,7 +90,8 @@ def test_shape_table_writer_bytes_equal_csv_writer_rows(key_columns, data):
                 + [repr(v) for v in row.tolist()]
             )
 
-    assert_same_bytes(table.write_csv, reference)
+    for workers in (1, 2, 3):
+        assert_same_bytes(functools.partial(table.write_csv, workers=workers), reference)
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,7 +118,8 @@ def test_assignment_table_writer_bytes_equal_csv_writer_rows(key_columns, data):
                 ]
             )
 
-    assert_same_bytes(table.write_csv, reference)
+    for workers in (1, 2, 3):
+        assert_same_bytes(functools.partial(table.write_csv, workers=workers), reference)
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,6 +204,125 @@ def test_meter_writer_rejects_unknown_schema_before_opening_the_file(tmp_path):
     with pytest.raises(ValueError, match="unknown meter schema"):
         write_meter_corpus(days, path, "bogus")
     assert path.read_text() == "kept\n"
+
+
+def _quoted_table(n):
+    """A shape table of ``n`` rows whose ids csv must quote."""
+    ids = np.array([["plain", "a,b", 'say "hi"', "two\nlines"][i % 4] for i in range(n)],
+                   dtype=object)
+    dates = np.array([dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)],
+                     dtype=object)
+    values = np.random.default_rng(n).random((n, 24))
+    return ShapeTable(values / values.sum(axis=1, keepdims=True), ids, dates,
+                      np.arange(n) / 7, np.arange(n) / 9)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Block size 3, and the pids of the children ``os.fork`` starts."""
+    monkeypatch.setattr(ingest, "CSV_BLOCK_ROWS", 3)
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_and_no_part(tmp_path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.glob("*.part*"))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 8, 9, 40])
+def test_keyed_table_shards_fork_from_two_blocks_with_the_same_bytes(n, workers, forks,
+                                                                    tmp_path):
+    table = _quoted_table(n)
+    table.write_csv(tmp_path / "one.csv")
+    assert forks == []
+    table.write_csv(tmp_path / "sharded.csv", workers=workers)
+    # every range has at least one block of rows: 6 rows fork one child
+    assert len(forks) == max(0, min(workers, n // 3) - 1)
+    assert (tmp_path / "sharded.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "sharded.csv"]
+    assert_no_child_and_no_part(tmp_path)
+
+
+def test_keyed_table_writes_in_one_process_without_fork(forks, monkeypatch, tmp_path):
+    table = _quoted_table(20)
+    table.write_csv(tmp_path / "one.csv")
+    monkeypatch.delattr(os, "fork")
+    table.write_csv(tmp_path / "sharded.csv", workers=3)
+    assert (tmp_path / "sharded.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_keyed_table_writes_in_one_process_beside_another_thread(forks, tmp_path):
+    table = _quoted_table(20)
+    table.write_csv(tmp_path / "one.csv")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        table.write_csv(tmp_path / "sharded.csv", workers=3)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert forks == []
+    assert (tmp_path / "sharded.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def _raise():
+    raise RuntimeError("formatting failed")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fail", [_raise, _kill_self])
+def test_a_failed_shard_child_fails_the_write_and_leaves_nothing(fail, forks, monkeypatch,
+                                                                 tmp_path):
+    real = ingest.KeyedTable._csv_blocks
+
+    def blocks(self, lo, hi, *columns):
+        if lo:  # a child's range
+            fail()
+        return real(self, lo, hi, *columns)
+
+    monkeypatch.setattr(ingest.KeyedTable, "_csv_blocks", blocks)
+    path = tmp_path / "shapes.csv"
+    message = f"{path}: the process formatting rows 10 to 20 failed"
+    with pytest.raises(OSError, match=re.escape(message)):
+        _quoted_table(20).write_csv(path, workers=2)
+    assert len(forks) == 1
+    assert_no_child_and_no_part(tmp_path)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_write_that_raises_after_forking_kills_and_reaps_its_children(error, forks,
+                                                                        monkeypatch, tmp_path):
+    def blocks(self, lo, hi, *columns):
+        # the children are still formatting when this process fails
+        time.sleep(60 if lo else 0.2)
+        raise error("parent failed")
+
+    monkeypatch.setattr(ingest.KeyedTable, "_csv_blocks", blocks)
+    start = time.monotonic()
+    with pytest.raises(error, match="parent failed"):
+        _quoted_table(30).write_csv(tmp_path / "shapes.csv", workers=3)
+    assert time.monotonic() - start < 30  # the sleeping children were killed
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert_no_child_and_no_part(tmp_path)
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "loadshapes"
