@@ -1,26 +1,25 @@
 """End-to-end pipeline with reproducible, resumable stages.
 
 Stages: ingest -> cluster -> truncate -> assign -> analyze, declared once in
-the ``STAGES`` table. Each entry names the upstream artifacts the stage
-needs, the outputs it writes, the ``effective_params()`` keys it hashes,
-the config input files it reads, and its body. One runner does the rest for
-every stage: it validates the config, checks upstream artifacts ("run X
-first") and input files, records a parameter hash and input-file digests in
-run_manifest.json next to the artifacts, and skips the stage when that entry
-and the outputs are intact. A failing stage removes its partial outputs and
-surfaces a stage-named error. ``run_pipeline`` and the CLI stage commands
-both call the stage functions in ``_STAGE_FNS``, which are made from the
-table.
+the ``STAGES`` table. Each entry names the ``HANDED`` objects the stage
+reads (their files are its upstream artifacts), the outputs it writes, the
+``effective_params()`` keys it hashes, the config input files it reads, and
+its body. One runner does the rest for every stage: it validates the
+config, checks upstream artifacts and input files, builds what the body
+reads and keeps what it returns, records a parameter hash and input-file
+digests (paths relative to the output directory) in run_manifest.json next
+to the artifacts, and skips the stage when that entry and the outputs are
+intact. An upstream artifact whose stage has no entry is unfinished ("run X
+first"). A stage that runs drops its entry first, so a run killed partway
+leaves it to run again; a failing stage also removes its partial outputs
+and raises a stage-named error.
 
 One ``RunCache`` lives for one ``run_pipeline`` call. It hashes each file
-once (keyed by resolved path, size, mtime_ns and inode), and it hands every
-artifact or input a later stage reads (shapes.csv, model.json + labels.csv,
-dictionary.json, assignments.csv, weather, survey) from the stage that
-wrote or parsed it to the next reader, read-only, under the sha256 of the
-files it was made from. A reader looks the object up by the digests its
-manifest check has just computed and parses only on a miss, so a file
-changed on disk is parsed again. A stage command makes a cache for its
-one stage, so it parses from disk.
+once (keyed by resolved path, size, mtime_ns and inode) and holds the
+objects stages hand on, read-only, under the sha256 of the files each was
+made from, so a reader parses only on a miss and a file changed on disk is
+parsed again. A stage command makes a cache for its one stage, so it
+parses from disk.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
@@ -28,6 +27,7 @@ so identical configs and inputs reproduce outputs bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -62,19 +62,14 @@ from .preprocess import ShapeTable, preprocess_days, subsample, SUBSAMPLE_ALGORI
 MANIFEST_NAME = "run_manifest.json"
 
 
-# Stage bodies, in pipeline order. Each gets the config, the output
-# directory, the shape table (None for ingest) and the run's cache, writes
-# its outputs, and leaves what it wrote, read-only, in the cache for the
-# stages after it.
+# Stage bodies, in pipeline order. ``read`` holds, by kind, the HANDED
+# objects and configured weather and survey rows the stage reads; a body
+# computes, writes its outputs and returns the objects it hands on.
 
-def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None:
+def _ingest(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
     days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
-    read = {"meter": (days, meter_diags)}
-    for kind in ("weather", "survey"):
-        if getattr(config, kind):
-            read[kind] = _read_rows(cache, kind, getattr(config, kind))
     report_payload = {}
-    for kind, (rows, diags) in read.items():
+    for kind, (rows, diags) in {"meter": (days, meter_diags), **read}.items():
         report_payload[f"{kind}_rows"] = len(rows)
         report_payload[f"{kind}_diagnostics"] = [
             {"row": d.row, "message": d.message} for d in diags
@@ -84,10 +79,11 @@ def _ingest(config: RunConfig, out: Path, shapes: None, cache: RunCache) -> None
     table.write_csv(out / "shapes.csv", workers=config.threads)
     report.write_csv(out / "cleaning_report.csv")
     _write_json(out / "ingest_report.json", report_payload)
-    cache.keep("shapes", [out / "shapes.csv"], table.freeze())
+    return {"shapes": table}
 
 
-def _cluster(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
+def _cluster(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
+    shapes = read["shapes"]
     n = config.sample
     if n > len(shapes):
         warnings.warn(f"sample {n} exceeds corpus size {len(shapes)}; clamping")
@@ -98,33 +94,27 @@ def _cluster(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
     )
     model = hierarchical_merge(model, config.merge_violation)
     save_model(model, out / "model.json", out / "labels.csv")
-    cache.keep("model", _model_files(out), model.freeze())
+    return {"model": model}
 
 
-def _truncate(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
-    model = cache.read("model", _model_files(out), lambda: load_model(
-        out / "model.json", out / "labels.csv", shapes).freeze())
-    dictionary = truncate(model, config.truncate_violation)
+def _truncate(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
+    dictionary = truncate(read["model"], config.truncate_violation)
     dictionary.provenance["run_id"] = run_id_for(config, cache)
     dictionary.validate()  # the invariants load_dictionary checks
     # the digest load_dictionary would verify and set
     dictionary.digest = save_dictionary(dictionary, out / "dictionary.json")
-    cache.keep("dictionary", [out / "dictionary.json"], dictionary.freeze())
+    return {"dictionary": dictionary}
 
 
-def _assign(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
-    assignments = assign_all(shapes, _read_dictionary(out, cache), workers=config.threads)
+def _assign(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
+    assignments = assign_all(read["shapes"], read["dictionary"], workers=config.threads)
     assignments.write_csv(out / "assignments.csv", workers=config.threads)
-    cache.keep("assignments", _assignment_files(out), assignments.freeze())
+    return {"assignments": assignments}
 
 
-def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) -> None:
-    dictionary = _read_dictionary(out, cache)
-    assignments = cache.read("assignments", _assignment_files(out), lambda: (
-        AssignmentTable.read_csv(out / "assignments.csv", shapes).freeze()))
-    weather = None
-    if config.weather:
-        weather, _ = _read_rows(cache, "weather", config.weather)
+def _analyze(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
+    dictionary, assignments = read["dictionary"], read["assignments"]
+    weather = read["weather"][0] if "weather" in read else None
     frame = analytics.build_frame(assignments, weather)
     provenance = {
         "run_id": run_id_for(config, cache),
@@ -166,8 +156,8 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
     )
 
     deltas = []
-    if config.survey:
-        profiles, _ = _read_rows(cache, "survey", config.survey)
+    if "survey" in read:
+        profiles, _ = read["survey"]
         for indicator in INDICATOR_VOCABULARY:
             try:
                 deltas.append(
@@ -183,22 +173,19 @@ def _analyze(config: RunConfig, out: Path, shapes: ShapeTable, cache: RunCache) 
     provenance["occurrence_targets"] = top
     occ = analytics.occurrence_map(frame, top, dictionary)
     analytics.write_occurrence_csv(occ, out / "occurrence_map.csv", provenance)
+    return {}
 
 
-# the files each handed-over artifact is made from: what a reader parses
-# it from, and what its cache key digests
-
-def _model_files(out: Path) -> list:
-    return [out / "model.json", out / "labels.csv", out / "shapes.csv"]
-
-
-def _assignment_files(out: Path) -> list:
-    return [out / "assignments.csv", out / "shapes.csv"]
-
-
-def _read_dictionary(out: Path, cache: RunCache):
-    return cache.read("dictionary", [out / "dictionary.json"],
-                      lambda: load_dictionary(out / "dictionary.json").freeze())
+# Objects stages hand on, by kind: the artifacts each is made from (all in its
+# cache key) and its parser, given their paths and what the stage read before.
+HANDED = {
+    "shapes": (("shapes.csv",), None),
+    "model": (("model.json", "labels.csv", "shapes.csv"),
+              lambda paths, read: load_model(paths[0], paths[1], read["shapes"])),
+    "dictionary": (("dictionary.json",), lambda paths, read: load_dictionary(paths[0])),
+    "assignments": (("assignments.csv", "shapes.csv"),
+                    lambda paths, read: AssignmentTable.read_csv(paths[0], read["shapes"])),
+}
 
 
 def _read_rows(cache: RunCache, kind: str, path) -> tuple:
@@ -218,28 +205,32 @@ class Stage:
     """One row of the stage table."""
 
     name: str
-    requires: tuple  # upstream artifacts in the output directory
+    reads: tuple  # HANDED kinds it takes, in the order they are read
     outputs: tuple
     params: tuple  # effective_params() keys in the stage's params hash
     sources: tuple  # RunConfig input-file fields it reads; a listed meter is required
-    body: Callable  # (config, out, shapes, cache) -> None
+    body: Callable  # (config, out, read, cache) -> {HANDED kind: object}
+
+    @property
+    def requires(self) -> tuple:  # upstream artifacts: the files of its reads, in order
+        return tuple(dict.fromkeys(name for kind in self.reads for name in HANDED[kind][0]))
 
 
 STAGES = {stage.name: stage for stage in (
-    Stage("ingest", requires=(),
+    Stage("ingest", reads=(),
           outputs=("shapes.csv", "cleaning_report.csv", "ingest_report.json"),
           params=("meter_schema",), sources=("meter", "weather", "survey"),
           body=_ingest),
-    Stage("cluster", requires=("shapes.csv",), outputs=("model.json", "labels.csv"),
+    Stage("cluster", reads=("shapes",), outputs=("model.json", "labels.csv"),
           params=("theta", "merge_violation", "sample", "seed", "k_init",
                   "subsample_algorithm"),
           sources=(), body=_cluster),
-    Stage("truncate", requires=("shapes.csv", "model.json", "labels.csv"),
+    Stage("truncate", reads=("shapes", "model"),
           outputs=("dictionary.json",), params=("truncate_violation",),
           sources=(), body=_truncate),
-    Stage("assign", requires=("shapes.csv", "dictionary.json"),
+    Stage("assign", reads=("shapes", "dictionary"),
           outputs=("assignments.csv",), params=(), sources=(), body=_assign),
-    Stage("analyze", requires=("shapes.csv", "dictionary.json", "assignments.csv"),
+    Stage("analyze", reads=("shapes", "dictionary", "assignments"),
           outputs=("entropy_by_stratum.csv", "coverage_curve.csv", "taxonomy.csv",
                    "household_entropy.csv", "char_deltas.csv", "occurrence_map.csv"),
           params=("quartiles", "coverage_weight", "seed"),
@@ -441,18 +432,25 @@ def run_id_for(config: RunConfig, cache: RunCache) -> str:
     return _params_hash(payload)[:12]
 
 
+def _relative(path, out: Path) -> str:
+    try:
+        return os.path.relpath(path, out)
+    except ValueError:  # on another drive: no relative path reaches it
+        return str(path)
+
+
 def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
                cache: RunCache | None) -> StageResult:
     """Check, then run or skip, one stage; every stage function calls this."""
     config.validate()
     out = Path(config.out)
+    manifest = manifest or Manifest(out)
     inputs = []
     for name in stage.requires:
-        if not (out / name).exists():
-            raise StageError(
-                stage.name,
-                f"missing upstream artifact '{name}'; run `{_PRODUCER[name]}` first",
-            )
+        if not (out / name).exists() or manifest.entry(_PRODUCER[name]) is None:
+            state = "not finished" if (out / name).exists() else "missing"
+            raise StageError(stage.name, f"upstream artifact '{name}' is {state}; "
+                             f"run `{_PRODUCER[name]}` first")
         inputs.append(out / name)
     if "meter" in stage.sources and config.meter is None:
         raise StageError(stage.name, "no meter file configured")
@@ -463,34 +461,36 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
                 raise StageError(stage.name, f"input file not found: {path}")
             inputs.append(Path(path))
     out.mkdir(parents=True, exist_ok=True)
-    manifest = manifest or Manifest(out)
     cache = cache or RunCache()
     effective = config.effective_params()
     entry = {
         "params_hash": _params_hash({key: effective[key] for key in stage.params}),
-        "inputs": {str(p): cache.digest(p) for p in inputs},
+        "inputs": {_relative(p, out): cache.digest(p) for p in inputs},
         "outputs": list(stage.outputs),
     }
     outputs_ok = all((out / name).exists() for name in stage.outputs)
     if manifest.entry(stage.name) == entry and outputs_ok:
         return StageResult(stage.name, "cached")
+    manifest.drop(stage.name)  # no entry until the outputs are whole: a kill re-runs it
     cache.forget(out / name for name in stage.outputs)
     try:
-        shapes = None
-        if "shapes.csv" in stage.requires:
-            shapes_path = out / "shapes.csv"
-            shapes = ShapeTable.read_csv(shapes_path, cache.objects,
-                                         cache.key("shapes", [shapes_path]))
-        stage.body(config, out, shapes, cache)
-    except StageError:
-        raise
+        read = {}
+        for kind in stage.reads:
+            files, parse = HANDED[kind]
+            paths = [out / name for name in files]
+            if parse is None:  # shapes: ShapeTable.read_csv looks the run's table up itself
+                read[kind] = ShapeTable.read_csv(paths[0], cache.objects, cache.key(kind, paths))
+            else:
+                read[kind] = cache.read(kind, paths, lambda: parse(paths, read).freeze())
+        for kind in stage.sources:
+            if kind != "meter" and getattr(config, kind):  # the body reads the meter
+                read[kind] = _read_rows(cache, kind, getattr(config, kind))
+        for kind, obj in stage.body(config, out, read, cache).items():
+            cache.keep(kind, [out / name for name in HANDED[kind][0]], obj.freeze())
     except Exception as exc:
         for name in stage.outputs:
-            try:
+            with contextlib.suppress(OSError):
                 (out / name).unlink(missing_ok=True)
-            except OSError:
-                pass
-        manifest.drop(stage.name)
         raise StageError(stage.name, str(exc)) from exc
     manifest.update(stage.name, entry)
     return StageResult(stage.name, "ran")

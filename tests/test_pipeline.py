@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from loadshapes import analytics, cli, ingest, pipeline
+from loadshapes import analytics, cli, cluster, ingest, pipeline
 from loadshapes.cli import build_parser, main
 from loadshapes.config import config_from, write_config
 from loadshapes.dictionary import AssignmentTable
@@ -910,9 +910,9 @@ def test_a_running_stage_forgets_its_outputs(smoke_corpus, smoke_run, tmp_path,
         forget(self, paths)
 
     monkeypatch.setattr(RunCache, "forget", recording)
-    config = smoke_config(smoke_corpus, copy, truncate_violation=0.2)
+    config = smoke_config(smoke_corpus, copy, theta=0.25, truncate_violation=0.2)
     cache = RunCache()
-    assert stage_cluster(config, cache=cache).status == "ran"  # new directory
+    assert stage_cluster(config, cache=cache).status == "ran"  # new theta
     assert stage_truncate(config, cache=cache).status == "ran"
     assert forgotten == ["model.json", "labels.csv", "dictionary.json"]
     forgotten.clear()
@@ -938,3 +938,117 @@ def test_handed_over_model_follows_the_shapes_it_was_joined_with(smoke_corpus, t
         assert stage_truncate(config, cache=cache).status == "ran"
         assert stage_truncate(smoke_config(smoke_corpus, copy, sample=300)).status == "ran"
     assert filecmp.cmp(out / "dictionary.json", copy / "dictionary.json", shallow=False)
+
+
+def _killed_after_writing(monkeypatch, owner, attr, cut) -> None:
+    """Make the CSV writer ``owner.attr`` stop as a run killed partway
+    through it would: it writes its whole file, keeps ``cut(bytes)`` of it
+    and raises KeyboardInterrupt, which no stage catches."""
+    write = getattr(owner, attr)
+
+    def killed(self, path, *args, **kwargs):
+        write(self, path, *args, **kwargs)
+        Path(path).write_bytes(cut(Path(path).read_bytes()))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(owner, attr, killed)
+
+
+def test_a_run_killed_while_writing_labels_reruns_cluster_only(
+    smoke_corpus, tmp_path, monkeypatch
+):
+    out = tmp_path / "killed"
+    config = smoke_config(smoke_corpus, out, sample=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(config)
+        whole = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        _killed_after_writing(monkeypatch, cluster._Labels, "_write_csv",
+                              lambda data: data[: len(data) // 2])  # mid-row
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(dataclasses.replace(config, theta=0.25))
+        monkeypatch.undo()
+        result = run_pipeline(config)
+    assert [r.status for r in result.results] == ["cached", "ran", "cached", "cached",
+                                                  "cached"]
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == whole
+
+
+def _kill_ingest_halfway(smoke_corpus, tmp_path, monkeypatch):
+    """A whole run, then a run on a changed meter file killed halfway through
+    shapes.csv at a row boundary, then the meter file as it was: the config
+    and the data rows of the whole run's shapes.csv."""
+    meter = tmp_path / "meter.csv"
+    original = Path(smoke_corpus["meter"]).read_bytes()
+    meter.write_bytes(original)
+    config = smoke_config(smoke_corpus, tmp_path / "out", meter=str(meter), sample=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(config)
+        rows = _data_rows(tmp_path / "out" / "shapes.csv")
+        meter.write_bytes(original[: original.rstrip().rfind(b"\n") + 1])  # one day less
+        _killed_after_writing(monkeypatch, ShapeTable, "write_csv", lambda data: b"".join(
+            data.splitlines(keepends=True)[: rows // 2 + 1]))
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+    monkeypatch.undo()
+    meter.write_bytes(original)
+    assert _data_rows(tmp_path / "out" / "shapes.csv") == rows // 2
+    return config, rows
+
+
+def test_a_run_killed_while_writing_shapes_reruns_ingest(smoke_corpus, tmp_path,
+                                                         monkeypatch):
+    config, rows = _kill_ingest_halfway(smoke_corpus, tmp_path, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_pipeline(config)
+    assert [r.status for r in result.results] == ["ran"] + ["cached"] * 4
+    assert _data_rows(Path(config.out) / "shapes.csv") == rows
+    assert _data_rows(Path(config.out) / "assignments.csv") == rows
+
+
+def test_an_unfinished_upstream_artifact_counts_as_missing(smoke_corpus, tmp_path,
+                                                           monkeypatch):
+    config, _ = _kill_ingest_halfway(smoke_corpus, tmp_path, monkeypatch)
+    labels = (Path(config.out) / "labels.csv").read_bytes()
+    with pytest.raises(StageError, match="'shapes.csv' is not finished; run `ingest` first"):
+        stage_cluster(config)
+    assert (Path(config.out) / "labels.csv").read_bytes() == labels
+
+
+def test_upstream_artifacts_are_the_files_of_what_a_stage_reads():
+    assert {name: stage.requires for name, stage in pipeline.STAGES.items()} == {
+        "ingest": (),
+        "cluster": ("shapes.csv",),
+        "truncate": ("shapes.csv", "model.json", "labels.csv"),
+        "assign": ("shapes.csv", "dictionary.json"),
+        "analyze": ("shapes.csv", "dictionary.json", "assignments.csv"),
+    }
+
+
+def test_manifests_record_paths_relative_to_the_output_directory(smoke_corpus, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "a_longer_name"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for out in outs:
+            run_pipeline(smoke_config(smoke_corpus, out, sample=300))
+    first, second = ((out / MANIFEST_NAME).read_bytes() for out in outs)
+    assert first == second
+    inputs = json.loads(first)["stages"]["analyze"]["inputs"]
+    assert sorted(inputs) == sorted(["shapes.csv", "dictionary.json", "assignments.csv"] + [
+        os.path.relpath(smoke_corpus[kind], outs[0]) for kind in ("weather", "survey")])
+
+
+def test_a_path_no_relative_path_reaches_is_recorded_as_given(smoke_corpus, tmp_path,
+                                                             monkeypatch):
+    def other_drive(path, start=None):
+        raise ValueError("path is on mount 'D:', start on mount 'C:'")
+
+    monkeypatch.setattr(os.path, "relpath", other_drive)
+    config = smoke_config(smoke_corpus, tmp_path / "out")
+    assert stage_ingest(config).status == "ran"
+    monkeypatch.undo()
+    inputs = Manifest(tmp_path / "out").entry("ingest")["inputs"]
+    assert sorted(inputs) == sorted(str(smoke_corpus[kind])
+                                    for kind in ("meter", "weather", "survey"))
