@@ -9,13 +9,13 @@ overshoot V; both the entry and exit rates are recorded in provenance.
 
 The surviving centroids, ordered by descending total member kWh, form the
 dictionary. Every household-day is then assigned to its nearest dictionary
-shape by Euclidean distance, exact ties resolved to the lowest shape id.
+shape by Euclidean distance. One search (``_nearest``) serves both steps:
+re-homing and assignment resolve exact ties to the lowest cluster or shape
+id.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,18 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assigned
-from .errors import (
-    CorruptArtifactError,
-    EmptyInputError,
-)
-from .ingest import KeyedTable, _centroid_json, _frozen, _write_json
+from .errors import CorruptArtifactError, EmptyInputError
+from .ingest import KeyedTable, _centroid_json, _frozen, _json_digest, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
 CENTROID_SUM_TOL = 1e-6
 
 # relative margin, far above the expanded form's rounding (~1e-15), within
-# which assign_all re-ranks candidates by direct differences
+# which _nearest re-ranks candidates by direct differences
 TIE_RTOL = 1e-12
 
 
@@ -94,7 +91,8 @@ def truncate(model: ClusterModel, v: float) -> ClusterDictionary:
     Each round removes the largest set of lowest-member-count clusters whose
     cumulative membership stays within floor(v*N) (at least one cluster,
     ties by cluster id), re-assigns orphans to the nearest remaining
-    centroid, and recomputes the violation rate. Rounds continue while the
+    centroid (exact ties to the lowest cluster id, as in ``assign_all``),
+    and recomputes the violation rate. Rounds continue while the
     rate is below v and more than one cluster remains. Total membership is
     conserved throughout.
     """
@@ -126,12 +124,8 @@ def truncate(model: ClusterModel, v: float) -> ClusterDictionary:
         removed = order[:take]
         removed_mask = np.isin(labels, removed)
         keep = np.setdiff1d(np.arange(len(centroids)), removed)
-        d2 = _pairwise_sq_dists(X[removed_mask], centroids[keep])
-        nearest = d2.argmin(axis=1)
+        nearest, _, new_rse = _nearest(X[removed_mask], centroids[keep], ids[keep])
         labels[removed_mask] = keep[nearest]
-        new_rse = rse_to_assigned(
-            X[removed_mask], centroids, labels[removed_mask]
-        )
         viol_count += int((new_rse > theta).sum()) - int(violating[removed_mask].sum())
         violating[removed_mask] = new_rse > theta
         labels = np.searchsorted(keep, labels)  # every label is now in keep, which is sorted
@@ -208,28 +202,21 @@ class AssignmentTable(KeyedTable):
         return table
 
 
-def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
-               chunk_size: int = 8192) -> AssignmentTable:
-    """Assign every shape to its nearest dictionary shape (Euclidean).
+def _nearest(X, C, ids, workers: int = 1, chunk_size: int = 8192):
+    """For each row of X: the position of its nearest row of C (Euclidean),
+    the distance to it and its RSE.
 
-    Ties go to the lowest shape id: every shape whose expanded-form squared
-    distance lies within rounding of the row minimum is re-ranked by its
-    direct squared difference. Chunks are independent and each row's label
-    depends only on that row, so the result does not depend on the chunk
-    size or the worker count. At k=99 the default chunk makes one worker's
-    distance block 6.5 MB, where 65,536 rows made it 52 MB; on the
-    benchmark's ``assign_analyze`` corpus that lowered both the assignment
-    time and the peak RSS. A bare (N, 24) array is keyed as
-    ``adaptive_kmeans`` keys one: placeholder keys and unit kWh.
+    Ties go to the lowest of ``ids``: every row of C whose expanded-form
+    squared distance lies within rounding of the row minimum is re-ranked by
+    its direct squared difference. Chunks are independent and each row's
+    result depends only on that row, so nothing depends on the chunk size or
+    the worker count. At k=99 the default chunk makes one worker's distance
+    block 6.5 MB, where 65,536 rows made it 52 MB; on the benchmark's
+    ``assign_analyze`` corpus that lowered both the assignment time and the
+    peak RSS.
     """
-    if len(dictionary) == 0:
-        raise EmptyInputError("cannot assign against an empty dictionary")
-    table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
-    X = table.values
     n = len(X)
-    D = dictionary.values
-    ids = dictionary.ids
-    denom = (D**2).sum(axis=1)
+    denom = (C**2).sum(axis=1)
     cc_max = float(denom.max())
     labels = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
@@ -239,7 +226,7 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
         stop = min(start + chunk_size, n)
         block = X[start:stop]
         xx = (block**2).sum(axis=1)
-        d2 = _pairwise_sq_dists(block, D, xx)
+        d2 = _pairwise_sq_dists(block, C, xx)
         lab = d2.argmin(axis=1)
         # the expanded form rounds at the scale of |x|^2 + |c|^2, so it can
         # misorder near-ties; re-rank every candidate within that margin
@@ -248,7 +235,7 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
         multi = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
         if len(multi):
             r, c = np.nonzero(close[multi])
-            direct = ((block[multi[r]] - D[c]) ** 2).sum(axis=1)
+            direct = ((block[multi[r]] - C[c]) ** 2).sum(axis=1)
             order = np.lexsort((ids[c], direct, r))
             first = np.ones(len(order), dtype=bool)
             first[1:] = r[order[1:]] != r[order[:-1]]
@@ -256,13 +243,26 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
         labels[start:stop] = lab
         # recompute the winning distance directly: the expanded form loses
         # precision near zero (the distance of an exact match must be 0)
-        diff2 = ((block - D[lab]) ** 2).sum(axis=1)
+        diff2 = ((block - C[lab]) ** 2).sum(axis=1)
         dist[start:stop] = np.sqrt(diff2)
         rse_vals[start:stop] = diff2 / denom[lab]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(0, n, chunk_size)))
+    return labels, dist, rse_vals
 
+
+def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
+               chunk_size: int = 8192) -> AssignmentTable:
+    """Assign every shape to its nearest dictionary shape by ``_nearest``
+    (Euclidean, exact ties to the lowest shape id). A bare (N, 24) array is
+    keyed as ``adaptive_kmeans`` keys one: placeholder keys and unit kWh.
+    """
+    if len(dictionary) == 0:
+        raise EmptyInputError("cannot assign against an empty dictionary")
+    table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
+    labels, dist, rse_vals = _nearest(table.values, dictionary.values, dictionary.ids,
+                                      workers, chunk_size)
     return AssignmentTable(
         table.household_ids,
         table.dates,
@@ -275,13 +275,8 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
 
 
 def _dictionary_digest(ids, values) -> str:
-    canonical = json.dumps(
-        {"ids": [int(i) for i in ids],
-         "centroids": [[float(v) for v in row] for row in values]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _json_digest({"ids": [int(i) for i in ids],
+                         "centroids": [[float(v) for v in row] for row in values]})
 
 
 def save_dictionary(dictionary: ClusterDictionary, path) -> str:

@@ -27,6 +27,7 @@ import contextlib
 import csv
 import datetime as dt
 import functools
+import hashlib
 import io
 import json
 import math
@@ -465,6 +466,12 @@ def _read_json(path) -> dict:
     if not isinstance(payload, dict):
         raise CorruptArtifactError(f"{path}: not a JSON object")
     return payload
+
+
+def _json_digest(payload) -> str:
+    """The sha256 of ``payload`` as compact, key-sorted JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @contextlib.contextmanager

@@ -6,13 +6,14 @@ reads (their files are its upstream artifacts), the outputs it writes, the
 ``effective_params()`` keys it hashes, the config input files it reads, and
 its body. One runner does the rest for every stage: it validates the
 config, checks upstream artifacts and input files, builds what the body
-reads and keeps what it returns, records a parameter hash and input-file
-digests (paths relative to the output directory) in run_manifest.json next
-to the artifacts, and skips the stage when that entry and the outputs are
-intact. An upstream artifact whose stage has no entry is unfinished ("run X
-first"). A stage that runs drops its entry first, so a run killed partway
-leaves it to run again; a failing stage also removes its partial outputs
-and raises a stage-named error.
+reads and keeps what it returns, records a parameter hash, input-file
+digests (paths relative to the output directory) and output digests in
+run_manifest.json next to the artifacts, and skips the stage while that
+entry matches and every output still has its recorded digest, so an output
+rewritten on disk runs its stage again. An upstream artifact whose stage
+has no entry is unfinished ("run X first"). A stage that runs drops its
+entry first, so a run killed partway leaves it to run again; a failing
+stage also removes its partial outputs and raises a stage-named error.
 
 One ``RunCache`` lives for one ``run_pipeline`` call. It hashes each file
 once (keyed by resolved path, size, mtime_ns and inode) and holds the
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 import warnings
@@ -51,6 +51,7 @@ from .dictionary import (
 from .errors import ConfigError, CorruptArtifactError, EmptyInputError, StageError
 from .ingest import (
     INDICATOR_VOCABULARY,
+    _json_digest,
     _read_json,
     _write_json,
     read_meter_corpus,
@@ -264,30 +265,25 @@ class RunConfig:
     stages: tuple = PIPELINE_STAGES
 
     def validate(self) -> None:
-        if not 0.0 < self.theta < math.inf:
-            raise ConfigError(f"theta must be finite and > 0, got {self.theta}")
-        if not 0.0 <= self.merge_violation < 1.0:
-            raise ConfigError(
-                f"merge_violation must be in [0, 1), got {self.merge_violation}"
-            )
-        if not 0.0 < self.truncate_violation < 1.0:
-            raise ConfigError(
-                f"truncate_violation must be in (0, 1), got {self.truncate_violation}"
-            )
-        if self.seed is None:
-            raise ConfigError("seed is required for reproducible runs")
-        if self.sample <= 0:
-            raise ConfigError(f"sample must be positive, got {self.sample}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.coverage_weight not in ("total", "discretionary"):
-            raise ConfigError(f"config key 'coverage_weight': bad value '{self.coverage_weight}'")
-        if self.meter_schema not in ("wide", "long"):
-            raise ConfigError(f"config key 'meter_schema': bad value '{self.meter_schema}'")
+        for key, ok, rule in (
+            ("theta", 0.0 < self.theta < math.inf, "finite and > 0"),
+            ("merge_violation", 0.0 <= self.merge_violation < 1.0, "in [0, 1)"),
+            ("truncate_violation", 0.0 < self.truncate_violation < 1.0, "in (0, 1)"),
+            ("seed", self.seed is not None and self.seed >= 0,
+             "an integer >= 0 (runs must be reproducible)"),
+            ("sample", self.sample > 0, "> 0"),
+            ("threads", self.threads >= 1, ">= 1"),
+            ("k_init", self.k_init >= 1, ">= 1"),
+            ("coverage_weight", self.coverage_weight in ("total", "discretionary"),
+             "total or discretionary"),
+            ("meter_schema", self.meter_schema in ("wide", "long"), "wide or long"),
+            ("stages", set(self.stages) <= set(PIPELINE_STAGES), f"among {PIPELINE_STAGES}"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"config key '{key}': bad value {getattr(self, key)!r}, must be {rule}"
+                )
         self.quartile_spec()
-        unknown = set(self.stages) - set(PIPELINE_STAGES)
-        if unknown:
-            raise ConfigError(f"unknown stage(s) {sorted(unknown)}")
 
     def quartile_spec(self):
         """Parse the quartiles option into (mode, boundaries)."""
@@ -376,12 +372,6 @@ class RunCache:
         return self.objects[key]
 
 
-def _params_hash(params: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 class Manifest:
     def __init__(self, out_dir: Path):
         self.path = out_dir / MANIFEST_NAME
@@ -429,7 +419,7 @@ def run_id_for(config: RunConfig, cache: RunCache) -> str:
     for name in ("meter", "weather", "survey"):
         path = getattr(config, name)
         payload[f"digest_{name}"] = cache.digest(path) if path and Path(path).exists() else None
-    return _params_hash(payload)[:12]
+    return _json_digest(payload)[:12]
 
 
 def _relative(path, out: Path) -> str:
@@ -464,13 +454,15 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     cache = cache or RunCache()
     effective = config.effective_params()
     entry = {
-        "params_hash": _params_hash({key: effective[key] for key in stage.params}),
+        "params_hash": _json_digest({key: effective[key] for key in stage.params}),
         "inputs": {_relative(p, out): cache.digest(p) for p in inputs},
-        "outputs": list(stage.outputs),
     }
-    outputs_ok = all((out / name).exists() for name in stage.outputs)
-    if manifest.entry(stage.name) == entry and outputs_ok:
-        return StageResult(stage.name, "cached")
+    recorded = manifest.entry(stage.name)
+    if isinstance(recorded, dict) and recorded == {**entry, "outputs": recorded.get("outputs")}:
+        # a missing or rewritten output never matches the digest the stage recorded
+        present = [name for name in stage.outputs if (out / name).exists()]
+        if recorded["outputs"] == {name: cache.digest(out / name) for name in present}:
+            return StageResult(stage.name, "cached")
     manifest.drop(stage.name)  # no entry until the outputs are whole: a kill re-runs it
     cache.forget(out / name for name in stage.outputs)
     try:
@@ -487,6 +479,7 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
                 read[kind] = _read_rows(cache, kind, getattr(config, kind))
         for kind, obj in stage.body(config, out, read, cache).items():
             cache.keep(kind, [out / name for name in HANDED[kind][0]], obj.freeze())
+        entry["outputs"] = {name: cache.digest(out / name) for name in stage.outputs}
     except Exception as exc:
         for name in stage.outputs:
             with contextlib.suppress(OSError):

@@ -227,6 +227,30 @@ def test_assign_exact_ties_go_to_lowest_id():
     assert wrong == []
 
 
+def test_truncate_rehomes_exact_ties_to_lowest_id():
+    # clusters 0 and 1 hold 10 exact copies of their centroid, cluster 2
+    # holds x alone: cap = floor(0.04 * 21) = 0, so the one round removes
+    # cluster 2, and x is equally far from both survivors
+    rng = np.random.default_rng(38)
+    wrong = []
+    for a, b, x in swap_tie_cases(rng, 2000):
+        for first, second in ((a, b), (b, a)):
+            model = ClusterModel(
+                table=_bare_table(np.vstack([first] * 10 + [second] * 10 + [x])),
+                centroids=np.vstack([first, second, x]),
+                ids=np.arange(3, dtype=np.int64),
+                labels=np.repeat(np.arange(3, dtype=np.int64), [10, 10, 1]),
+                theta=1e-12,
+            )
+            dictionary = truncate(model, 0.04)
+            assert dictionary.provenance["truncation_rounds"] == 1
+            # by descending member kWh: x's 11 days lead, so its cluster is first
+            order = dictionary.provenance["source_cluster_ids"]
+            if order != [0, 1]:
+                wrong.append(order)
+    assert wrong == []
+
+
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(33)
     X = unit_shapes(rng, 100)

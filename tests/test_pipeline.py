@@ -508,16 +508,17 @@ def test_rewritten_shapes_reach_later_stages_within_a_run(
             table.day_total_kwh, table.discretionary_kwh))
 
 
-def test_rewritten_shapes_reach_later_stages_of_next_run(smoke_corpus, tmp_path):
+def test_rewritten_shapes_are_rebuilt_by_ingest_of_next_run(smoke_corpus, tmp_path):
     out = tmp_path / "tamper2"
     config = smoke_config(smoke_corpus, out, sample=300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_pipeline(config)
-        kept = _keep_every_other_shape(out / "shapes.csv")
+        rows = _data_rows(out / "assignments.csv")
+        _keep_every_other_shape(out / "shapes.csv")
         result = run_pipeline(config)
-    assert [r.status for r in result.results] == ["cached"] + ["ran"] * 4
-    assert _data_rows(out / "assignments.csv") == kept
+    assert [r.status for r in result.results] == ["ran"] + ["cached"] * 4
+    assert _data_rows(out / "shapes.csv") == _data_rows(out / "assignments.csv") == rows
 
 
 
@@ -572,14 +573,19 @@ def test_analyze_skips_only_unusable_indicators(
     (["run", "--coverage-weight", "foo"], "coverage_weight"),
     (["run", "--quartiles", "fixed:76,71,68"], "quartiles"),
     (["cluster", "--sample", "many"], "sample"),
+    (["run", "--k-init", "0"], "k_init"),
+    (["cluster", "--seed", "-1"], "seed"),
+    (["run", "--theta", "-1"], "theta"),
 ])
 def test_cli_synth_bad_value_is_a_configuration_error(tmp_path, capsys, flags, key):
     """``flags`` starts with the subcommand; a value its key cannot take
-    fails the same way from a flag or a config file, for every command."""
+    fails the same way from a flag or a config file, for every command,
+    before any stage runs."""
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("households=5\ndays=ten\n")
-    flags = [f.format(cfg=cfg) for f in flags]
-    code = main(flags + ["--seed", "1", "--out", str(tmp_path / "x")])
+    command, *flags = [f.format(cfg=cfg) for f in flags]
+    # the given flags come last, so they win over the default seed
+    code = main([command, "--seed", "1", "--out", str(tmp_path / "x"), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error")
@@ -757,8 +763,12 @@ def digests(monkeypatch):
     return names
 
 
-FILES_OF_A_RUN = ["assignments.csv", "dictionary.json", "labels.csv", "meter.csv",
-                  "model.json", "shapes.csv", "survey.csv", "weather.csv"]
+FILES_OF_A_RUN = sorted(["assignments.csv", "dictionary.json", "labels.csv", "meter.csv",
+                         "model.json", "shapes.csv", "survey.csv", "weather.csv",
+                         # outputs that no later stage reads
+                         "cleaning_report.csv", "ingest_report.json",
+                         "entropy_by_stratum.csv", "coverage_curve.csv", "taxonomy.csv",
+                         "household_entropy.csv", "char_deltas.csv", "occurrence_map.csv"])
 
 
 def test_cold_run_and_cached_rerun_digest_each_file_once(smoke_corpus, tmp_path, digests):
