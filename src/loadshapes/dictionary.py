@@ -16,6 +16,7 @@ id.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -247,8 +248,9 @@ def _nearest(X, C, ids, workers: int = 1, chunk_size: int = 8192):
         dist[start:stop] = np.sqrt(diff2)
         rse_vals[start:stop] = diff2 / denom[lab]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(0, n, chunk_size)))
+    # one worker maps in this thread, whose malloc arena numpy then uses
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        list((pool.map if pool else map)(work, range(0, n, chunk_size)))
     return labels, dist, rse_vals
 
 

@@ -33,8 +33,10 @@ import json
 import math
 import operator
 import os
+import pickle
 import shutil
 import signal
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -56,6 +58,12 @@ HOURS_PER_DAY = 24
 # formatted with one join and written with one write, so the per-cell work
 # stays in C without a whole-table string in memory.
 CSV_BLOCK_ROWS = 256
+
+# Wide meter files from this size up are parsed in two processes. On a
+# 2-vCPU host a fork and wait took 1.5 ms, and two processes against one
+# 4.9 against 4.7 ms at 238 kB and 7.5 against 9.2 ms at 476 kB; a larger
+# process forks more slowly, so the bound is about twice the break-even.
+FORK_MIN_BYTES = 512 * 1024
 
 WIDE_HEADER = ["household_id", "date"] + [f"h{i}" for i in range(1, 25)]
 LONG_HEADER = ["household_id", "date", "hour", "kwh"]
@@ -84,6 +92,57 @@ class Diagnostic:
 
     row: int
     message: str
+
+
+@contextlib.contextmanager
+def _forked(wanted: int, tmpdir=None):
+    """Run the ``with`` block here and in ``shards - 1`` forked children:
+    ``shards`` is ``wanted`` where ``os.fork`` exists and no other thread
+    runs (a child could inherit a lock it holds), else 1. Yields ``(shard,
+    shards, results)``. The i-th child gets i and an anonymous temp file in
+    ``tmpdir`` for its results, and ends with ``os._exit`` with the block
+    (1 if it raised). This process gets 0 and, per child in order, its exit
+    code once it has ended and its rewound file; a child it has not waited
+    for when the block ends is killed."""
+    shards = wanted if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    files = [tempfile.TemporaryFile(dir=tmpdir) for _ in range(shards - 1)]
+    pids, shard = [], 0  # the unreaped children in order; this process's shard
+
+    def exit_codes():
+        for file in files:
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            file.seek(0)
+            yield os.waitstatus_to_exitcode(status), file
+
+    try:
+        if shards > 1:
+            # no signal may land between a fork and the code that owns the child
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                for i in range(1, shards):
+                    if not (pid := os.fork()):
+                        shard = i
+                        break
+                    pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if shard:  # never returns to the caller's code
+            failed = True
+            try:
+                yield shard, shards, files[shard - 1]
+                files[shard - 1].close()  # flushed, if the block did not close it
+                failed = False
+            finally:
+                os._exit(1 if failed else 0)
+        yield 0, shards, exit_codes()
+    finally:
+        for pid in pids:  # not yet reaped: this process raised or did not wait
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for file in files:
+            file.close()
 
 
 class KeyedTable:
@@ -171,19 +230,12 @@ class KeyedTable:
         ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
         of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time.
 
-        Every line depends on its own row only, so the rows are written as
-        up to ``workers`` contiguous ranges of at least ``CSV_BLOCK_ROWS``
-        rows each, and the bytes do not depend on the split. Where
-        ``os.fork`` exists and this process runs no other thread (a child
-        could inherit a lock that thread holds), a forked child formats each
-        range after the first into a part file beside ``path`` while this
-        process writes the header and the first range; this process then
-        waits for each child in row order and appends its part. Otherwise
-        this process writes the one range. A child only formats its range
-        and ends with ``os._exit``. Before the call returns or raises, every
-        child is reaped (and killed first if this process raised) and every
-        part file is removed; a child that fails makes the call raise
-        OSError naming ``path``.
+        Every line depends on its own row only, so up to ``workers``
+        ``_forked`` processes format contiguous ranges of at least
+        ``CSV_BLOCK_ROWS`` rows each, the children into temp files in the
+        directory of ``path``, which this process appends in row order after
+        the header and the first range; the bytes do not depend on the
+        split. A child that fails makes the call raise OSError naming ``path``.
         """
         vectors = []  # one per cell of a data row after the keys
         for name, _, cells in self.COLUMNS:
@@ -191,59 +243,22 @@ class KeyedTable:
                 column = getattr(self, name)
                 vectors += list(column.T) if column.ndim == 2 else [column]
         n = len(self)
-        forks = hasattr(os, "fork") and threading.active_count() == 1
-        shards = max(1, min(workers, n // CSV_BLOCK_ROWS)) if forks else 1
-        bounds = [n * i // shards for i in range(shards + 1)]
-        targets = [path, *(f"{path}.part{i}" for i in range(1, shards))]
-        # the unreaped children in row order; this process's range (0 in the caller)
-        pids, shard, failed = [], 0, True
-        try:
-            if shards > 1:
-                # no signal may land between a fork and the code that owns the child
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-                try:
-                    while shard == 0 and len(pids) < shards - 1:
-                        pid = os.fork()
-                        if pid:
-                            pids.append(pid)
-                        else:
-                            shard = len(pids) + 1
-                finally:
-                    if not shard:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            try:
-                if shard:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                with open(targets[shard], "w", newline="", encoding="utf-8") as fh:
-                    if not shard:
-                        csv.writer(fh).writerow(self.HEADER)
-                    for keys, *block in self._csv_blocks(*bounds[shard:shard + 2], *vectors):
-                        lines = zip(keys, *(map(repr, vector) for vector in block))
-                        fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
-                    if not shard:
-                        fh.flush()
-                        for i, part in enumerate(targets[1:], start=1):
-                            status = os.waitpid(pids[0], 0)[1]
-                            del pids[0]
-                            if status:
-                                raise OSError(
-                                    f"{path}: the process formatting rows {bounds[i]} to "
-                                    f"{bounds[i + 1]} failed "
-                                    f"(exit code {os.waitstatus_to_exitcode(status)})")
-                            with open(part, "rb") as src:
-                                shutil.copyfileobj(src, fh.buffer)
-                failed = False
-            finally:
-                if shard:
-                    os._exit(1 if failed else 0)
-        finally:
-            for pid in pids:  # not yet reaped: this process raised
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            for part in targets[1:]:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(part)
+        wanted = max(1, min(workers, n // CSV_BLOCK_ROWS))
+        with _forked(wanted, os.path.dirname(os.path.abspath(path))) as (shard, shards, parts):
+            bounds = [n * i // shards for i in range(shards + 1)]
+            with (io.TextIOWrapper(parts, encoding="utf-8", newline="") if shard else
+                  open(path, "w", newline="", encoding="utf-8")) as fh:
+                if not shard:
+                    csv.writer(fh).writerow(self.HEADER)
+                for keys, *block in self._csv_blocks(*bounds[shard:shard + 2], *vectors):
+                    lines = zip(keys, *(map(repr, vector) for vector in block))
+                    fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+                fh.flush()
+                for i, (code, part) in enumerate(() if shard else parts, start=1):
+                    if code:
+                        raise OSError(f"{path}: the process formatting rows {bounds[i]} "
+                                      f"to {bounds[i + 1]} failed (exit code {code})")
+                    shutil.copyfileobj(part, fh.buffer)
 
     @classmethod
     def _parse_csv(cls, path):
@@ -402,14 +417,16 @@ def _data_rows(reader, width: int, width_note: str, diagnostics: list, date_col=
 
 
 @contextlib.contextmanager
-def _input_rows(path, header: list[str], width_note: str, diagnostics: list, date_col=None):
+def _input_rows(path, header: list[str], width_note: str, diagnostics: list, date_col=None,
+                lines=None):
     """Open the input CSV ``path``, check that its header is ``header``
-    (cells stripped), and yield ``_data_rows`` over its data rows.
+    (cells stripped), and yield ``_data_rows`` over its data rows: those
+    in the lines ``lines(file)`` yields, if ``lines`` is given.
 
     An empty file or another header raises HeaderMismatchError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh if lines is None else lines(fh))
         actual = next(reader, None)
         if actual is None:
             raise HeaderMismatchError(f"{path}: file is empty, expected header {header}")
@@ -522,52 +539,100 @@ def _frozen(value):
     return value
 
 
-def read_meter_corpus(path, schema: str = "wide"):
+def read_meter_corpus(path, schema: str = "wide", workers: int = 1):
     """Read hourly meter readings into a :class:`DayTable`.
 
     Returns ``(days, diagnostics)``. Raises on unreadable file, header
-    mismatch, or duplicate (household_id, date) keys.
+    mismatch, or duplicate (household_id, date) keys. ``workers`` bounds
+    the processes that parse a wide file; the table, the diagnostics and
+    any error do not depend on it.
     """
     if schema == "wide":
-        return _read_meter_wide(path)
+        return _read_meter_wide(path, workers)
     if schema == "long":
         return _read_meter_long(path)
     raise ValueError(f"unknown meter schema '{schema}' (expected wide|long)")
 
 
-def _read_meter_wide(path):
-    household_ids: list[str] = []
-    dates: list[dt.date] = []
-    readings = array.array("d")  # every day's 24 readings, row after row
+def _wide_days(path, rows, seen: set, diagnostics: list, days) -> None:
+    """Append the ids, dates and 24 readings of each row it keeps of the
+    wide file's ``_data_rows`` ``rows`` to the columns ``days``; a key
+    already in ``seen``, to which each is added, raises."""
+    household_ids, dates, readings = days
+    for row_no, row, date in rows:
+        household_id = row[0].strip()
+        key = (household_id, date)
+        if key in seen:
+            raise DuplicateRecordError(
+                f"{path}:{row_no}: duplicate (household_id, date) {key}"
+            )
+        seen.add(key)
+        # Whole-row fast path; any empty, malformed, negative or
+        # non-finite cell sends the row through the per-cell parser,
+        # which marks it missing and writes the diagnostics. A NaN
+        # after the first cell can hide from min, never from sum.
+        try:
+            kwh = list(map(float, row[2:]))
+            clean = math.isfinite(sum(kwh)) and min(kwh) >= 0.0
+        except ValueError:
+            clean = False
+        if not clean:
+            kwh = [
+                _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
+                for t in range(HOURS_PER_DAY)
+            ]
+        household_ids.append(household_id)
+        dates.append(date)
+        readings.extend(kwh)
+
+
+def _read_meter_wide(path, workers: int = 1):
+    """Two workers parse ``FORK_MIN_BYTES`` or more in two ranges, the
+    second in a forked child; this process reads on past the split, as one
+    process would, if the child fails, a quote in the first range could
+    span the split, or a key of the second range is in the first."""
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        fh.seek(size // 2)
+        fh.readline()
+        split = fh.tell()
+    wanted = 2 if workers > 1 and size >= FORK_MIN_BYTES and split < size else 1
+    note = "expected 24 hourly columns"
+    days = ([], [], array.array("d"))  # ids, dates, every day's 24 readings
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
-    with _input_rows(path, WIDE_HEADER, "expected 24 hourly columns", diagnostics,
-                     date_col=1) as rows:
-        for row_no, row, date in rows:
-            household_id = row[0].strip()
-            key = (household_id, date)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"{path}:{row_no}: duplicate (household_id, date) {key}"
-                )
-            seen.add(key)
-            # Whole-row fast path; any empty, malformed, negative or
-            # non-finite cell sends the row through the per-cell parser,
-            # which marks it missing and writes the diagnostics. A NaN
-            # after the first cell can hide from min, never from sum.
-            try:
-                kwh = list(map(float, row[2:]))
-                clean = math.isfinite(sum(kwh)) and min(kwh) >= 0.0
-            except ValueError:
-                clean = False
-            if not clean:
-                kwh = [
-                    _parse_kwh_cell(row[2 + t], row_no, f"h{t + 1}", diagnostics)
-                    for t in range(HOURS_PER_DAY)
-                ]
-            household_ids.append(household_id)
-            dates.append(date)
-            readings.extend(kwh)
+    with _forked(wanted) as (shard, shards, results):
+        if shard:  # the rows after the split, numbered from 2 as after a header
+            with open(path, "rb") as fh:
+                fh.seek(split)
+                reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+                rows = _data_rows(reader, len(WIDE_HEADER), note, diagnostics, date_col=1)
+                _wide_days(path, rows, seen, diagnostics, days)
+            shared = {}  # one object per distinct id and date: pickled once, loaded once
+            pickle.dump(([[shared.setdefault(v, v) for v in column] for column in days[:2]],
+                         diagnostics), results)
+            days[2].tofile(results)
+        else:
+            def lines(text):  # its lines, none past the split once the child's rows join
+                offset, quoted = 0, False
+                for count, line in enumerate(text):
+                    yield line
+                    offset += len(line.encode())
+                    quoted = quoted or '"' in line
+                    if offset == split and not quoted and (child := next(results))[0] == 0:
+                        more, notes = pickle.load(child[1])
+                        if seen.isdisjoint(zip(*more)):
+                            for column, tail in zip(days, more):
+                                column.extend(tail)
+                            while block := child[1].read(1 << 16):  # no second copy of them all
+                                days[2].frombytes(block)
+                            diagnostics.extend(Diagnostic(count + d.row, d.message) for d in notes)
+                            return
+
+            with _input_rows(path, WIDE_HEADER, note, diagnostics, date_col=1,
+                             lines=lines if shards > 1 else None) as rows:
+                _wide_days(path, rows, seen, diagnostics, days)
+    household_ids, dates, readings = days
     kwh = np.frombuffer(readings, dtype=float).reshape(-1, HOURS_PER_DAY)
     return DayTable(household_ids, dates, kwh), diagnostics
 

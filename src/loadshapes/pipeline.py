@@ -68,7 +68,7 @@ MANIFEST_NAME = "run_manifest.json"
 # computes, writes its outputs and returns the objects it hands on.
 
 def _ingest(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
-    days, meter_diags = read_meter_corpus(config.meter, config.meter_schema)
+    days, meter_diags = read_meter_corpus(config.meter, config.meter_schema, config.threads)
     report_payload = {}
     for kind, (rows, diags) in {"meter": (days, meter_diags), **read}.items():
         report_payload[f"{kind}_rows"] = len(rows)

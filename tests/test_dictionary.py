@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from loadshapes import dictionary as dictionary_module
 from loadshapes.cluster import ClusterModel, _bare_table, save_model
 from loadshapes.dictionary import (
     AssignmentTable,
@@ -283,6 +284,21 @@ def test_assign_idempotent_and_worker_independent():
     assert np.array_equal(one.distances, four.distances)
     again = assign_all(X, dictionary, workers=1, chunk_size=64)
     assert np.array_equal(one.cluster_ids, again.cluster_ids)
+
+
+def test_one_worker_searches_in_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker search started a thread pool")
+
+    monkeypatch.setattr(dictionary_module, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(35)
+    X = unit_shapes(rng, 300)
+    dictionary = small_dictionary()
+    out = assign_all(X, dictionary, workers=1, chunk_size=64)
+    monkeypatch.undo()
+    pooled = assign_all(X, dictionary, workers=2, chunk_size=64)
+    assert np.array_equal(out.cluster_ids, pooled.cluster_ids)
+    assert np.array_equal(out.rses, pooled.rses)
 
 
 def test_assign_does_not_depend_on_chunking():

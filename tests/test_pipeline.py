@@ -260,11 +260,15 @@ def test_artifacts_and_run_id_do_not_depend_on_threads(smoke_corpus, smoke_run, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sharded = run_pipeline(smoke_config(smoke_corpus, sharded_out, threads=2))
-    # shapes.csv and assignments.csv were each formatted by two processes
-    assert len(forks) == 2
+    # the meter file was parsed, and shapes.csv and assignments.csv were
+    # each formatted, by two processes
+    assert len(forks) == 3
     assert sharded.run_id == result.run_id
     for name in SMOKE_SHA256:
         assert filecmp.cmp(out / name, sharded_out / name, shallow=False), name
+    # where the row numbers of the meter diagnostics would show a shard
+    assert (out / "ingest_report.json").read_bytes() == (
+        sharded_out / "ingest_report.json").read_bytes()
     # a directory one process wrote is up to date for two
     again = run_pipeline(dataclasses.replace(config, threads=2))
     assert [r.status for r in again.results] == ["cached"] * 5
@@ -289,7 +293,7 @@ def test_failed_sharded_shapes_write_removes_its_output_and_manifest_entry(
     monkeypatch.setattr(ingest.KeyedTable, "_csv_blocks", blocks)
     with pytest.raises(StageError, match=r"stage 'ingest': .*shapes\.csv: the process formatting"):
         stage_ingest(config)
-    assert len(forks) == 2  # one per ingest
+    assert len(forks) == 4  # per ingest, one for the meter parse and one for shapes.csv
     assert not (out / "shapes.csv").exists()
     assert not list(out.glob("*.part*"))
     assert Manifest(out).entry("ingest") is None
