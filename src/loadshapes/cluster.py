@@ -24,7 +24,7 @@ from .errors import (
     DegenerateCenterError,
     EmptyInputError,
 )
-from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _frozen, _write_json
+from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _write_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -230,15 +230,6 @@ class ClusterModel:
     @property
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)
-
-    def freeze(self) -> "ClusterModel":
-        """Mark the table, every array and the meta read-only; returns the
-        model."""
-        self.table.freeze()
-        for array in (self.centroids, self.ids, self.labels):
-            array.flags.writeable = False
-        self.meta = _frozen(self.meta)
-        return self
 
     def rse_per_shape(self) -> np.ndarray:
         return rse_to_assigned(self.table.values, self.centroids, self.labels)

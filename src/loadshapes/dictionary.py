@@ -25,7 +25,7 @@ import numpy as np
 
 from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assigned
 from .errors import CorruptArtifactError, EmptyInputError
-from .ingest import KeyedTable, _centroid_json, _frozen, _json_digest, _write_json
+from .ingest import KeyedTable, _centroid_json, _json_digest, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -59,15 +59,6 @@ class ClusterDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def freeze(self) -> "ClusterDictionary":
-        """Mark every array and the provenance read-only; returns the
-        dictionary."""
-        for array in (self.values, self.ids, self.member_counts, self.member_kwh,
-                      self.member_discretionary_kwh):
-            array.flags.writeable = False
-        self.provenance = _frozen(self.provenance)
-        return self
 
     def validate(self) -> None:
         sums = self.values.sum(axis=1)

@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import operator
 import os
 import pickle
@@ -39,7 +40,7 @@ import signal
 import tempfile
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -194,11 +195,8 @@ class KeyedTable:
         return type(self)(**{name: column[idx] for name, column in vars(self).items()})
 
     def freeze(self):
-        """Mark every column read-only, so a table shared between pipeline
-        stages cannot be changed by one of them; returns the table."""
-        for column in vars(self).values():
-            column.flags.writeable = False
-        return self
+        """The table, with every column made read-only by ``_frozen``."""
+        return _frozen(self)
 
     def _csv_blocks(self, lo, hi, *columns):
         """Yield ``(keys, *columns)`` per block of up to ``CSV_BLOCK_ROWS``
@@ -530,12 +528,21 @@ def _write_json(path, payload) -> None:
 
 
 def _frozen(value):
-    """``value`` with every dict in it made a read-only mapping and every
-    list a tuple, at any depth, for metadata shared between stages."""
-    if isinstance(value, dict):
+    """``value`` made read-only, the one rule for objects stages share: an
+    array is flagged read-only, a dict made a read-only mapping, a list or
+    tuple a tuple, item by item, and another object with attributes (a keyed
+    table, model or dictionary) frozen attribute by attribute, in place; a
+    frozen dataclass record is read-only already and returned as it is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
         return MappingProxyType({key: _frozen(item) for key, item in value.items()})
-    if isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         return tuple(map(_frozen, value))
+    elif hasattr(value, "__dict__") and not (
+            is_dataclass(value) and value.__dataclass_params__.frozen):
+        for name, item in vars(value).items():
+            setattr(value, name, _frozen(item))
     return value
 
 
@@ -587,16 +594,19 @@ def _wide_days(path, rows, seen: set, diagnostics: list, days) -> None:
 
 
 def _read_meter_wide(path, workers: int = 1):
-    """Two workers parse ``FORK_MIN_BYTES`` or more in two ranges, the
-    second in a forked child; this process reads on past the split, as one
-    process would, if the child fails, a quote in the first range could
-    span the split, or a key of the second range is in the first."""
+    """With ``workers`` > 1, a file of ``FORK_MIN_BYTES`` or more with no
+    ``"`` in its first half is parsed in two ranges, the second in a forked
+    child; this process reads on past the split, as one process would, if
+    the child fails or a key of the second range is in the first."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         fh.seek(size // 2)
         fh.readline()
         split = fh.tell()
-    wanted = 2 if workers > 1 and size >= FORK_MIN_BYTES and split < size else 1
+        wanted = 2 if workers > 1 and size >= FORK_MIN_BYTES and split < size else 1
+        if wanted > 1:  # a quote could open a field across the split: one C scan, no copy
+            with mmap.mmap(fh.fileno(), split, access=mmap.ACCESS_READ) as first:
+                wanted = 1 if first.find(b'"') >= 0 else 2
     note = "expected 24 hourly columns"
     days = ([], [], array.array("d"))  # ids, dates, every day's 24 readings
     diagnostics: list[Diagnostic] = []
@@ -614,12 +624,11 @@ def _read_meter_wide(path, workers: int = 1):
             days[2].tofile(results)
         else:
             def lines(text):  # its lines, none past the split once the child's rows join
-                offset, quoted = 0, False
+                offset = 0
                 for count, line in enumerate(text):
                     yield line
                     offset += len(line.encode())
-                    quoted = quoted or '"' in line
-                    if offset == split and not quoted and (child := next(results))[0] == 0:
+                    if offset == split and (child := next(results))[0] == 0:
                         more, notes = pickle.load(child[1])
                         if seen.isdisjoint(zip(*more)):
                             for column, tail in zip(days, more):
@@ -737,7 +746,8 @@ def write_weather(records, path) -> None:
 
 
 def read_survey(path):
-    """Read household survey indicators. Returns (profiles, diagnostics).
+    """Read household survey indicators. Returns (profiles, diagnostics);
+    each profile's ``indicators`` is a read-only mapping.
 
     Header columns after household_id must come from the closed indicator
     vocabulary; cells are 1 (true), 0 (false), or empty (unknown).
@@ -783,7 +793,7 @@ def read_survey(path):
                             f"{col}: cell '{text}' not in {{0,1,empty}}, treated as unknown",
                         )
                     )
-            profiles.append(HouseholdProfile(household_id, indicators))
+            profiles.append(HouseholdProfile(household_id, MappingProxyType(indicators)))
     return profiles, diagnostics
 
 

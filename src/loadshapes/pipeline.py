@@ -33,9 +33,8 @@ import hashlib
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable
 
 from . import analytics
@@ -51,6 +50,7 @@ from .dictionary import (
 from .errors import ConfigError, CorruptArtifactError, EmptyInputError, StageError
 from .ingest import (
     INDICATOR_VOCABULARY,
+    _frozen,
     _json_digest,
     _read_json,
     _write_json,
@@ -93,7 +93,11 @@ def _cluster(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
     model = adaptive_kmeans(
         sub, theta=config.theta, k_init=config.k_init, seed=config.seed
     )
-    model = hierarchical_merge(model, config.merge_violation)
+    if model.n_clusters > 1:
+        model = hierarchical_merge(model, config.merge_violation)
+    else:  # no pair to merge: the meta a merge that stops at once would write
+        model.meta.update(phase="merged", merge_max_violation=config.merge_violation,
+                          merges=0, k2=1)
     save_model(model, out / "model.json", out / "labels.csv")
     return {"model": model}
 
@@ -187,18 +191,6 @@ HANDED = {
     "assignments": (("assignments.csv", "shapes.csv"),
                     lambda paths, read: AssignmentTable.read_csv(paths[0], read["shapes"])),
 }
-
-
-def _read_rows(cache: RunCache, kind: str, path) -> tuple:
-    """The (rows, diagnostics) of the weather or survey file ``path``, as
-    tuples of frozen records; survey indicators are read-only mappings."""
-    def parse():
-        rows, diagnostics = (read_weather if kind == "weather" else read_survey)(path)
-        if kind == "survey":
-            rows = [replace(p, indicators=MappingProxyType(p.indicators)) for p in rows]
-        return tuple(rows), tuple(diagnostics)
-
-    return cache.read(kind, [path], parse)
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,7 @@ class RunCache:
     ``keep`` and ``read`` hand parsed artifacts between stages: an object
     is stored under its kind and the sha256 of every file it is made from,
     so a reader finds it only while those files hold what it was made
-    from, and parses them otherwise. Stored objects are read-only.
+    from, and parses them otherwise; ``ingest._frozen`` makes it read-only.
     """
 
     def __init__(self):
@@ -360,15 +352,15 @@ class RunCache:
         return (kind, *map(self.digest, paths))
 
     def keep(self, kind: str, paths, obj) -> None:
-        """Store ``obj`` (read-only) as what ``paths`` now hold."""
-        self.objects[self.key(kind, paths)] = obj
+        """Store ``obj``, made read-only, as what ``paths`` now hold."""
+        self.objects[self.key(kind, paths)] = _frozen(obj)
 
     def read(self, kind: str, paths, parse: Callable):
-        """The object stored for what ``paths`` hold, or ``parse()``,
-        which must return it read-only."""
+        """The object stored for what ``paths`` hold, or ``parse()`` made
+        read-only and stored."""
         key = self.key(kind, paths)
         if key not in self.objects:
-            self.objects[key] = parse()
+            self.objects[key] = _frozen(parse())
         return self.objects[key]
 
 
@@ -471,14 +463,15 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
             files, parse = HANDED[kind]
             paths = [out / name for name in files]
             if parse is None:  # shapes: ShapeTable.read_csv looks the run's table up itself
-                read[kind] = ShapeTable.read_csv(paths[0], cache.objects, cache.key(kind, paths))
+                read[kind] = ShapeTable.read_csv(paths[0], cache)
             else:
-                read[kind] = cache.read(kind, paths, lambda: parse(paths, read).freeze())
+                read[kind] = cache.read(kind, paths, lambda: parse(paths, read))
         for kind in stage.sources:
-            if kind != "meter" and getattr(config, kind):  # the body reads the meter
-                read[kind] = _read_rows(cache, kind, getattr(config, kind))
+            if kind != "meter" and (path := getattr(config, kind)):  # the body reads the meter
+                reader = read_weather if kind == "weather" else read_survey
+                read[kind] = cache.read(kind, [path], lambda: reader(path))
         for kind, obj in stage.body(config, out, read, cache).items():
-            cache.keep(kind, [out / name for name in HANDED[kind][0]], obj.freeze())
+            cache.keep(kind, [out / name for name in HANDED[kind][0]], obj)
         entry["outputs"] = {name: cache.digest(out / name) for name in stage.outputs}
     except Exception as exc:
         for name in stage.outputs:

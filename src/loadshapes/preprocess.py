@@ -117,18 +117,13 @@ class ShapeTable(KeyedTable):
     write_csv = KeyedTable._write_csv
 
     @classmethod
-    def read_csv(cls, path, memo: dict | None = None,
-                 digest=None) -> "ShapeTable":
-        """The table in ``path``. With ``memo`` and ``digest`` (a key that
-        names the content of ``path``, such as its sha256), a table already
-        remembered under ``digest`` is returned without parsing the file; a
-        parsed one is made read-only and remembered, so the stages of one
-        run share it."""
-        if memo is None:
+    def read_csv(cls, path, cache=None) -> "ShapeTable":
+        """The table in ``path``. With a pipeline ``RunCache``, the read-only
+        table it holds for what ``path`` now holds, parsed only on a miss,
+        so the stages of one run share it."""
+        if cache is None:
             return cls._parse_csv(path)
-        if digest not in memo:
-            memo[digest] = cls._parse_csv(path).freeze()
-        return memo[digest]
+        return cache.read("shapes", [path], lambda: cls._parse_csv(path))
 
 
 def clean(days: DayTable) -> tuple[DayTable, CleaningReport]:

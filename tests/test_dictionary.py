@@ -20,6 +20,7 @@ from loadshapes.errors import (
     EmptyInputError,
     VersionMismatchError,
 )
+from loadshapes.ingest import _frozen
 from loadshapes.preprocess import ShapeTable
 
 
@@ -360,17 +361,17 @@ def test_dictionary_save_load_round_trip(tmp_path):
 
 
 def test_frozen_model_and_dictionary_save_the_same_bytes(tmp_path):
-    """freeze() reaches into nested metadata, and the writers save a frozen
+    """_frozen reaches into nested metadata, and the writers save a frozen
     model or dictionary as they save it unfrozen."""
     model = toy_counts_model()
     model.meta = {"k1": 3, "rounds": [{"k": 3, "ids": [0, 1, 2]}]}
     save_model(model, tmp_path / "plain_model.json")
     save_dictionary(truncate(model, 0.3), tmp_path / "plain.json")
-    model.freeze()
+    assert _frozen(model) is model
     with pytest.raises(TypeError):
         model.meta["rounds"][0]["k"] = 0
     save_model(model, tmp_path / "frozen_model.json")
-    dictionary = truncate(model, 0.3).freeze()
+    dictionary = _frozen(truncate(model, 0.3))
     with pytest.raises(TypeError):
         dictionary.provenance["model_meta"]["rounds"][0]["k"] = 0
     assert isinstance(dictionary.provenance["source_cluster_ids"], tuple)

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import tempfile
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from loadshapes.ingest import (
     KeyedTable,
     SeasonCalendar,
     WeatherDay,
+    _frozen,
     _parse_kwh_cell,
     read_meter_corpus,
     read_survey,
@@ -290,6 +292,32 @@ def test_keyed_table_checks_lengths_freezes_and_takes_copies(make):
     assert type(empty) is type(table)
     assert all(len(getattr(empty, name)) == 0 for name in columns)
     assert list(table.take(np.array([False, True])).household_ids) == ["H2"]
+
+
+class _Holder:
+    def __init__(self, **attributes):
+        vars(self).update(attributes)
+
+
+def test_frozen_makes_what_it_reaches_read_only_in_place():
+    inner, nested = np.arange(3.0), np.ones(2)
+    holder = _Holder(items=[{"a": inner, "b": [nested]}], n=1)
+    assert _frozen(holder) is holder
+    (entry,) = holder.items
+    assert isinstance(holder.items, tuple) and isinstance(entry["b"], tuple)
+    with pytest.raises(TypeError):
+        entry["c"] = 0
+    assert entry["a"] is inner and entry["b"][0] is nested
+    for array in (inner, nested):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    record = WeatherDay(D(2011, 6, 1), 70.0)
+    profile = HouseholdProfile("H1", MappingProxyType({"elderly": True}))
+    rows = _frozen([record, profile])
+    assert rows == (record, profile) and rows[0] is record and rows[1] is profile
+    table = DayTable(["H1"], [D(2011, 6, 1)], np.ones((1, 24)))
+    assert _frozen(table) is table
+    assert not any(column.flags.writeable for column in vars(table).values())
 
 
 def test_keyed_table_defaults_only_columns_its_file_does_not_hold():

@@ -95,6 +95,34 @@ def test_full_run_emits_all_artifacts(smoke_run):
         assert (out / names).exists(), names
 
 
+def _identical_days(out) -> dict:
+    """A meter file of 40 days that all hold the same readings."""
+    hours = np.tile(np.linspace(0.5, 2.0, 24), (40, 1))
+    days = ingest.DayTable([f"H{i % 2}" for i in range(40)],
+                           [dt.date(2020, 1, 1) + dt.timedelta(days=i // 2) for i in range(40)],
+                           hours)
+    ingest.write_meter_corpus(days, out / "meter.csv")
+    return {"meter": out / "meter.csv"}
+
+
+@pytest.mark.parametrize("corpus, flags", [
+    (lambda out: generate_synthetic(GeneratorConfig(households=3, days=20), seed=1).write(out),
+     {"k_init": 1, "theta": 50.0}),
+    (_identical_days, {}),  # k-means++ stops at one centre
+], ids=["k-init-1", "identical-days"])
+def test_a_one_cluster_fit_runs_every_stage(corpus, flags, tmp_path):
+    paths = corpus(tmp_path)
+    config = RunConfig(meter=str(paths["meter"]), out=str(tmp_path / "out"), seed=1, **flags)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_pipeline(config)
+    assert [r.status for r in result.results] == ["ran"] * 5
+    meta = json.loads((tmp_path / "out" / "model.json").read_text())["meta"]
+    assert (meta["merges"], meta["k2"]) == (0, 1)
+    dictionary = json.loads((tmp_path / "out" / "dictionary.json").read_text())
+    assert len(dictionary["ids"]) == 1
+
+
 def test_second_invocation_fully_cached(smoke_run):
     config, _, _ = smoke_run
     result = run_pipeline(config)

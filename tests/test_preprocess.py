@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from loadshapes.errors import CorruptArtifactError, ZeroDiscretionaryError
 from loadshapes.ingest import DayTable, read_meter_corpus
+from loadshapes.pipeline import RunCache
 from loadshapes.preprocess import (
     LOW_DEMAND_KW,
     LOW_DEMAND_RTOL,
@@ -311,14 +312,17 @@ def test_read_csv_with_memo_parses_each_digest_once(tmp_path, monkeypatch):
     parse = ShapeTable._parse_csv
     monkeypatch.setattr(ShapeTable, "_parse_csv",
                         classmethod(lambda cls, p: parsed.append(p) or parse(p)))
-    memo: dict = {}
-    first = ShapeTable.read_csv(path, memo, "d1")
-    assert ShapeTable.read_csv(path, memo, "d1") is first
+    cache = RunCache()
+    first = ShapeTable.read_csv(path, cache)
+    assert ShapeTable.read_csv(path, cache) is first
     assert not first.values.flags.writeable
-    assert ShapeTable.read_csv(path, memo, "d2") is not first  # new content
-    assert ShapeTable.read_csv(path).values.flags.writeable  # no memo: own copy
-    assert len(parsed) == 3
     assert np.array_equal(first.values, table.values)
+    table.take([1]).write_csv(path)  # new content, of another size
+    second = ShapeTable.read_csv(path, cache)
+    assert second is not first and list(second.household_ids) == ["H2"]
+    assert ShapeTable.read_csv(path, cache) is second
+    assert ShapeTable.read_csv(path).values.flags.writeable  # no cache: own copy
+    assert len(parsed) == 3
 
 
 def test_subsample_identity_and_determinism():
