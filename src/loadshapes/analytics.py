@@ -114,6 +114,15 @@ def _lookup(keys, queries) -> tuple[np.ndarray, np.ndarray]:
     return rows, keys[rows] == queries
 
 
+def _temperatures(weather, days) -> tuple[np.ndarray, np.ndarray]:
+    """Each day number's temperature in ``weather``, joined as ``build_frame``
+    says, and whether ``weather`` lists the date."""
+    rows, found = _lookup(day_numbers([w.date for w in weather]), days)
+    temps = np.full(len(days), np.nan)
+    temps[found] = np.array([w.avg_temp_f for w in weather], dtype=float)[rows[found]]
+    return temps, found
+
+
 def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
     """Join assignments with season/day-type labels and daily temperatures.
 
@@ -122,10 +131,7 @@ def build_frame(assignments: AssignmentTable, weather=None) -> StratumFrame:
     """
     days = day_numbers(assignments.dates)
     seasons, day_types = SeasonCalendar.day_labels(days)
-    temps = np.full(len(days), np.nan)
-    if weather:
-        rows, found = _lookup(day_numbers([w.date for w in weather]), days)
-        temps[found] = np.array([w.avg_temp_f for w in weather], dtype=float)[rows[found]]
+    temps, _ = _temperatures(weather or (), days)
     return StratumFrame(
         household_id=assignments.household_ids,
         date=assignments.dates,
@@ -167,12 +173,11 @@ def temperature_quartiles(weather, dates, mode: str = "empirical",
     """
     date_list = sorted(set(dates))
     date_days = day_numbers(date_list)
-    rows, found = _lookup(day_numbers([w.date for w in weather]), date_days)
+    pool, found = _temperatures(weather, date_days)
     if not found.all():
         raise ValueError(f"weather missing for {int((~found).sum())} dates, "
                          f"e.g. {date_list[int(found.argmin())]}")
     if mode == "empirical":
-        pool = np.array([w.avg_temp_f for w in weather], dtype=float)[rows]
         if len(np.unique(pool)) < 4:
             raise ValueError("need at least 4 distinct temperatures for quartiles")
         boundaries = tuple(np.quantile(pool, [0.25, 0.5, 0.75]))

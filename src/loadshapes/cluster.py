@@ -179,8 +179,9 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
 
 
 def kmeans(X, k, seed=None, n_init=1, max_iter=DEFAULT_MAX_ITER,
-           rel_tol=DEFAULT_REL_TOL, rng=None):
-    """Best-of-n_init k-means++ / Lloyd's. Returns (centers, labels, inertia)."""
+           rel_tol=DEFAULT_REL_TOL):
+    """Best-of-n_init k-means++ / Lloyd's. Returns (centers, labels, inertia);
+    a numpy Generator as ``seed`` is drawn from, not re-seeded."""
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise EmptyInputError("kmeans on empty input")
@@ -192,8 +193,7 @@ def kmeans(X, k, seed=None, n_init=1, max_iter=DEFAULT_MAX_ITER,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
         init = _kmeans_pp_init(X, min(k, len(X)), rng)
@@ -248,10 +248,8 @@ class ClusterModel:
         return float(np.abs(means - self.centroids).max())
 
 
-def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
-                    seed: int = 0, max_split_rounds: int = DEFAULT_MAX_SPLIT_ROUNDS,
-                    max_iter: int = DEFAULT_MAX_ITER, rel_tol: float = DEFAULT_REL_TOL,
-                    n_init: int = 1) -> ClusterModel:
+def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT, seed: int = 0,
+                    max_split_rounds: int = DEFAULT_MAX_SPLIT_ROUNDS) -> ClusterModel:
     """Grow a clustering until every shape fits its centroid within theta.
 
     Each round re-converges Lloyd's k-means, then splits every cluster that
@@ -270,10 +268,7 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
     if max_split_rounds < 0:
         raise ValueError(f"max_split_rounds must be >= 0, got {max_split_rounds}")
     rng = np.random.default_rng(seed)
-    centers, labels, _ = kmeans(
-        X, min(k_init, len(X)), n_init=n_init, max_iter=max_iter,
-        rel_tol=rel_tol, rng=rng,
-    )
+    centers, labels, _ = kmeans(X, min(k_init, len(X)), seed=rng)
     rounds = 0
     while True:
         errors = rse_to_assigned(X, centers, labels)
@@ -296,12 +291,11 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
         for c in range(len(centers)):
             lo, hi = bounds[c], bounds[c + 1]
             if c in bad_clusters and hi - lo >= 2:
-                sub, _, _ = kmeans(X[by_label[lo:hi]], 2, n_init=1, max_iter=max_iter,
-                                   rel_tol=rel_tol, rng=rng)
+                sub, _, _ = kmeans(X[by_label[lo:hi]], 2, seed=rng)
                 new_centers.extend(sub)
             else:
                 new_centers.append(centers[c])
-        centers, labels, _ = _lloyd(X, np.array(new_centers), max_iter, rel_tol)
+        centers, labels, _ = _lloyd(X, np.array(new_centers))
         rounds += 1
     meta = {
         "phase": "adaptive",
@@ -351,8 +345,6 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     """
     if not 0.0 <= max_violation < 1.0:
         raise ValueError(f"max_violation must be in [0, 1), got {max_violation}")
-    if model.n_clusters < 2:
-        raise ValueError("hierarchical_merge needs at least 2 centroids")
     X = model.table.values
     n = len(X)
     k = model.n_clusters

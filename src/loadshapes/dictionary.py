@@ -35,6 +35,10 @@ CENTROID_SUM_TOL = 1e-6
 # which _nearest re-ranks candidates by direct differences
 TIE_RTOL = 1e-12
 
+# Rows per _nearest chunk: at k=99 one chunk's distance block is 6.5 MB, where
+# 65,536 rows made it 52 MB and the benchmark's assign_analyze slower and larger.
+NEAREST_CHUNK_ROWS = 8192
+
 
 @dataclass
 class ClusterDictionary:
@@ -194,18 +198,15 @@ class AssignmentTable(KeyedTable):
         return table
 
 
-def _nearest(X, C, ids, workers: int = 1, chunk_size: int = 8192):
+def _nearest(X, C, ids, workers: int = 1):
     """For each row of X: the position of its nearest row of C (Euclidean),
     the distance to it and its RSE.
 
     Ties go to the lowest of ``ids``: every row of C whose expanded-form
     squared distance lies within rounding of the row minimum is re-ranked by
-    its direct squared difference. Chunks are independent and each row's
-    result depends only on that row, so nothing depends on the chunk size or
-    the worker count. At k=99 the default chunk makes one worker's distance
-    block 6.5 MB, where 65,536 rows made it 52 MB; on the benchmark's
-    ``assign_analyze`` corpus that lowered both the assignment time and the
-    peak RSS.
+    its direct squared difference. Chunks of ``NEAREST_CHUNK_ROWS`` rows are
+    independent and each row's result depends only on that row, so nothing
+    depends on the chunk size or the worker count.
     """
     n = len(X)
     denom = (C**2).sum(axis=1)
@@ -215,7 +216,7 @@ def _nearest(X, C, ids, workers: int = 1, chunk_size: int = 8192):
     rse_vals = np.empty(n)
 
     def work(start: int) -> None:
-        stop = min(start + chunk_size, n)
+        stop = min(start + NEAREST_CHUNK_ROWS, n)
         block = X[start:stop]
         xx = (block**2).sum(axis=1)
         d2 = _pairwise_sq_dists(block, C, xx)
@@ -241,12 +242,11 @@ def _nearest(X, C, ids, workers: int = 1, chunk_size: int = 8192):
 
     # one worker maps in this thread, whose malloc arena numpy then uses
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        list((pool.map if pool else map)(work, range(0, n, chunk_size)))
+        list((pool.map if pool else map)(work, range(0, n, NEAREST_CHUNK_ROWS)))
     return labels, dist, rse_vals
 
 
-def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
-               chunk_size: int = 8192) -> AssignmentTable:
+def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1) -> AssignmentTable:
     """Assign every shape to its nearest dictionary shape by ``_nearest``
     (Euclidean, exact ties to the lowest shape id). A bare (N, 24) array is
     keyed as ``adaptive_kmeans`` keys one: placeholder keys and unit kWh.
@@ -254,8 +254,7 @@ def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1,
     if len(dictionary) == 0:
         raise EmptyInputError("cannot assign against an empty dictionary")
     table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
-    labels, dist, rse_vals = _nearest(table.values, dictionary.values, dictionary.ids,
-                                      workers, chunk_size)
+    labels, dist, rse_vals = _nearest(table.values, dictionary.values, dictionary.ids, workers)
     return AssignmentTable(
         table.household_ids,
         table.dates,

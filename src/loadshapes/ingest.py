@@ -226,7 +226,8 @@ class KeyedTable:
     def _write_csv(self, path, workers: int = 1) -> None:
         """Write the table to the CSV file ``path``, byte for byte as
         ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
-        of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time.
+        of each number, a block of ``CSV_BLOCK_ROWS`` rows at a time; in a
+        cell column that holds NaN, a NaN is an empty cell.
 
         Every line depends on its own row only, so up to ``workers``
         ``_forked`` processes format contiguous ranges of at least
@@ -240,6 +241,7 @@ class KeyedTable:
             if cells:
                 column = getattr(self, name)
                 vectors += list(column.T) if column.ndim == 2 else [column]
+        texts = [_repr_or_empty if np.isnan(vector).any() else repr for vector in vectors]
         n = len(self)
         wanted = max(1, min(workers, n // CSV_BLOCK_ROWS))
         with _forked(wanted, os.path.dirname(os.path.abspath(path))) as (shard, shards, parts):
@@ -249,7 +251,7 @@ class KeyedTable:
                 if not shard:
                     csv.writer(fh).writerow(self.HEADER)
                 for keys, *block in self._csv_blocks(*bounds[shard:shard + 2], *vectors):
-                    lines = zip(keys, *(map(repr, vector) for vector in block))
+                    lines = zip(keys, *map(map, texts, block))
                     fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
                 fh.flush()
                 for i, (code, part) in enumerate(() if shard else parts, start=1):
@@ -297,10 +299,17 @@ class WeatherDay:
 
 @dataclass(frozen=True)
 class HouseholdProfile:
-    """Survey record: indicator -> True/False; absent key means unknown."""
+    """Survey record: indicator -> True/False; absent key means unknown.
+    ``indicators`` is held as a read-only copy, pickled as a plain dict."""
 
     household_id: str
     indicators: dict[str, bool] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "indicators", MappingProxyType(dict(self.indicators)))
+
+    def __reduce__(self):
+        return type(self), (self.household_id, dict(self.indicators))
 
     def flag(self, indicator: str) -> bool | None:
         if indicator not in INDICATOR_VOCABULARY:
@@ -355,6 +364,11 @@ class SeasonCalendar:
         month0 = months.astype(np.int64) % 12  # months since 1970-01
         weekend = (days + 3) % 7 >= 5  # 1970-01-01 was a Thursday
         return _SEASON_OF_MONTH0[month0], _DAY_TYPE_OF_WEEKEND[weekend.astype(np.intp)]
+
+
+def _repr_or_empty(value: float) -> str:
+    """A number's cell: its ``repr``, or empty for NaN."""
+    return "" if value != value else repr(value)
 
 
 def _parse_kwh_cell(cell: str, row_no: int, label: str, diagnostics: list) -> float:
@@ -684,21 +698,16 @@ def _read_meter_long(path):
 
 def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
     """Write a :class:`DayTable` to CSV (round-trip counterpart of the
-    readers), a block of ``CSV_BLOCK_ROWS`` days at a time.
+    readers): the wide schema through the keyed-table writer, the long one
+    a block of ``CSV_BLOCK_ROWS`` days at a time.
 
     Readings are written as the ``repr`` of Python floats (shortest text that
     parses back to the same double); missing (NaN) readings as empty cells.
     """
-    if schema not in ("wide", "long"):
-        raise ValueError(f"unknown meter schema '{schema}'")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if schema == "wide":
-            csv.writer(fh).writerow(WIDE_HEADER)
-            for block in days._csv_blocks(0, len(days), days.kwh):
-                fh.write("".join([
-                    f"{key},{_meter_cells(kwh)}\r\n" for key, kwh in zip(*block)
-                ]))
-        else:
+    if schema == "wide":
+        days._write_csv(path)
+    elif schema == "long":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(LONG_HEADER)
             for block in days._csv_blocks(0, len(days), days.kwh):
                 fh.write("".join([
@@ -706,11 +715,8 @@ def write_meter_corpus(days: DayTable, path, schema: str = "wide") -> None:
                     for key, kwh in zip(*block)
                     for t, v in enumerate(kwh, start=1)
                 ]))
-
-
-def _meter_cells(kwh: list[float]) -> str:
-    """One day's readings as wide-schema cells, NaN as an empty cell."""
-    return ",".join(["" if v != v else repr(v) for v in kwh])
+    else:
+        raise ValueError(f"unknown meter schema '{schema}'")
 
 
 def read_weather(path):
@@ -746,8 +752,7 @@ def write_weather(records, path) -> None:
 
 
 def read_survey(path):
-    """Read household survey indicators. Returns (profiles, diagnostics);
-    each profile's ``indicators`` is a read-only mapping.
+    """Read household survey indicators. Returns (profiles, diagnostics).
 
     Header columns after household_id must come from the closed indicator
     vocabulary; cells are 1 (true), 0 (false), or empty (unknown).
@@ -793,7 +798,7 @@ def read_survey(path):
                             f"{col}: cell '{text}' not in {{0,1,empty}}, treated as unknown",
                         )
                     )
-            profiles.append(HouseholdProfile(household_id, MappingProxyType(indicators)))
+            profiles.append(HouseholdProfile(household_id, indicators))
     return profiles, diagnostics
 
 

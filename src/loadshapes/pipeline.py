@@ -93,11 +93,7 @@ def _cluster(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
     model = adaptive_kmeans(
         sub, theta=config.theta, k_init=config.k_init, seed=config.seed
     )
-    if model.n_clusters > 1:
-        model = hierarchical_merge(model, config.merge_violation)
-    else:  # no pair to merge: the meta a merge that stops at once would write
-        model.meta.update(phase="merged", merge_max_violation=config.merge_violation,
-                          merges=0, k2=1)
+    model = hierarchical_merge(model, config.merge_violation)
     save_model(model, out / "model.json", out / "labels.csv")
     return {"model": model}
 
@@ -299,9 +295,9 @@ class RunConfig:
         )
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        """Flat key=value config file; explicit overrides (CLI flags) win."""
-        return cls(**{**read_config(cls, path, ConfigError), **(overrides or {})})
+    def from_file(cls, path) -> "RunConfig":
+        """The config in the flat key=value file ``path``."""
+        return cls(**read_config(cls, path, ConfigError))
 
     def effective_params(self) -> dict:
         """All parameters that shape the outputs: every field but the file

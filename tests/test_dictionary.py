@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -253,7 +254,8 @@ def test_truncate_rehomes_exact_ties_to_lowest_id():
     assert wrong == []
 
 
-def test_assign_matches_brute_force():
+def test_assign_matches_brute_force(monkeypatch):
+    monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", 17)
     rng = np.random.default_rng(33)
     X = unit_shapes(rng, 100)
     values = unit_shapes(rng, 10)
@@ -266,7 +268,7 @@ def test_assign_matches_brute_force():
         theta=0.3,
         truncation_v=0.3,
     )
-    out = assign_all(X, dictionary, chunk_size=17)
+    out = assign_all(X, dictionary)
     d2 = ((X[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
     expected = d2.argmin(axis=1) + 1
     assert np.array_equal(out.cluster_ids, expected)
@@ -275,15 +277,16 @@ def test_assign_matches_brute_force():
     assert np.allclose(out.rses, d2.min(axis=1) / denom[d2.argmin(axis=1)], atol=1e-12)
 
 
-def test_assign_idempotent_and_worker_independent():
+def test_assign_idempotent_and_worker_independent(monkeypatch):
+    monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", 64)
     rng = np.random.default_rng(34)
     X = unit_shapes(rng, 500)
     dictionary = small_dictionary()
-    one = assign_all(X, dictionary, workers=1, chunk_size=64)
-    four = assign_all(X, dictionary, workers=4, chunk_size=64)
+    one = assign_all(X, dictionary, workers=1)
+    four = assign_all(X, dictionary, workers=4)
     assert np.array_equal(one.cluster_ids, four.cluster_ids)
     assert np.array_equal(one.distances, four.distances)
-    again = assign_all(X, dictionary, workers=1, chunk_size=64)
+    again = assign_all(X, dictionary, workers=1)
     assert np.array_equal(one.cluster_ids, again.cluster_ids)
 
 
@@ -291,18 +294,19 @@ def test_one_worker_searches_in_the_calling_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker search started a thread pool")
 
+    monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", 64)
     monkeypatch.setattr(dictionary_module, "ThreadPoolExecutor", no_pool)
     rng = np.random.default_rng(35)
     X = unit_shapes(rng, 300)
     dictionary = small_dictionary()
-    out = assign_all(X, dictionary, workers=1, chunk_size=64)
-    monkeypatch.undo()
-    pooled = assign_all(X, dictionary, workers=2, chunk_size=64)
+    out = assign_all(X, dictionary, workers=1)
+    monkeypatch.setattr(dictionary_module, "ThreadPoolExecutor", ThreadPoolExecutor)
+    pooled = assign_all(X, dictionary, workers=2)
     assert np.array_equal(out.cluster_ids, pooled.cluster_ids)
     assert np.array_equal(out.rses, pooled.rses)
 
 
-def test_assign_does_not_depend_on_chunking():
+def test_assign_does_not_depend_on_chunking(monkeypatch):
     rng = np.random.default_rng(37)
     k = 99
     values = unit_shapes(rng, k)
@@ -323,10 +327,10 @@ def test_assign_does_not_depend_on_chunking():
                        np.ones(n), np.ones(n))
     for shapes in (table, X):
         ref = assign_all(shapes, dictionary)
-        for chunk_size in (1, 7, 8192, 65536, n):
+        for chunk_rows in (1, 7, 8192, 65536, n):
+            monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", chunk_rows)
             for workers in (1, 4):
-                out = assign_all(shapes, dictionary, workers=workers,
-                                 chunk_size=chunk_size)
+                out = assign_all(shapes, dictionary, workers=workers)
                 assert np.array_equal(out.cluster_ids, ref.cluster_ids)
                 assert np.array_equal(out.distances, ref.distances)
                 assert np.array_equal(out.rses, ref.rses)

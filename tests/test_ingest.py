@@ -1,5 +1,7 @@
+import copy
 import csv
 import datetime as dt
+import pickle
 import tempfile
 from pathlib import Path
 from types import MappingProxyType
@@ -36,7 +38,7 @@ from loadshapes.ingest import (
     write_weather,
 )
 from loadshapes.preprocess import ShapeTable
-from loadshapes.synthetic import SyntheticTruth
+from loadshapes.synthetic import GeneratorConfig, SyntheticTruth, generate_synthetic
 
 D = dt.date
 
@@ -439,6 +441,25 @@ def test_survey_participant_count_round_trip(tmp_path):
     write_survey(profiles, path)
     back, _ = read_survey(path)
     assert len({p.household_id for p in back}) == 6413
+
+
+def test_profiles_are_read_only_and_pickle_and_copy(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text("household_id,elderly,low_income\nH1,1,\nH2,0,1\n")
+    read, _ = read_survey(path)
+    drawn = generate_synthetic(GeneratorConfig(households=2, days=3), seed=1,
+                               include_meter=False).profiles
+    given = {"elderly": True}
+    built = HouseholdProfile("H3", given)
+    given["elderly"] = False  # the record holds its own copy
+    assert built.flag("elderly") is True
+    for profile in [*read, *drawn, built]:
+        with pytest.raises(TypeError):
+            profile.indicators["elderly"] = False
+        for twin in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile),
+                     copy.copy(profile)):
+            assert twin == profile
+            assert isinstance(twin.indicators, MappingProxyType)
 
 
 def test_season_boundaries():

@@ -210,15 +210,14 @@ def test_run_config_rejects_non_finite_quartiles(quartiles):
         RunConfig(seed=1, quartiles=quartiles).validate()
 
 
-def test_run_config_file_with_flag_overrides(tmp_path):
+def test_run_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "theta=0.25\nseed=11\nsample=500\nout=somewhere\n"
         "quartiles=fixed:68,71,76\n"
     )
-    config = RunConfig.from_file(path, overrides={"theta": 0.4})
-    assert config.theta == 0.4  # flag wins
-    assert config.seed == 11
+    config = RunConfig.from_file(path)
+    assert (config.theta, config.seed, config.sample, config.out) == (0.25, 11, 500, "somewhere")
     assert config.quartile_spec() == ("fixed", (68.0, 71.0, 76.0))
 
     (tmp_path / "bad.cfg").write_text("nope=1\n")

@@ -197,6 +197,30 @@ def test_meter_writer_bytes_equal_csv_writer_rows(key_columns, data, schema):
     assert_same_bytes(lambda path: write_meter_corpus(days, path, schema), reference)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_keyed_table_writes_nan_as_an_empty_cell_of_its_column_only(workers, tmp_path):
+    n = 7
+    distances = np.arange(n) / 3
+    distances[[1, 5]] = math.nan
+    table = AssignmentTable([f"H{i % 2}" for i in range(n)],
+                            [dt.date(2020, 1, 1 + i) for i in range(n)],
+                            np.arange(n) - 3, distances, np.arange(n) / 7)
+
+    def reference(writer):
+        writer.writerow(AssignmentTable.HEADER)
+        for hid, date, cid, distance, rse in zip(table.household_ids, table.dates,
+                                                 table.cluster_ids.tolist(),
+                                                 table.distances.tolist(), table.rses.tolist()):
+            writer.writerow([hid, date.isoformat(), cid,
+                             "" if distance != distance else repr(distance), repr(rse)])
+
+    assert_same_bytes(functools.partial(table.write_csv, workers=workers), reference)
+    table.write_csv(tmp_path / "a.csv", workers=workers)
+    lines = (tmp_path / "a.csv").read_text().splitlines()
+    assert lines[2:4] == ["H1,2020-01-02,-2,,0.14285714285714285",
+                          "H0,2020-01-03,-1,0.6666666666666666,0.2857142857142857"]
+
+
 def test_meter_writer_rejects_unknown_schema_before_opening_the_file(tmp_path):
     path = tmp_path / "meter.csv"
     path.write_text("kept\n")
