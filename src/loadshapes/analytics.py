@@ -11,7 +11,6 @@ entropy differences.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,8 +28,11 @@ from .ingest import DAY_TYPES, SEASONS, SeasonCalendar, _write_table, day_number
 DISTRIBUTION_TOL = 1e-6
 
 # index draws per bootstrap block: 1 MB of uint32 indices, 2 MB each of
-# intp indices and gathered values; peak memory is independent of n_boot
+# intp indices and gathered values; peak memory is independent of N_BOOT
 BOOTSTRAP_BLOCK = 1 << 18
+# bootstrap resamples and two-sided level of the entropy-delta interval
+N_BOOT = 10_000
+ALPHA = 0.05
 
 # Clock-hour bins for peak timing; [start, end) wrapping across midnight.
 PEAK_BINS = (
@@ -331,32 +333,24 @@ def _bootstrap_means(rng, groups, n_boot: int) -> list:
 
 
 def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
-                                 n_boot: int = 10_000, seed: int = 0,
-                                 alpha: float = 0.05) -> CharacteristicDelta:
+                                 seed: int = 0) -> CharacteristicDelta:
     """mean(with) - mean(without) entropy plus a percentile bootstrap CI.
 
     Households with the indicator unknown are excluded from the comparison.
-    The bootstrap resamples households (the independent sampling unit) in
-    each group separately; deterministic for a fixed seed. ``n_boot`` must
-    be an integer >= 1 and ``alpha`` a real number in (0, 1); otherwise
-    ValueError. Resamples are drawn block by block from one generator in
-    the order of a single draw per group and averaged on a helper thread,
-    so the CI depends on neither the block size nor thread timing.
+    The bootstrap draws N_BOOT resamples of households (the independent
+    sampling unit) in each group separately and gives the 1 - ALPHA
+    percentile interval; deterministic for a fixed seed. Resamples are
+    drawn block by block from one generator in the order of a single draw
+    per group and averaged on a helper thread, so the CI depends on neither
+    the block size nor thread timing.
     """
-    if (not isinstance(n_boot, numbers.Integral) or isinstance(n_boot, bool)
-            or n_boot < 1):
-        raise ValueError(f"n_boot must be an integer >= 1, got {n_boot!r}")
-    if not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
-        raise ValueError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     with_vals, without_vals = [], []
-    any_present = False
     for prof in profiles:
         flag = prof.indicators.get(indicator)
         if flag is None or prof.household_id not in entropies:
             continue
-        any_present = True
         (with_vals if flag else without_vals).append(entropies[prof.household_id])
-    if not any_present:
+    if not with_vals and not without_vals:
         raise EmptyInputError(f"indicator '{indicator}' is absent for all households")
     if len(with_vals) < 2 or len(without_vals) < 2:
         raise EmptyInputError(
@@ -366,9 +360,9 @@ def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
     w = np.array(with_vals)
     wo = np.array(without_vals)
     delta = float(w.mean() - wo.mean())
-    means_w, means_wo = _bootstrap_means(np.random.default_rng(seed), (w, wo), n_boot)
+    means_w, means_wo = _bootstrap_means(np.random.default_rng(seed), (w, wo), N_BOOT)
     deltas = means_w - means_wo
-    lo, hi = np.quantile(deltas, [alpha / 2, 1 - alpha / 2])
+    lo, hi = np.quantile(deltas, [ALPHA / 2, 1 - ALPHA / 2])
     return CharacteristicDelta(
         indicator, delta, float(lo), float(hi), len(w), len(wo)
     )
@@ -509,15 +503,14 @@ class PeakTaxonomy:
         raise KeyError(cluster_id)
 
 
-def peak_taxonomy(dictionary: ClusterDictionary, prominence_frac: float = 0.25,
-                  min_separation: int = 3) -> PeakTaxonomy:
+def peak_taxonomy(dictionary: ClusterDictionary) -> PeakTaxonomy:
     """Label every dictionary shape with its peak count and primary timing."""
     if len(dictionary) == 0:
         raise EmptyInputError("dictionary is empty")
     entries = []
     for pos in range(len(dictionary)):
         v = dictionary.values[pos]
-        hours = find_peaks_circular(v, prominence_frac, min_separation)
+        hours = find_peaks_circular(v)
         count = min(len(hours), 3)
         label = {1: "single", 2: "double"}.get(count, "multi")
         primary = int(np.argmax(v))

@@ -32,7 +32,7 @@ MODEL_SCHEMA_VERSION = 1
 DEFAULT_K_INIT = 10
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
-DEFAULT_MAX_SPLIT_ROUNDS = 200
+MAX_SPLIT_ROUNDS = 200
 
 
 def rse(shape, center) -> float:
@@ -178,8 +178,7 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
     return centers, labels, inertia
 
 
-def kmeans(X, k, seed=None, n_init=1, max_iter=DEFAULT_MAX_ITER,
-           rel_tol=DEFAULT_REL_TOL):
+def kmeans(X, k, seed=None, n_init=1, rel_tol=DEFAULT_REL_TOL):
     """Best-of-n_init k-means++ / Lloyd's. Returns (centers, labels, inertia);
     a numpy Generator as ``seed`` is drawn from, not re-seeded."""
     X = np.asarray(X, dtype=float)
@@ -189,15 +188,13 @@ def kmeans(X, k, seed=None, n_init=1, max_iter=DEFAULT_MAX_ITER,
         raise ValueError(f"k must be >= 1, got {k}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
         init = _kmeans_pp_init(X, min(k, len(X)), rng)
-        centers, labels, inertia = _lloyd(X, init, max_iter, rel_tol)
+        centers, labels, inertia = _lloyd(X, init, rel_tol=rel_tol)
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)
     return best
@@ -248,14 +245,14 @@ class ClusterModel:
         return float(np.abs(means - self.centroids).max())
 
 
-def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT, seed: int = 0,
-                    max_split_rounds: int = DEFAULT_MAX_SPLIT_ROUNDS) -> ClusterModel:
+def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
+                    seed: int = 0) -> ClusterModel:
     """Grow a clustering until every shape fits its centroid within theta.
 
     Each round re-converges Lloyd's k-means, then splits every cluster that
     still contains a shape with RSE > theta into two (2-means on its
-    members). Terminates with zero violations unless the round cap triggers,
-    in which case a warning reports the residual violations.
+    members). Terminates with zero violations unless the round cap,
+    MAX_SPLIT_ROUNDS, triggers; a warning then reports the residual violations.
     """
     table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
     X = table.values
@@ -265,8 +262,6 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT, seed: in
         raise ValueError(f"theta must be finite and > 0, got {theta}")
     if k_init < 1:
         raise ValueError("k_init must be >= 1")
-    if max_split_rounds < 0:
-        raise ValueError(f"max_split_rounds must be >= 0, got {max_split_rounds}")
     rng = np.random.default_rng(seed)
     centers, labels, _ = kmeans(X, min(k_init, len(X)), seed=rng)
     rounds = 0
@@ -276,22 +271,18 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT, seed: in
         if not violating.any():
             residual = 0
             break
-        if rounds >= max_split_rounds:
+        if rounds >= MAX_SPLIT_ROUNDS:
             residual = int(violating.sum())
             warnings.warn(
-                f"split-round cap {max_split_rounds} reached with "
+                f"split-round cap {MAX_SPLIT_ROUNDS} reached with "
                 f"{residual} residual threshold violations"
             )
             break
         bad_clusters = set(np.unique(labels[violating]).tolist())
-        # a stable sort keeps each cluster's members in row order
-        by_label = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[by_label], np.arange(len(centers) + 1))
         new_centers = []
-        for c in range(len(centers)):
-            lo, hi = bounds[c], bounds[c + 1]
-            if c in bad_clusters and hi - lo >= 2:
-                sub, _, _ = kmeans(X[by_label[lo:hi]], 2, seed=rng)
+        for c, rows in enumerate(_members(labels, len(centers))):
+            if c in bad_clusters and len(rows) >= 2:
+                sub, _, _ = kmeans(X[rows], 2, seed=rng)
                 new_centers.extend(sub)
             else:
                 new_centers.append(centers[c])
@@ -313,6 +304,13 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT, seed: in
         theta=theta,
         meta=meta,
     )
+
+
+def _members(labels, k) -> list:
+    """The row indices of each of the ``k`` clusters, in row order."""
+    by_label = np.argsort(labels, kind="stable")  # stable: row order within a cluster
+    bounds = np.searchsorted(labels[by_label], np.arange(k + 1))
+    return [by_label[bounds[c]:bounds[c + 1]] for c in range(k)]
 
 
 class _BareShapes(ShapeTable):
@@ -354,10 +352,7 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     centroids, ids = model.centroids[order], model.ids[order]
     counts = model.counts[order].astype(np.int64)
     theta = model.theta
-    # member rows of each cluster; a merge moves q's rows to p
-    by_label = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[by_label], np.arange(k + 1))
-    members = [by_label[bounds[c]:bounds[c + 1]] for c in range(k)]
+    members = _members(labels, k)  # a merge moves q's rows to p
 
     violating = rse_to_assigned(X, centroids, labels) > theta
     viol_count = int(violating.sum())
@@ -427,7 +422,7 @@ class _Labels(KeyedTable):
     COLUMNS = (("cluster_ids", int, ["cluster_id"]),)
 
 
-def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
+def save_model(model: ClusterModel, model_path, labels_path) -> None:
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "theta": model.theta,
@@ -437,9 +432,8 @@ def save_model(model: ClusterModel, model_path, labels_path=None) -> None:
         "meta": dict(model.meta),
     }
     _write_json(model_path, payload)
-    if labels_path is not None:
-        _Labels(model.table.household_ids, model.table.dates,
-                cluster_ids=model.ids[model.labels])._write_csv(labels_path)
+    _Labels(model.table.household_ids, model.table.dates,
+            cluster_ids=model.ids[model.labels])._write_csv(labels_path)
 
 
 def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:

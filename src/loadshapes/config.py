@@ -36,14 +36,6 @@ def _cast(hint, text: str):
     return hint(text)
 
 
-def _format(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(value)
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return value if isinstance(value, str) else repr(value)
-
-
 def parse_fields(cls, raw: dict, error) -> dict:
     """Constructor arguments for dataclass ``cls`` from ``{key: text}``.
 
@@ -130,16 +122,3 @@ def config_from(cls, args, error):
             raw[f.name] = value
     return cls(**parse_fields(cls, raw, error))
 
-
-def write_config(obj, path) -> None:
-    """Write every field of ``obj`` except ``None`` ones, in field order;
-    ``read_config`` reads the file back equal (floats as their ``repr``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, dict):
-                prefix = f.metadata.get("key", f.name)
-                for name in sorted(value):
-                    fh.write(f"{prefix}.{name}={_format(value[name])}\n")
-            elif value is not None:
-                fh.write(f"{f.name}={_format(value)}\n")

@@ -406,7 +406,7 @@ def run_id_for(config: RunConfig, cache: RunCache) -> str:
     payload = dict(config.effective_params())
     for name in ("meter", "weather", "survey"):
         path = getattr(config, name)
-        payload[f"digest_{name}"] = cache.digest(path) if path and Path(path).exists() else None
+        payload[f"digest_{name}"] = cache.digest(path) if path and Path(path).is_file() else None
     return _json_digest(payload)[:12]
 
 
@@ -435,10 +435,14 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     for source in stage.sources:
         path = getattr(config, source)
         if path:
-            if not Path(path).exists():
+            if not Path(path).is_file():
                 raise StageError(stage.name, f"input file not found: {path}")
             inputs.append(Path(path))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StageError(stage.name,
+                         f"cannot make output directory {out} ({exc.strerror})") from exc
     cache = cache or RunCache()
     effective = config.effective_params()
     entry = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import flag, read_config, write_config
+from .config import flag, read_config
 from .errors import GeneratorConfigError
 from .ingest import (
     HOURS_PER_DAY,
@@ -58,7 +58,7 @@ ENTROPY_JITTER = 0.05
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic corpus; flat key=value file serializable."""
+    """Knobs for the synthetic corpus; ``from_file`` reads a key=value file."""
 
     archetypes: int = flag(5, "number of planted archetype shapes")
     households: int = flag(100, "number of households")
@@ -73,9 +73,10 @@ class GeneratorConfig:
     outlier_rate: float = flag(0.0, "share of days with a single spike hour")
     fuzz_rate: float = flag(0.0, "share of days blended toward a random shape")
     bad_day_rate: float = flag(0.0, "share of days with missing hours or too low a demand")
-    baseload_low_kw: float = 0.25
-    baseload_high_kw: float = 0.9
-    discretionary_kwh_mean: float = 6.0
+    # unannotated, so class constants and not fields: no flag or config key sets them
+    baseload_low_kw = 0.25
+    baseload_high_kw = 0.9
+    discretionary_kwh_mean = 6.0
 
     def validate(self) -> None:
         numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -97,9 +98,6 @@ class GeneratorConfig:
         unknown = set(self.entropy_bias) - set(INDICATOR_VOCABULARY)
         if unknown:
             raise GeneratorConfigError(f"entropy bias for unknown indicators {unknown}")
-
-    def to_file(self, path) -> None:
-        write_config(self, path)
 
     @classmethod
     def from_file(cls, path) -> "GeneratorConfig":

@@ -383,12 +383,13 @@ def test_adaptive_centroid_consistency_and_determinism():
     assert m1.max_consistency_error() <= 1e-9
 
 
-def test_adaptive_split_cap_warns():
+def test_adaptive_split_cap_warns(monkeypatch):
     rng = np.random.default_rng(17)
     X = unit_shapes(rng, 300)
-    with pytest.warns(UserWarning, match="residual"):
-        model = adaptive_kmeans(X, theta=1e-6, k_init=2, seed=1,
-                                max_split_rounds=2)
+    monkeypatch.setattr(cluster, "MAX_SPLIT_ROUNDS", 2)
+    with pytest.warns(UserWarning, match="cap 2 reached"):
+        model = adaptive_kmeans(X, theta=1e-6, k_init=2, seed=1)
+    assert model.meta["split_rounds"] == 2
     assert model.meta["residual_violations"] > 0
 
 
@@ -808,7 +809,6 @@ def test_model_labels_naming_unknown_cluster_rejected(tmp_path):
     ({"theta": float("nan")}, "theta"),
     ({"theta": float("inf")}, "theta"),
     ({"theta": 0.0}, "theta"),
-    ({"max_split_rounds": -1}, "max_split_rounds"),
 ])
 def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
     X = unit_shapes(np.random.default_rng(26), 300)
@@ -820,7 +820,6 @@ def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
 @pytest.mark.parametrize("kwargs,name", [
     ({"k": 0}, "k"),
     ({"k": -2}, "k"),
-    ({"max_iter": 0}, "max_iter"),
     ({"rel_tol": float("inf")}, "rel_tol"),
     ({"rel_tol": -1.0}, "rel_tol"),
     ({"n_init": 0}, "n_init"),

@@ -369,18 +369,19 @@ def test_frozen_model_and_dictionary_save_the_same_bytes(tmp_path):
     model or dictionary as they save it unfrozen."""
     model = toy_counts_model()
     model.meta = {"k1": 3, "rounds": [{"k": 3, "ids": [0, 1, 2]}]}
-    save_model(model, tmp_path / "plain_model.json")
+    save_model(model, tmp_path / "plain_model.json", tmp_path / "plain_labels.csv")
     save_dictionary(truncate(model, 0.3), tmp_path / "plain.json")
     assert _frozen(model) is model
     with pytest.raises(TypeError):
         model.meta["rounds"][0]["k"] = 0
-    save_model(model, tmp_path / "frozen_model.json")
+    save_model(model, tmp_path / "frozen_model.json", tmp_path / "frozen_labels.csv")
     dictionary = _frozen(truncate(model, 0.3))
     with pytest.raises(TypeError):
         dictionary.provenance["model_meta"]["rounds"][0]["k"] = 0
     assert isinstance(dictionary.provenance["source_cluster_ids"], tuple)
     save_dictionary(dictionary, tmp_path / "frozen.json")
     for plain, frozen in (("plain_model.json", "frozen_model.json"),
+                          ("plain_labels.csv", "frozen_labels.csv"),
                           ("plain.json", "frozen.json")):
         assert (tmp_path / frozen).read_bytes() == (tmp_path / plain).read_bytes()
 

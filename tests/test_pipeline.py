@@ -16,7 +16,7 @@ import pytest
 
 from loadshapes import analytics, cli, cluster, ingest, pipeline
 from loadshapes.cli import build_parser, main
-from loadshapes.config import config_from, write_config
+from loadshapes.config import config_from
 from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import ConfigError, EmptyInputError, StageError
 from loadshapes.pipeline import (
@@ -633,6 +633,30 @@ def test_failed_stage_command_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["meter", "weather"])
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_an_input_directory_fails_ingest_without_an_output_directory(
+        smoke_corpus, tmp_path, capsys, command, source):
+    out = tmp_path / "fresh"
+    inputs = {"meter": smoke_corpus["meter"], source: tmp_path}
+    flags = [arg for name, path in inputs.items() for arg in (f"--{name}", str(path))]
+    assert main([command, "--seed", "1", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'ingest': input file not found: {tmp_path}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_an_out_path_naming_a_file_fails_ingest(smoke_corpus, tmp_path, capsys, command):
+    out = tmp_path / "taken.txt"
+    out.write_text("not a directory\n")
+    assert main([command, "--seed", "1", "--out", str(out),
+                 "--meter", str(smoke_corpus["meter"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'ingest': cannot make output directory {out} (")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_manifest_write_failure_keeps_previous_manifest(tmp_path, monkeypatch):
     manifest = Manifest(tmp_path)
     manifest.update("ingest", {"params_hash": "a", "inputs": {}, "outputs": []})
@@ -710,10 +734,14 @@ def test_run_config_file_round_trip(tmp_path):
     default = RunConfig()
     assert all(getattr(config, f.name) != getattr(default, f.name)
                for f in dataclasses.fields(RunConfig))
+    lines = ["meter=m.csv", "weather=w.csv", "survey=s.csv", "out=results", "theta=0.125",
+             "merge_violation=0.01", "truncate_violation=0.2", "sample=777", "seed=13",
+             "threads=2", "quartiles=fixed:68,71,76", "coverage_weight=discretionary",
+             "meter_schema=long", "k_init=7", "stages=ingest, cluster"]
+    assert [line.split("=", 1)[0] for line in lines] == [
+        f.name for f in dataclasses.fields(RunConfig)]
     path = tmp_path / "run.cfg"
-    write_config(config, path)
-    keys = [line.split("=", 1)[0] for line in path.read_text().splitlines()]
-    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+    path.write_text("\n".join(lines) + "\n")
     assert RunConfig.from_file(path) == config
 
 

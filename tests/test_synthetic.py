@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import filecmp
 import math
@@ -76,8 +77,6 @@ def test_generator_validation():
     {"noise_level": float("nan"), "base_entropy": float("inf")},
     {"temperature_response": float("-inf")},
     {"outlier_rate": float("nan")},
-    {"baseload_high_kw": float("inf")},
-    {"discretionary_kwh_mean": float("nan")},
     {"entropy_bias": {"elderly": float("nan")}},
 ])
 def test_generator_validation_rejects_non_finite(overrides):
@@ -225,8 +224,14 @@ def test_generator_config_file_round_trip(tmp_path):
         base_entropy=1.1, entropy_bias={"elderly": -0.25, "central_ac": 0.1},
         outlier_rate=0.2, fuzz_rate=0.03, bad_day_rate=0.01,
     )
+    default = GeneratorConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(GeneratorConfig))
     path = tmp_path / "gen.cfg"
-    cfg.to_file(path)
+    path.write_text("archetypes=7\nhouseholds=42\ndays=33\nstart_date=2012-02-01\n"
+                    "noise_level=0.125\ntemperature_response=0.5\nbase_entropy=1.1\n"
+                    "bias.elderly=-0.25\nbias.central_ac=0.1\n"
+                    "outlier_rate=0.2\nfuzz_rate=0.03\nbad_day_rate=0.01\n")
     assert GeneratorConfig.from_file(path) == cfg
 
 
