@@ -327,6 +327,14 @@ def test_delta_with_a_single_resample(monkeypatch):
     assert d.ci_low == d.ci_high
 
 
+@pytest.mark.parametrize("name,value", [("n_boot", 100), ("alpha", 0.1)])
+def test_delta_bootstrap_setting_is_no_parameter(name, value):
+    """N_BOOT and ALPHA fix the resample count and the interval level."""
+    entropies, profiles = _three_and_three()
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        characteristic_entropy_delta(entropies, profiles, "elderly", **{name: value})
+
+
 def test_delta_golden_values():
     # computed before the bootstrap was drawn in blocks: the block-wise draw
     # and the helper-thread averaging must not move a single bit
@@ -534,6 +542,14 @@ def dictionary_of(values, kwh=None):
         theta=0.3,
         truncation_v=0.3,
     )
+
+
+@pytest.mark.parametrize("name,value", [("prominence_frac", 0.5), ("min_separation", 3)])
+def test_peak_taxonomy_peak_setting_is_no_parameter(name, value):
+    """peak_taxonomy finds peaks with find_peaks_circular's defaults."""
+    d = dictionary_of([np.full(24, 1 / 24)])
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        peak_taxonomy(d, **{name: value})
 
 
 def test_coverage_curve_single_cluster():

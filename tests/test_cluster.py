@@ -831,6 +831,24 @@ def test_kmeans_rejects_bad_parameters(kwargs, name):
         kmeans(X, **args)
 
 
+@pytest.mark.parametrize("fit,name", [
+    (adaptive_kmeans, "max_split_rounds"),  # MAX_SPLIT_ROUNDS caps the split rounds
+    (kmeans, "max_iter"),  # DEFAULT_MAX_ITER caps the Lloyd iterations
+])
+def test_fixed_fit_setting_is_no_parameter(fit, name):
+    X = unit_shapes(np.random.default_rng(26), 300)
+    args = {"theta": 0.3} if fit is adaptive_kmeans else {"k": 3}
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        fit(X, seed=0, **args, **{name: 5})
+
+
+def test_save_model_requires_a_labels_path(tmp_path):
+    model = adaptive_kmeans(unit_shapes(np.random.default_rng(26), 300), theta=0.3, seed=0)
+    with pytest.raises(TypeError, match="labels_path"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("budget", [float("nan"), 1.0, 1.5, -0.01, float("inf")])
 def test_merge_rejects_budget_outside_unit_interval(budget):
     rng = np.random.default_rng(28)

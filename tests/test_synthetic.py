@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from loadshapes.analytics import build_frame, household_entropy
+from loadshapes.cli import main
 from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import CorruptArtifactError, GeneratorConfigError
 from loadshapes.ingest import read_meter_corpus, read_survey, read_weather
@@ -233,6 +234,38 @@ def test_generator_config_file_round_trip(tmp_path):
                     "bias.elderly=-0.25\nbias.central_ac=0.1\n"
                     "outlier_rate=0.2\nfuzz_rate=0.03\nbad_day_rate=0.01\n")
     assert GeneratorConfig.from_file(path) == cfg
+
+
+# generator values that no flag or config key sets; generate_synthetic reads
+# them from the GeneratorConfig instance
+FIXED_VALUES = {"baseload_low_kw": 0.25, "baseload_high_kw": 0.9, "discretionary_kwh_mean": 6.0}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_VALUES))
+def test_fixed_generator_value_is_read_from_the_instance(name):
+    assert getattr(GeneratorConfig(households=3), name) == FIXED_VALUES[name]
+    assert name not in {f.name for f in dataclasses.fields(GeneratorConfig)}
+    with pytest.raises(TypeError, match=name):
+        GeneratorConfig(**{name: 1.0})
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_VALUES))
+def test_fixed_generator_value_is_no_config_key(tmp_path, name):
+    path = tmp_path / "gen.cfg"
+    path.write_text(f"households=3\n{name}=1.0\n")
+    with pytest.raises(GeneratorConfigError, match=f"unknown config key '{name}'"):
+        GeneratorConfig.from_file(path)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_VALUES))
+def test_fixed_generator_value_is_no_synth_flag(tmp_path, capsys, name):
+    out = tmp_path / "corpus"
+    flag = f"--{name.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--seed", "1", "--out", str(out), flag, "1.0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generator_config_unknown_key_rejected(tmp_path):
