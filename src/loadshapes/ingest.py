@@ -96,7 +96,7 @@ class Diagnostic:
 
 
 @contextlib.contextmanager
-def _forked(wanted: int, tmpdir=None):
+def _forked(wanted: int, tmpdir=None, group: bool = False):
     """Run the ``with`` block here and in ``shards - 1`` forked children:
     ``shards`` is ``wanted`` where ``os.fork`` exists and no other thread
     runs (a child could inherit a lock it holds), else 1. Yields ``(shard,
@@ -104,7 +104,12 @@ def _forked(wanted: int, tmpdir=None):
     ``tmpdir`` for its results, and ends with ``os._exit`` with the block
     (1 if it raised). This process gets 0 and, per child in order, its exit
     code once it has ended and its rewound file; a child it has not waited
-    for when the block ends is killed."""
+    for when the block ends is killed. With ``group``, each child leads a
+    process group of its own and is killed with all it forked.
+
+    A caller that enters it through a ``contextlib.ExitStack`` and closes
+    the stack later (as the pipeline's background ``shapes.csv`` write
+    does) has its children run beside its own code until then."""
     shards = wanted if hasattr(os, "fork") and threading.active_count() == 1 else 1
     files = [tempfile.TemporaryFile(dir=tmpdir) for _ in range(shards - 1)]
     pids, shard = [], 0  # the unreaped children in order; this process's shard
@@ -126,11 +131,16 @@ def _forked(wanted: int, tmpdir=None):
                         shard = i
                         break
                     pids.append(pid)
+                    if group:  # here and in the child, whichever runs first
+                        with contextlib.suppress(OSError):
+                            os.setpgid(pid, pid)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if shard:  # never returns to the caller's code
             failed = True
             try:
+                if group:
+                    os.setpgid(0, 0)
                 yield shard, shards, files[shard - 1]
                 files[shard - 1].close()  # flushed, if the block did not close it
                 failed = False
@@ -139,8 +149,9 @@ def _forked(wanted: int, tmpdir=None):
         yield 0, shards, exit_codes()
     finally:
         for pid in pids:  # not yet reaped: this process raised or did not wait
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):  # a group that never formed
+                (os.killpg if group else os.kill)(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
         for file in files:
             file.close()

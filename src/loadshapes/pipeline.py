@@ -22,6 +22,16 @@ made from, so a reader parses only on a miss and a file changed on disk is
 parsed again. A stage command makes a cache for its one stage, so it
 parses from disk.
 
+A stage's entry is recorded once its outputs are whole. In a
+``run_pipeline`` call with ``threads`` > 1 and a later selected stage that
+reads shapes, ingest may leave ``shapes.csv`` to a background child; the
+entries of ingest and the stages run beside it are held (they count as
+finished for "run X first") and recorded in stage order once the child is
+joined: before a cached check against an entry whose params match, before
+a parse, and at the end of the last selected stage. On any error or
+interrupt before then, the runner kills and reaps the child and removes
+the outputs of the held stages, which get no entry.
+
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
 """
@@ -29,7 +39,9 @@ so identical configs and inputs reproduce outputs bit for bit.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
+import json
 import math
 import os
 import warnings
@@ -37,7 +49,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
-from . import analytics
+from . import analytics, ingest
 from .cluster import adaptive_kmeans, hierarchical_merge, load_model, save_model
 from .config import flag, read_config
 from .dictionary import (
@@ -62,6 +74,13 @@ from .preprocess import ShapeTable, preprocess_days, subsample, SUBSAMPLE_ALGORI
 
 MANIFEST_NAME = "run_manifest.json"
 
+# How much nicer than the run the background writer of shapes.csv runs: on
+# a busy core the stages beside it go first, and once the runner waits for
+# it nothing of the run competes. On a 2-vCPU host an acceptance-size
+# `loadshapes run --threads 2` with BLAS on one thread took 4.1 s with 5,
+# 10 or 19 and 4.6-4.8 s at the run's own priority (5.2 s writing first).
+BACKGROUND_NICE = 5
+
 
 # Stage bodies, in pipeline order. ``read`` holds, by kind, the HANDED
 # objects and configured weather and survey rows the stage reads; a body
@@ -77,7 +96,7 @@ def _ingest(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
         ]
     table, report = preprocess_days(days)
     report_payload["cleaning"] = report.counts()
-    table.write_csv(out / "shapes.csv", workers=config.threads)
+    cache.write(table, out / "shapes.csv", config.threads)
     report.write_csv(out / "cleaning_report.csv")
     _write_json(out / "ingest_report.json", report_payload)
     return {"shapes": table}
@@ -313,6 +332,11 @@ def _file_digest(path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def _stat_key(path) -> tuple:
+    st = os.stat(path)
+    return (st.st_size, st.st_mtime_ns, st.st_ino)
+
+
 class RunCache:
     """What one ``run_pipeline`` call has digested and parsed.
 
@@ -325,16 +349,28 @@ class RunCache:
     is stored under its kind and the sha256 of every file it is made from,
     so a reader finds it only while those files hold what it was made
     from, and parses them otherwise; ``ingest._frozen`` makes it read-only.
+
+    With ``join_at``, the stage after whose body it joins the write,
+    ``write`` may leave a table's file to a background child, whose
+    ExitStack stands in for the file's digest until ``join``; ``record``
+    holds the entries in ``held`` (None while a stage runs) until then.
     """
 
-    def __init__(self):
+    def __init__(self, join_at: str | None = None):
         self._digests: dict = {}  # resolved path -> (stat key, sha256)
         self.objects: dict = {}  # (kind, sha256 of each file) -> read-only object
+        self.join_at = join_at
+        self.writing: dict = {}  # resolved path -> (ExitStack of its ingest._forked, results)
+        self.joined: dict = {}  # that ExitStack -> the sha256 its child handed back
+        self.held: dict = {}  # stage -> manifest entry, in stage order
 
     def digest(self, path) -> str:
+        """The file's sha256; for a file still being written, the
+        ExitStack of its writer."""
         path = os.path.realpath(path)
-        st = os.stat(path)
-        stat = (st.st_size, st.st_mtime_ns, st.st_ino)
+        if path in self.writing:
+            return self.writing[path][0]
+        stat = _stat_key(path)
         known = self._digests.get(path)
         if known is None or known[0] != stat:
             known = self._digests[path] = (stat, _file_digest(path))
@@ -353,11 +389,74 @@ class RunCache:
 
     def read(self, kind: str, paths, parse: Callable):
         """The object stored for what ``paths`` hold, or ``parse()`` made
-        read-only and stored."""
+        read-only and stored; a parse waits for the write in flight."""
         key = self.key(kind, paths)
+        if key not in self.objects and self.writing:
+            self.join()
+            key = self.key(kind, paths)
         if key not in self.objects:
             self.objects[key] = _frozen(parse())
         return self.objects[key]
+
+    def write(self, table, path, workers: int) -> None:
+        """Write ``table`` to ``path`` with up to ``workers`` processes:
+        with ``join_at``, for a table the writer would split, in a
+        background child, ``BACKGROUND_NICE`` nicer, that hands back the
+        file's sha256, so this process never reads it back."""
+        if self.join_at and len(table) // ingest.CSV_BLOCK_ROWS >= 2:
+            writer = contextlib.ExitStack()
+            shard, shards, results = writer.enter_context(ingest._forked(2, group=True))
+            if shard:  # the background child, which ends with the block
+                with writer:
+                    os.nice(BACKGROUND_NICE)
+                    table.write_csv(path, workers=workers)
+                    results.write(_file_digest(path).encode())
+            if shards > 1:
+                self.writing[os.path.realpath(path)] = writer, results
+                return
+            writer.close()
+        table.write_csv(path, workers=workers)
+
+    def join(self) -> None:
+        """Wait for the write in flight, if any; its sha256 takes its
+        child's place in the object keys. A failed child fails ingest,
+        naming the file."""
+        for path, (writer, results) in self.writing.items():
+            with writer:
+                code, file = next(results)
+                digest = self.joined[writer] = file.read().decode()
+            if code:
+                raise StageError("ingest", f"{path}: the background process writing it "
+                                 f"failed (exit code {code})")
+            self._digests[path] = (_stat_key(path), digest)
+            self.objects = {tuple(digest if d is writer else d for d in key): obj
+                            for key, obj in self.objects.items()}
+        self.writing = {}
+
+    def record(self, manifest: Manifest) -> None:
+        """Record every held entry in ``manifest``, in stage order, unless
+        a write is in flight."""
+        if not self.writing:
+            for name, entry in self.held.items():
+                # a joined writer's ExitStack, which JSON cannot encode, becomes its sha256
+                entry = json.loads(json.dumps(entry, default=self.joined.__getitem__))
+                manifest.update(name, entry)
+            self.held = {}
+
+    def abandon(self, out: Path) -> None:
+        """After a failure: kill and reap the child of a write in flight,
+        and remove the outputs of the held stages, which get no entry."""
+        for writer, _ in self.writing.values():
+            writer.close()
+        for stage in self.held:
+            _remove(out / name for name in STAGES[stage].outputs)
+        self.writing, self.held = {}, {}
+
+
+def _remove(paths) -> None:
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
 
 
 class Manifest:
@@ -422,13 +521,20 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     """Check, then run or skip, one stage; every stage function calls this."""
     config.validate()
     out = Path(config.out)
+    if not out.is_dir() and out.exists():  # before the upstream checks, which would blame ingest
+        raise StageError(stage.name, f"cannot make output directory {out} "
+                         f"({os.strerror(errno.EEXIST)})")
     manifest = manifest or Manifest(out)
+    cache = cache or RunCache()
     inputs = []
     for name in stage.requires:
-        if not (out / name).exists() or manifest.entry(_PRODUCER[name]) is None:
+        producer = _PRODUCER[name]
+        # a held stage has finished, though its entry or its file may not be there yet
+        if producer not in cache.held and (
+                not (out / name).exists() or manifest.entry(producer) is None):
             state = "not finished" if (out / name).exists() else "missing"
             raise StageError(stage.name, f"upstream artifact '{name}' is {state}; "
-                             f"run `{_PRODUCER[name]}` first")
+                             f"run `{producer}` first")
         inputs.append(out / name)
     if "meter" in stage.sources and config.meter is None:
         raise StageError(stage.name, "no meter file configured")
@@ -443,20 +549,25 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     except OSError as exc:
         raise StageError(stage.name,
                          f"cannot make output directory {out} ({exc.strerror})") from exc
-    cache = cache or RunCache()
     effective = config.effective_params()
+    params_hash = _json_digest({key: effective[key] for key in stage.params})
+    recorded = manifest.entry(stage.name)
+    if isinstance(recorded, dict) and recorded.get("params_hash") == params_hash:
+        cache.join()  # the check below needs the digest of every input
     entry = {
-        "params_hash": _json_digest({key: effective[key] for key in stage.params}),
+        "params_hash": params_hash,
         "inputs": {_relative(p, out): cache.digest(p) for p in inputs},
     }
-    recorded = manifest.entry(stage.name)
     if isinstance(recorded, dict) and recorded == {**entry, "outputs": recorded.get("outputs")}:
         # a missing or rewritten output never matches the digest the stage recorded
         present = [name for name in stage.outputs if (out / name).exists()]
         if recorded["outputs"] == {name: cache.digest(out / name) for name in present}:
+            cache.record(manifest)
             return StageResult(stage.name, "cached")
     manifest.drop(stage.name)  # no entry until the outputs are whole: a kill re-runs it
     cache.forget(out / name for name in stage.outputs)
+    if cache.join_at:
+        cache.held[stage.name] = None  # its outputs go if the run fails before the join
     try:
         read = {}
         for kind in stage.reads:
@@ -474,11 +585,14 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
             cache.keep(kind, [out / name for name in HANDED[kind][0]], obj)
         entry["outputs"] = {name: cache.digest(out / name) for name in stage.outputs}
     except Exception as exc:
-        for name in stage.outputs:
-            with contextlib.suppress(OSError):
-                (out / name).unlink(missing_ok=True)
+        _remove(out / name for name in stage.outputs)
+        if isinstance(exc, StageError):  # a background write that failed: ingest's error
+            raise
         raise StageError(stage.name, str(exc)) from exc
-    manifest.update(stage.name, entry)
+    cache.held[stage.name] = entry
+    if stage.name == cache.join_at:
+        cache.join()
+    cache.record(manifest)
     return StageResult(stage.name, "ran")
 
 
@@ -502,12 +616,19 @@ stage_analyze = _STAGE_FNS["analyze"]
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
-    """Execute the selected stages in order, skipping cached ones."""
+    """Execute the selected stages in order, skipping cached ones; with
+    ``threads`` > 1, ingest may write ``shapes.csv`` beside the later
+    stages (see the module docstring)."""
     config.validate()
+    selected = [name for name in PIPELINE_STAGES if name in config.stages]
     manifest = Manifest(Path(config.out))
-    cache = RunCache()  # this run only
+    overlap = config.threads > 1 and any("shapes" in STAGES[name].reads for name in selected)
+    cache = RunCache(join_at=selected[-1] if overlap else None)  # this run only
     result = RunResult(run_id=run_id_for(config, cache))
-    for stage in PIPELINE_STAGES:
-        if stage in config.stages:
-            result.results.append(_STAGE_FNS[stage](config, manifest, cache))
+    try:
+        for name in selected:
+            result.results.append(_STAGE_FNS[name](config, manifest, cache))
+    except BaseException:
+        cache.abandon(Path(config.out))
+        raise
     return result

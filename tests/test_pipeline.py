@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 import warnings
 from pathlib import Path
 from types import MappingProxyType
@@ -287,8 +288,9 @@ def test_artifacts_and_run_id_do_not_depend_on_threads(smoke_corpus, smoke_run, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sharded = run_pipeline(smoke_config(smoke_corpus, sharded_out, threads=2))
-    # the meter file was parsed, and shapes.csv and assignments.csv were
-    # each formatted, by two processes
+    # forked here: the child parsing the meter file's second range, the
+    # background writer of shapes.csv (which forks the child formatting its
+    # second range itself) and the child formatting assignments.csv's
     assert len(forks) == 3
     assert sharded.run_id == result.run_id
     for name in SMOKE_SHA256:
@@ -326,6 +328,166 @@ def test_failed_sharded_shapes_write_removes_its_output_and_manifest_entry(
     assert Manifest(out).entry("ingest") is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The pids of the children that write shapes.csv in the background,
+    each made the leader of a process group of its own."""
+    pids, setpgid = [], os.setpgid
+
+    def noted(pid, pgid):
+        if pid:  # this process placing a child, not a child placing itself
+            pids.append(pid)
+        return setpgid(pid, pgid)
+
+    monkeypatch.setattr(os, "setpgid", noted)
+    return pids
+
+
+def _run(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_pipeline(config)
+
+
+def _files(out) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+def _alive_in_group(pgid) -> list:
+    """Pids of the processes of group ``pgid`` that are not yet dead, after
+    up to 5 s for a killed one to go."""
+    deadline = time.monotonic() + 5
+    while True:
+        alive = []
+        for entry in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:  # gone meanwhile
+                continue
+            state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+            if int(pgrp) == pgid and state not in "ZX":
+                alive.append(int(entry))
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
+def test_a_failed_background_write_fails_ingest_and_leaves_nothing(
+    smoke_corpus, tmp_path, monkeypatch, forks, writers
+):
+    out = tmp_path / "out"
+    clustered = []
+    monkeypatch.setattr(pipeline, "adaptive_kmeans",
+                        _counting(clustered, "adaptive_kmeans", pipeline.adaptive_kmeans))
+    parent, write = os.getpid(), ShapeTable.write_csv
+
+    def failing(self, path, workers=1):
+        if os.getpid() != parent:
+            raise OSError("no space left")
+        return write(self, path, workers=workers)
+
+    monkeypatch.setattr(ShapeTable, "write_csv", failing)
+    with pytest.raises(StageError, match=r"^stage 'ingest': .*shapes\.csv: the background "
+                                         r"process writing it failed \(exit code 1\)$"):
+        _run(smoke_config(smoke_corpus, out, threads=2))
+    assert len(writers) == 1 and clustered == ["adaptive_kmeans"]
+    # no shapes.csv, no output of a later stage, no manifest, no part or temp file
+    assert list(out.iterdir()) == []
+    assert all(Manifest(out).entry(stage) is None for stage in PIPELINE_STAGES)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+def test_an_interrupt_beside_the_background_write_kills_it_and_a_rerun_is_whole(
+    smoke_corpus, tmp_path, forks, writers
+):
+    out = tmp_path / "out"
+    config = smoke_config(smoke_corpus, out, threads=2)
+    _run(config)
+    whole = _files(out)
+    shutil.rmtree(out)
+    parent, blocks = os.getpid(), ingest.KeyedTable._csv_blocks
+
+    def hanging(self, lo, hi, *columns):  # the writer's second range never ends
+        if os.getpid() != parent and lo:
+            time.sleep(60)
+        return blocks(self, lo, hi, *columns)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest.KeyedTable, "_csv_blocks", hanging)
+        patch.setattr(pipeline, "adaptive_kmeans", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _run(config)
+    assert len(writers) == 2
+    assert _alive_in_group(writers[1]) == []  # the writer and the child it forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(out.iterdir()) == []
+    assert [r.status for r in _run(config).results] == ["ran"] * 5
+    assert _files(out) == whole
+
+
+def test_only_a_run_with_threads_and_a_later_shapes_reader_writes_in_the_background(
+    smoke_corpus, tmp_path, forks, writers
+):
+    _run(smoke_config(smoke_corpus, tmp_path / "one", threads=1))
+    _run(smoke_config(smoke_corpus, tmp_path / "alone", threads=2, stages=("ingest",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stage in _STAGE_FNS.values():
+            assert stage(smoke_config(smoke_corpus, tmp_path / "staged", threads=2)).status == "ran"
+    assert writers == []
+    _run(smoke_config(smoke_corpus, tmp_path / "two", threads=2))
+    assert len(writers) == 1
+    for out in ("alone", "staged", "two"):
+        assert filecmp.cmp(tmp_path / "one" / "shapes.csv", tmp_path / out / "shapes.csv",
+                           shallow=False), out
+
+
+def test_a_cold_run_records_the_same_manifest_with_a_background_write(
+    smoke_corpus, tmp_path, forks, writers
+):
+    for threads in (1, 2):
+        _run(smoke_config(smoke_corpus, tmp_path / f"threads{threads}", threads=threads))
+    assert len(writers) == 1
+    assert _files(tmp_path / "threads1") == _files(tmp_path / "threads2")
+
+
+def test_a_cut_shapes_csv_is_rebuilt_in_the_background_and_the_rest_stays_cached(
+    smoke_corpus, tmp_path, forks, writers
+):
+    out = tmp_path / "out"
+    config = smoke_config(smoke_corpus, out, threads=2)
+    _run(config)
+    whole = _files(out)
+    shapes = (out / "shapes.csv").read_bytes()
+    (out / "shapes.csv").write_bytes(shapes[: len(shapes) // 3])
+    # cluster's entry matches on params: it joins the writer for its cached check
+    assert [r.status for r in _run(config).results] == ["ran"] + ["cached"] * 4
+    assert len(writers) == 2
+    assert _files(out) == whole
+    assert [r.status for r in _run(config).results] == ["cached"] * 5
+
+
+def test_a_parse_beside_the_background_write_waits_for_it(smoke_corpus, tmp_path, forks,
+                                                          writers):
+    outs = [tmp_path / "threads1", tmp_path / "threads2"]
+    for threads, out in enumerate(outs, start=1):
+        _run(smoke_config(smoke_corpus, out, threads=threads))
+        (out / "shapes.csv").unlink()
+        # analyze runs on new params and parses dictionary.json while shapes.csv is written
+        result = _run(smoke_config(smoke_corpus, out, threads=threads,
+                                   stages=("ingest", "analyze"),
+                                   coverage_weight="discretionary"))
+        assert [r.status for r in result.results] == ["ran", "ran"]
+    assert len(writers) == 2
+    assert _files(outs[0]) == _files(outs[1])
 
 
 def test_analytics_carry_run_id_provenance(smoke_run):
@@ -654,6 +816,19 @@ def test_an_out_path_naming_a_file_fails_ingest(smoke_corpus, tmp_path, capsys, 
                  "--meter", str(smoke_corpus["meter"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: stage 'ingest': cannot make output directory {out} (")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["cluster", "truncate", "assign", "analyze"])
+def test_an_out_path_naming_a_file_fails_a_reading_stage_as_mkdir_would(tmp_path, capsys,
+                                                                         command):
+    # no ingest run could make a file a directory: the upstream checks must not blame it
+    out = tmp_path / "taken.txt"
+    out.write_text("not a directory\n")
+    assert main([command, "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: stage '{command}': cannot make output directory {out} "
+                   "(File exists)\n")
     assert out.read_text() == "not a directory\n"
 
 
