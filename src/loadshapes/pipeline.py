@@ -27,10 +27,10 @@ A stage's entry is recorded once its outputs are whole. In a
 reads shapes, ingest may leave ``shapes.csv`` to a background child; the
 entries of ingest and the stages run beside it are held (they count as
 finished for "run X first") and recorded in stage order once the child is
-joined: before a cached check against an entry whose params match, before
-a parse, and at the end of the last selected stage. On any error or
-interrupt before then, the runner kills and reaps the child and removes
-the outputs of the held stages, which get no entry.
+joined: before a cached check against an entry whose params match, or at
+the end of the last selected stage; a parse meanwhile takes ingest's table,
+never shapes.csv. On any error or interrupt before then, the runner kills and
+reaps the child and removes the outputs of the held stages, which get no entry.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
@@ -41,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import hashlib
-import json
 import math
 import os
 import warnings
@@ -352,8 +351,10 @@ class RunCache:
 
     With ``join_at``, the stage after whose body it joins the write,
     ``write`` may leave a table's file to a background child, whose
-    ExitStack stands in for the file's digest until ``join``; ``record``
-    holds the entries in ``held`` (None while a stage runs) until then.
+    ExitStack stands in for the file's digest in object keys until
+    ``join``, at a cached check whose params match or after that body;
+    ``record`` holds the stages in ``held`` (None while a stage runs)
+    until then and builds their ``entry`` after it.
     """
 
     def __init__(self, join_at: str | None = None):
@@ -361,8 +362,7 @@ class RunCache:
         self.objects: dict = {}  # (kind, sha256 of each file) -> read-only object
         self.join_at = join_at
         self.writing: dict = {}  # resolved path -> (ExitStack of its ingest._forked, results)
-        self.joined: dict = {}  # that ExitStack -> the sha256 its child handed back
-        self.held: dict = {}  # stage -> manifest entry, in stage order
+        self.held: dict = {}  # stage -> (params hash, input paths), in stage order
 
     def digest(self, path) -> str:
         """The file's sha256; for a file still being written, the
@@ -389,11 +389,8 @@ class RunCache:
 
     def read(self, kind: str, paths, parse: Callable):
         """The object stored for what ``paths`` hold, or ``parse()`` made
-        read-only and stored; a parse waits for the write in flight."""
+        read-only and stored."""
         key = self.key(kind, paths)
-        if key not in self.objects and self.writing:
-            self.join()
-            key = self.key(kind, paths)
         if key not in self.objects:
             self.objects[key] = _frozen(parse())
         return self.objects[key]
@@ -424,7 +421,7 @@ class RunCache:
         for path, (writer, results) in self.writing.items():
             with writer:
                 code, file = next(results)
-                digest = self.joined[writer] = file.read().decode()
+                digest = file.read().decode()
             if code:
                 raise StageError("ingest", f"{path}: the background process writing it "
                                  f"failed (exit code {code})")
@@ -433,14 +430,19 @@ class RunCache:
                             for key, obj in self.objects.items()}
         self.writing = {}
 
+    def entry(self, params_hash: str, inputs, outputs, out: Path) -> dict:
+        """A stage's manifest entry; input paths are relative to ``out``."""
+        return {"params_hash": params_hash,
+                "inputs": {_relative(p, out): self.digest(p) for p in inputs},
+                "outputs": {name: self.digest(out / name) for name in outputs}}
+
     def record(self, manifest: Manifest) -> None:
-        """Record every held entry in ``manifest``, in stage order, unless
-        a write is in flight."""
+        """Record the entry of every held stage in ``manifest``, in stage
+        order, unless a write is in flight."""
         if not self.writing:
-            for name, entry in self.held.items():
-                # a joined writer's ExitStack, which JSON cannot encode, becomes its sha256
-                entry = json.loads(json.dumps(entry, default=self.joined.__getitem__))
-                manifest.update(name, entry)
+            for name, (params_hash, inputs) in self.held.items():
+                manifest.update(name, self.entry(params_hash, inputs, STAGES[name].outputs,
+                                                 manifest.path.parent))
             self.held = {}
 
     def abandon(self, out: Path) -> None:
@@ -521,9 +523,11 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     """Check, then run or skip, one stage; every stage function calls this."""
     config.validate()
     out = Path(config.out)
-    if not out.is_dir() and out.exists():  # before the upstream checks, which would blame ingest
-        raise StageError(stage.name, f"cannot make output directory {out} "
-                         f"({os.strerror(errno.EEXIST)})")
+    # a file at or above out fails as mkdir would, before the upstream checks blame ingest
+    existing = next((path for path in (out, *out.parents) if path.exists()), None)
+    if existing and not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise StageError(stage.name, f"cannot make output directory {out} ({os.strerror(code)})")
     manifest = manifest or Manifest(out)
     cache = cache or RunCache()
     inputs = []
@@ -554,16 +558,14 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
     recorded = manifest.entry(stage.name)
     if isinstance(recorded, dict) and recorded.get("params_hash") == params_hash:
         cache.join()  # the check below needs the digest of every input
-    entry = {
-        "params_hash": params_hash,
-        "inputs": {_relative(p, out): cache.digest(p) for p in inputs},
-    }
-    if isinstance(recorded, dict) and recorded == {**entry, "outputs": recorded.get("outputs")}:
-        # a missing or rewritten output never matches the digest the stage recorded
-        present = [name for name in stage.outputs if (out / name).exists()]
-        if recorded["outputs"] == {name: cache.digest(out / name) for name in present}:
-            cache.record(manifest)
-            return StageResult(stage.name, "cached")
+        entry = cache.entry(params_hash, inputs, (), out)
+        if recorded.get("inputs") == entry["inputs"]:  # only then hash the outputs
+            # a missing or rewritten output never matches the digest the stage recorded
+            present = [name for name in stage.outputs if (out / name).exists()]
+            entry["outputs"] = cache.entry(params_hash, (), present, out)["outputs"]
+            if recorded == entry:
+                cache.record(manifest)
+                return StageResult(stage.name, "cached")
     manifest.drop(stage.name)  # no entry until the outputs are whole: a kill re-runs it
     cache.forget(out / name for name in stage.outputs)
     if cache.join_at:
@@ -583,13 +585,10 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
                 read[kind] = cache.read(kind, [path], lambda: reader(path))
         for kind, obj in stage.body(config, out, read, cache).items():
             cache.keep(kind, [out / name for name in HANDED[kind][0]], obj)
-        entry["outputs"] = {name: cache.digest(out / name) for name in stage.outputs}
     except Exception as exc:
         _remove(out / name for name in stage.outputs)
-        if isinstance(exc, StageError):  # a background write that failed: ingest's error
-            raise
         raise StageError(stage.name, str(exc)) from exc
-    cache.held[stage.name] = entry
+    cache.held[stage.name] = params_hash, inputs
     if stage.name == cache.join_at:
         cache.join()
     cache.record(manifest)

@@ -24,6 +24,7 @@ from loadshapes.pipeline import (
     _STAGE_FNS,
     MANIFEST_NAME,
     PIPELINE_STAGES,
+    STAGES,
     Manifest,
     RunCache,
     RunConfig,
@@ -374,13 +375,8 @@ def _alive_in_group(pgid) -> list:
         time.sleep(0.05)
 
 
-def test_a_failed_background_write_fails_ingest_and_leaves_nothing(
-    smoke_corpus, tmp_path, monkeypatch, forks, writers
-):
-    out = tmp_path / "out"
-    clustered = []
-    monkeypatch.setattr(pipeline, "adaptive_kmeans",
-                        _counting(clustered, "adaptive_kmeans", pipeline.adaptive_kmeans))
+def _fail_the_background_write(monkeypatch) -> None:
+    """Make ShapeTable.write_csv raise in any child of this process."""
     parent, write = os.getpid(), ShapeTable.write_csv
 
     def failing(self, path, workers=1):
@@ -389,8 +385,21 @@ def test_a_failed_background_write_fails_ingest_and_leaves_nothing(
         return write(self, path, workers=workers)
 
     monkeypatch.setattr(ShapeTable, "write_csv", failing)
-    with pytest.raises(StageError, match=r"^stage 'ingest': .*shapes\.csv: the background "
-                                         r"process writing it failed \(exit code 1\)$"):
+
+
+BACKGROUND_WRITE_FAILED = (r"^stage 'ingest': .*shapes\.csv: the background process writing "
+                           r"it failed \(exit code 1\)$")
+
+
+def test_a_failed_background_write_fails_ingest_and_leaves_nothing(
+    smoke_corpus, tmp_path, monkeypatch, forks, writers
+):
+    out = tmp_path / "out"
+    clustered = []
+    monkeypatch.setattr(pipeline, "adaptive_kmeans",
+                        _counting(clustered, "adaptive_kmeans", pipeline.adaptive_kmeans))
+    _fail_the_background_write(monkeypatch)
+    with pytest.raises(StageError, match=BACKGROUND_WRITE_FAILED):
         _run(smoke_config(smoke_corpus, out, threads=2))
     assert len(writers) == 1 and clustered == ["adaptive_kmeans"]
     # no shapes.csv, no output of a later stage, no manifest, no part or temp file
@@ -398,6 +407,33 @@ def test_a_failed_background_write_fails_ingest_and_leaves_nothing(
     assert all(Manifest(out).entry(stage) is None for stage in PIPELINE_STAGES)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_background_write_found_at_a_cached_check_fails_ingest(
+    smoke_corpus, tmp_path, monkeypatch, forks, writers
+):
+    out = tmp_path / "out"
+    config = smoke_config(smoke_corpus, out, threads=2)
+    _run(config)
+    whole = _files(out)
+    shapes = (out / "shapes.csv").read_bytes()
+    (out / "shapes.csv").write_bytes(shapes[: len(shapes) // 3])
+    clustered = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "adaptive_kmeans",
+                      _counting(clustered, "adaptive_kmeans", pipeline.adaptive_kmeans))
+        _fail_the_background_write(patch)
+        # cluster's params match: its cached check waits for the writer
+        with pytest.raises(StageError, match=BACKGROUND_WRITE_FAILED):
+            _run(config)
+    assert len(writers) == 2 and clustered == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for name in STAGES["ingest"].outputs:
+        assert not (out / name).exists(), name
+    assert Manifest(out).entry("ingest") is None
+    assert [r.status for r in _run(config).results] == ["ran"] + ["cached"] * 4
+    assert _files(out) == whole
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
@@ -475,18 +511,51 @@ def test_a_cut_shapes_csv_is_rebuilt_in_the_background_and_the_rest_stays_cached
     assert [r.status for r in _run(config).results] == ["cached"] * 5
 
 
-def test_a_parse_beside_the_background_write_waits_for_it(smoke_corpus, tmp_path, forks,
-                                                          writers):
+def test_a_parse_beside_the_background_write_never_reads_shapes_csv(
+    smoke_corpus, tmp_path, monkeypatch, forks, writers
+):
+    """While shapes.csv is written, every stage takes ingest's table, so
+    the other parsers run beside the write and only the end of the last
+    selected stage waits for it."""
+    caches, events = [], []
+    init = RunCache.__init__
+
+    def noted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        caches.append(self)
+
+    def event(name, fn):
+        def traced(*args, **kwargs):
+            if name != "join" or caches[-1].writing:  # a join with nothing to wait for is none
+                events.append((name, bool(caches[-1].writing)))
+            return fn(*args, **kwargs)
+
+        return traced
+
+    monkeypatch.setattr(RunCache, "__init__", noted)
+    monkeypatch.setattr(RunCache, "join", event("join", RunCache.join))
+    for owner, name in ((pipeline, "load_model"), (pipeline, "load_dictionary"),
+                        (AssignmentTable, "read_csv"), (pipeline, "truncate"),
+                        (analytics, "occurrence_map")):  # the last two: the end of a body
+        monkeypatch.setattr(owner, name, event(name, getattr(owner, name)))
+    parse = ShapeTable._parse_csv
+    monkeypatch.setattr(ShapeTable, "_parse_csv",
+                        classmethod(event("_parse_csv", lambda cls, path: parse(path))))
+    runs = [(("ingest", "analyze"), {"coverage_weight": "discretionary"},
+             ["load_dictionary", "read_csv", "occurrence_map"]),
+            (("ingest", "truncate"), {"truncate_violation": 0.2}, ["load_model", "truncate"])]
     outs = [tmp_path / "threads1", tmp_path / "threads2"]
     for threads, out in enumerate(outs, start=1):
         _run(smoke_config(smoke_corpus, out, threads=threads))
-        (out / "shapes.csv").unlink()
-        # analyze runs on new params and parses dictionary.json while shapes.csv is written
-        result = _run(smoke_config(smoke_corpus, out, threads=threads,
-                                   stages=("ingest", "analyze"),
-                                   coverage_weight="discretionary"))
-        assert [r.status for r in result.results] == ["ran", "ran"]
-    assert len(writers) == 2
+        for stages, changed, calls in runs:
+            (out / "shapes.csv").unlink()
+            events.clear()
+            result = _run(smoke_config(smoke_corpus, out, threads=threads, stages=stages,
+                                       **changed))
+            assert [r.status for r in result.results] == ["ran", "ran"]
+            beside = threads == 2  # the parses run while the write does, then one join
+            assert events == [(name, beside) for name in calls] + [("join", True)] * beside
+    assert len(writers) == 3
     assert _files(outs[0]) == _files(outs[1])
 
 
@@ -792,6 +861,8 @@ def test_failed_stage_command_leaves_no_output_directory(tmp_path, capsys):
     assert main(["ingest", "--seed", "1", "--out", str(out),
                  "--meter", str(tmp_path / "missing.csv")]) == 1
     assert "input file not found" in capsys.readouterr().err
+    assert main(["ingest", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: stage 'ingest': no meter file configured\n"
     assert not out.exists()
 
 
@@ -830,6 +901,29 @@ def test_an_out_path_naming_a_file_fails_a_reading_stage_as_mkdir_would(tmp_path
     assert err == (f"error: stage '{command}': cannot make output directory {out} "
                    "(File exists)\n")
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["run", *PIPELINE_STAGES])
+def test_an_out_path_under_a_file_fails_every_stage_as_mkdir_would(smoke_corpus, tmp_path,
+                                                                   capsys, command):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    out = taken / "sub"
+    assert main([command, "--seed", "1", "--out", str(out),
+                 "--meter", str(smoke_corpus["meter"])]) == 1
+    stage = "ingest" if command == "run" else command
+    assert capsys.readouterr().err == (f"error: stage '{stage}': cannot make output "
+                                       f"directory {out} (Not a directory)\n")
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_an_empty_meter_file_fails_ingest(tmp_path, capsys):
+    meter = tmp_path / "meter.csv"
+    meter.write_bytes(b"")
+    assert main(["ingest", "--seed", "1", "--out", str(tmp_path / "out"),
+                 "--meter", str(meter)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: stage 'ingest': {meter}: file is empty")
 
 
 def test_manifest_write_failure_keeps_previous_manifest(tmp_path, monkeypatch):
@@ -929,6 +1023,18 @@ def test_run_config_bad_value_names_the_key(tmp_path, key):
         RunConfig.from_file(path)
 
 
+def test_a_config_file_skips_blank_and_comment_lines_and_names_a_line_without_a_key(
+    tmp_path, capsys
+):
+    path = tmp_path / "run.cfg"
+    path.write_text("# the smoke settings\n\nseed=11\n  # indented\nsample=500\n")
+    assert RunConfig.from_file(path) == RunConfig(seed=11, sample=500)
+    path.write_text("seed=11\n\nsample 500\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {path}:3: expected key=value\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_damaged_manifest_is_treated_as_empty(smoke_corpus, smoke_run, tmp_path):
     _, out, _ = smoke_run
     copy = tmp_path / "damaged"
@@ -1014,6 +1120,44 @@ def test_cold_run_and_cached_rerun_digest_each_file_once(smoke_corpus, tmp_path,
     digests.clear()
     assert [r.status for r in run_pipeline(config).results] == ["cached"] * 5
     assert sorted(digests) == FILES_OF_A_RUN
+
+
+def _analyze_without_a_summer_date(smoke_corpus, smoke_run, tmp_path) -> tuple:
+    """Analyze a copy of the smoke run with the weather file's first summer
+    date left out: the output directory and that date."""
+    _, out, _ = smoke_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    lines = Path(smoke_corpus["weather"]).read_text().splitlines(keepends=True)
+    cut = next(i for i, line in enumerate(lines[1:], 1) if line[5:7] in ("06", "07", "08"))
+    (tmp_path / "weather.csv").write_text("".join(lines[:cut] + lines[cut + 1:]))
+    config = smoke_config(smoke_corpus, copy, weather=str(tmp_path / "weather.csv"))
+    assert stage_analyze(config).status == "ran"
+    return copy, lines[cut].split(",")[0]
+
+
+def test_a_cached_check_on_changed_inputs_hashes_no_output(smoke_corpus, smoke_run,
+                                                           tmp_path, digests):
+    _analyze_without_a_summer_date(smoke_corpus, smoke_run, tmp_path)
+    # the inputs once, for the check; the meter file for the run id; each
+    # output once, after the stage ran
+    assert sorted(digests) == sorted(["shapes.csv", "dictionary.json", "assignments.csv",
+                                      "weather.csv", "survey.csv", "meter.csv",
+                                      *STAGES["analyze"].outputs])
+
+
+def test_analyze_records_why_it_skipped_the_temperature_strata(smoke_corpus, smoke_run,
+                                                              tmp_path):
+    copy, date = _analyze_without_a_summer_date(smoke_corpus, smoke_run, tmp_path)
+    for name in STAGES["analyze"].outputs:
+        first = (copy / name).read_text().splitlines()[0]
+        provenance = json.loads(first.removeprefix("# "))
+        assert provenance["temperature_strata_skipped"] == (
+            f"weather missing for 1 dates, e.g. {date}"), name
+        assert "temperature_boundaries" not in provenance
+    _, out, _ = smoke_run
+    assert "\ntemperature," in (out / "entropy_by_stratum.csv").read_text()
+    assert "\ntemperature," not in (copy / "entropy_by_stratum.csv").read_text()
 
 
 def _counting(calls: list, name: str, fn):
