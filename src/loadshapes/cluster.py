@@ -7,6 +7,11 @@ model is re-converged, until no shape violates theta or the split-round cap
 is reached. A greedy merge pass then consolidates the most similar centroid
 pairs for as long as the violation rate stays under a budget.
 
+Lloyd keeps no distance matrix: each row's nearest center and distance,
+refreshed only for the centers that moved, and each round's re-convergence
+starts from the previous round's assignment. Both give the bits of a full
+recompute from scratch.
+
 All randomness flows through one seeded numpy Generator; summation orders
 are fixed, so a given seed reproduces the model bit for bit.
 """
@@ -110,8 +115,11 @@ def _group_means(X, labels, d2min, centers, dirty):
     """
     k = len(centers)
     counts = np.bincount(labels, minlength=k)
-    rows = np.flatnonzero(dirty[labels])
-    sums = _group_sums(X[rows], labels[rows], k)
+    if dirty.all():
+        sums = _group_sums(X, labels, k)
+    else:
+        rows = np.flatnonzero(dirty[labels])
+        sums = _group_sums(X[rows], labels[rows], k)
     update = dirty & (counts > 0)
     centers = centers.copy()
     centers[update] = sums[update] / counts[update, None]
@@ -122,66 +130,121 @@ def _group_means(X, labels, d2min, centers, dirty):
     return centers, counts, empties
 
 
-def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
+def _nearest_center(d2):
+    """First-index argmin of every row of ``d2`` and the distance it picks."""
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(len(d2)), labels]
+
+
+def _two_or_more(idx, size):
+    """``idx`` with a neighbour added when it holds one of ``size >= 2``
+    indices: a product with one row or one column goes through gemv and
+    rounds differently."""
+    if len(idx) != 1 or size < 2:
+        return idx
+    i = min(idx[0], size - 2)
+    return np.array([i, i + 1])
+
+
+def _assign(X, xx, centers, labels, d2min, changed):
+    """Nearest center of every row, and its distance, after the centers
+    flagged in ``changed`` moved.
+
+    ``labels`` and ``d2min`` are the first-index argmin and the distance of
+    every row against the centers before the move. A row's distances to
+    unchanged centers keep their bits, so its new label is its old one
+    unless a changed center is nearer, or as near at a lower position; a
+    row whose own center moved gets its full row recomputed. That costs
+    ``n * |changed| + |own rows| * k`` products, with both sets widened to
+    two, against the full product's ``n * k``, and the cheaper way is
+    taken. The result equals the full product's argmin bit for bit. The
+    arguments are left as they were.
+    """
+    n, k = len(X), len(centers)
+    cols = _two_or_more(np.flatnonzero(changed), k)
+    own = _two_or_more(np.flatnonzero(changed[labels]), n)
+    if n * len(cols) + len(own) * k >= n * k:
+        return _nearest_center(_pairwise_sq_dists(X, centers, xx))
+    labels, d2min = labels.copy(), d2min.copy()
+    if len(cols):
+        j, v = _nearest_center(_pairwise_sq_dists(X, centers[cols], xx))
+        j = cols[j]
+        take = (v < d2min) | (v == d2min) & (j < labels)
+        labels[take], d2min[take] = j[take], v[take]
+    if len(own):
+        labels[own], d2min[own] = _nearest_center(_pairwise_sq_dists(X[own], centers, xx[own]))
+    return labels, d2min
+
+
+def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL, warm=None):
     """Lloyd iterations from given centers, for max_iter >= 1 and k <= n.
 
-    Returns (centers, labels, inertia) with centers equal to the exact means
+    Returns (centers, labels, state) with centers equal to the exact means
     of their assigned members, so downstream consistency checks hold to
     floating-point accuracy. An iteration that leaves a cluster empty
     relocates it and blocks convergence; if the last one does, a settling
     pass follows and clusters still empty are dropped.
 
-    The kernel is incremental and exact. It keeps one n x k distance matrix
-    and, after each mean update, recomputes only the columns of centers
-    that changed bitwise, with the expanded-form product of a full
-    recompute; a cluster's mean is recomputed only when a row moved into or
-    out of it. Results equal a full recompute bit for bit as long as every
-    element of a BLAS product with >= 2 rows and >= 2 columns rounds as in
-    the full product, so a lone changed column is refreshed together with
-    a neighbour (and k >= 2 implies n >= 2).
+    The kernel is incremental and exact. It keeps each row's label and
+    expanded-form distance ``d2min``, never an n x k matrix, and after each
+    mean update ``_assign`` refreshes them for the centers that changed
+    bitwise; a cluster's mean is recomputed only when a row moved into or
+    out of it, and an update that moves no center ends the loop.
+
+    ``state`` is ``(xx, labels, d2min, stale)``, with ``stale`` flagging the
+    centers that the final mean update moved, for which ``d2min`` is out of
+    date. Passed back as ``warm``, with the labels remapped to the positions
+    of the new ``centers`` and ``stale`` also set for every center that is
+    new, it starts the next call where this one ended; every center not
+    stale must be its members' mean. Without ``warm`` every center is stale
+    and the first assignment is the full product. Results equal a cold full
+    recompute bit for bit as long as every element of a BLAS product with
+    >= 2 rows and >= 2 columns rounds as in the full product.
     """
     centers = np.array(centers, dtype=float)
     n, k = len(X), len(centers)
-    rows = np.arange(n)
-    xx = (X**2).sum(axis=1)
-    d2 = _pairwise_sq_dists(X, centers, xx)
-    labels = d2.argmin(axis=1)
-    dirty = np.ones(k, dtype=bool)
+    if warm is None:
+        warm = ((X**2).sum(axis=1), np.zeros(n, dtype=np.int64), None, np.ones(k, dtype=bool))
+    xx, labels, d2min, changed = warm
+    dirty = changed.copy()  # a stale center need not be its members' mean
     prev_inertia = np.inf
     for it in range(max_iter + 1):
-        d2min = d2[rows, labels]
+        prev, (labels, d2min) = labels, _assign(X, xx, centers, labels, d2min, changed)
+        moved = labels != prev
+        dirty[labels[moved]] = dirty[prev[moved]] = True
         inertia = float(d2min.sum())
         new, counts, empties = _group_means(X, labels, d2min, centers, dirty)
         converged = prev_inertia - inertia <= rel_tol * max(inertia, 1e-300)
-        if it == max_iter or not len(empties) and (converged or it + 1 == max_iter):
-            centers = new
-            break
-        prev_inertia = inertia
-        cols = np.flatnonzero((new != centers).any(axis=1))
+        changed = (new != centers).any(axis=1)
         centers = new
-        if len(cols) == 1 and k > 1:
-            # a one-column product goes through gemv and rounds differently
-            c = min(cols[0], k - 2)
-            cols = np.array([c, c + 1])
-        if len(cols) == k:
-            d2 = _pairwise_sq_dists(X, centers, xx)
-        elif len(cols):
-            d2[:, cols] = _pairwise_sq_dists(X, centers[cols], xx)
-        prev, labels = labels, d2.argmin(axis=1)
-        moved = labels != prev
+        if it == max_iter or not changed.any() or not len(empties) and (
+                converged or it + 1 == max_iter):
+            break  # with no center moved, every later iteration repeats this one
+        prev_inertia = inertia
         dirty = np.zeros(k, dtype=bool)
-        dirty[labels[moved]] = dirty[prev[moved]] = True
     if len(empties):
-        centers = centers[counts > 0]
-        labels = (np.cumsum(counts > 0) - 1)[labels]  # each label's rank among the kept
-    inertia = float(((X - centers[labels]) ** 2).sum())
-    return centers, labels, inertia
+        kept = counts > 0
+        centers, changed = centers[kept], changed[kept]
+        labels = (np.cumsum(kept) - 1)[labels]  # each label's rank among the kept
+    return centers, labels, (xx, labels, d2min, changed)
+
+
+def _checked_rows(X, name) -> np.ndarray:
+    """X as a float array of rows; a wrong shape or a non-finite cell
+    raises ValueError before any work."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"{name} needs a 2-D array of rows, got shape {X.shape}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{name}: row {bad[0]} holds a non-finite value")
+    return X
 
 
 def kmeans(X, k, seed=None, n_init=1, rel_tol=DEFAULT_REL_TOL):
     """Best-of-n_init k-means++ / Lloyd's. Returns (centers, labels, inertia);
     a numpy Generator as ``seed`` is drawn from, not re-seeded."""
-    X = np.asarray(X, dtype=float)
+    X = _checked_rows(X, "kmeans")
     if len(X) == 0:
         raise EmptyInputError("kmeans on empty input")
     if k < 1:
@@ -194,7 +257,8 @@ def kmeans(X, k, seed=None, n_init=1, rel_tol=DEFAULT_REL_TOL):
     best = None
     for _ in range(n_init):
         init = _kmeans_pp_init(X, min(k, len(X)), rng)
-        centers, labels, inertia = _lloyd(X, init, rel_tol=rel_tol)
+        centers, labels, _ = _lloyd(X, init, rel_tol=rel_tol)
+        inertia = float(((X - centers[labels]) ** 2).sum())
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)
     return best
@@ -249,13 +313,15 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
                     seed: int = 0) -> ClusterModel:
     """Grow a clustering until every shape fits its centroid within theta.
 
-    Each round re-converges Lloyd's k-means, then splits every cluster that
-    still contains a shape with RSE > theta into two (2-means on its
-    members). Terminates with zero violations unless the round cap,
-    MAX_SPLIT_ROUNDS, triggers; a warning then reports the residual violations.
+    Each round splits every cluster that still contains a shape with RSE >
+    theta into two (2-means on its members), then re-converges Lloyd's
+    k-means from the previous round's assignment. Terminates with zero
+    violations unless the round cap, MAX_SPLIT_ROUNDS, triggers; a warning
+    then reports the residual violations.
     """
-    table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
-    X = table.values
+    is_table = isinstance(shapes, ShapeTable)
+    X = _checked_rows(shapes.values if is_table else shapes, "adaptive_kmeans")
+    table = shapes if is_table else _bare_table(X)
     if len(X) == 0:
         raise EmptyInputError("adaptive_kmeans on empty input")
     if not 0.0 < theta < np.inf:
@@ -264,6 +330,8 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
         raise ValueError("k_init must be >= 1")
     rng = np.random.default_rng(seed)
     centers, labels, _ = kmeans(X, min(k_init, len(X)), seed=rng)
+    # every center stale: the first round starts from the full product
+    state = ((X**2).sum(axis=1), labels, None, np.ones(len(centers), dtype=bool))
     rounds = 0
     while True:
         errors = rse_to_assigned(X, centers, labels)
@@ -279,14 +347,20 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
             )
             break
         bad_clusters = set(np.unique(labels[violating]).tolist())
-        new_centers = []
+        xx, _, d2min, stale = state
+        new_centers, position, new_stale = [], [], []
         for c, rows in enumerate(_members(labels, len(centers))):
+            position.append(len(new_centers))
             if c in bad_clusters and len(rows) >= 2:
                 sub, _, _ = kmeans(X[rows], 2, seed=rng)
                 new_centers.extend(sub)
+                new_stale.extend([True] * len(sub))
             else:
                 new_centers.append(centers[c])
-        centers, labels, _ = _lloyd(X, np.array(new_centers))
+                new_stale.append(stale[c])
+        # a split cluster's rows go to its first center; both are stale
+        state = (xx, np.array(position)[labels], d2min, np.array(new_stale))
+        centers, labels, state = _lloyd(X, np.array(new_centers), warm=state)
         rounds += 1
     meta = {
         "phase": "adaptive",

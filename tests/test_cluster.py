@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -263,10 +264,11 @@ def lloyd_cases(draw):
 
 
 def _lone_column_case():
-    # rows 0 and 1 sit on their start centers, so after the first mean
-    # update only center 2 (start: row 2, mean: midpoint of rows 2, 3) moves
-    X = np.zeros((4, 24))
-    X[0, 0] = X[1, 5] = 1.0
+    # rows 0 and 1, repeated in rows 4-7, sit on their start centers, so
+    # after the first mean update only center 2 (start: row 2, mean:
+    # midpoint of rows 2, 3) moves
+    X = np.zeros((8, 24))
+    X[[0, 4, 6], 0] = X[[1, 5, 7], 5] = 1.0
     X[2, 10], X[3, 10], X[3, 11] = 1.0, 1.0, 0.25
     return X, X[:3].copy(), 100, 1e-6
 
@@ -284,30 +286,50 @@ def test_incremental_lloyd_equals_full_recompute(case):
     X, C, max_iter, rel_tol = case
     got = _lloyd(X, C, max_iter, rel_tol)
     want = full_recompute_lloyd(X, C, max_iter, rel_tol)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:2], want[:2]):  # centers, labels
         assert np.array_equal(g, w)
 
 
-def test_lone_changed_column_is_refreshed_with_a_neighbour(monkeypatch):
-    X, C, max_iter, rel_tol = _lone_column_case()
-    widths = []
+def _lone_row_case():
+    # rows 0-7 sit on their start centers in pairs; row 8 starts nearest
+    # center 4, which the first mean update moves onto it, so center 4 is
+    # the lone changed column and row 8 the lone row whose own center moved
+    rng = np.random.default_rng(31)
+    X = np.repeat(rng.random((4, 24)), 2, axis=0)
+    X = np.vstack([X, X[0] + 10.0])
+    C = np.vstack([X[::2][:4], X[8] + 0.25])
+    return X, C, 100, 1e-6
+
+
+@pytest.mark.parametrize("case, labels", [
+    (_lone_column_case(), [0, 1, 2, 2, 0, 1, 0, 1]),
+    (_lone_row_case(), [0, 0, 1, 1, 2, 2, 3, 3, 4]),
+], ids=["lone_column", "lone_row"])
+def test_every_distance_product_is_at_least_two_by_two(monkeypatch, case, labels):
+    # a product with one row or one column goes through gemv, which rounds
+    # differently from the full product's gemm; both cases refresh one
+    # changed column, or the full row of one row, on the incremental path
+    X, C, max_iter, rel_tol = case
+    shapes = []
 
     def recording(X, C, xx=None):
-        widths.append(len(C))
+        shapes.append((len(X), len(C)))
         return _pairwise_sq_dists(X, C, xx)
 
     monkeypatch.setattr(cluster, "_pairwise_sq_dists", recording)
-    centers, labels, _ = _lloyd(X, C, max_iter, rel_tol)
-    # full start, then centers 1 and 2 only; the final pass moves nothing
-    assert widths == [3, 2]
-    assert labels.tolist() == [0, 1, 2, 2]
+    got = _lloyd(X, C, max_iter, rel_tol)
+    assert got[1].tolist() == labels
+    assert all(rows >= 2 and cols >= 2 for rows, cols in shapes), shapes
+    n, k = X.shape[0], len(C)
+    assert shapes[0] == (n, k)  # a cold start takes the full product
+    assert (n, 2) in shapes and (2, k) in shapes  # the widened column and row
 
 
 def test_blas_blocks_round_like_the_full_product():
-    # _lloyd refreshes distance columns with X @ C[cols].T and relies on
-    # every element of a product with >= 2 rows and >= 2 columns rounding
-    # as the same element of the full X @ C.T; a BLAS that breaks this
-    # fails here
+    # _assign refreshes distance columns with X @ C[cols].T and full rows
+    # with X[rows] @ C.T, and relies on every element of a product with
+    # >= 2 rows and >= 2 columns rounding as the same element of the full
+    # X @ C.T; a BLAS that breaks this fails here
     rng = np.random.default_rng(30)
     for n, k in [(2, 2), (7, 3), (500, 40), (3600, 100)]:
         X = unit_shapes(rng, n) * rng.gamma(2.0, size=(n, 1))
@@ -317,7 +339,156 @@ def test_blas_blocks_round_like_the_full_product():
             cols = np.sort(rng.choice(k, int(rng.integers(2, k + 1)), replace=False))
             rows = rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
             assert np.array_equal(X @ C[cols].T, full[:, cols])
+            assert np.array_equal(X[rows] @ C.T, full[rows])
             assert np.array_equal(X[rows] @ C[cols].T, full[np.ix_(rows, cols)])
+
+
+@st.composite
+def assign_cases(draw):
+    """(X, before, after, changed): n much larger than k, so that a small
+    changed set takes the incremental path. The centers flagged in
+    ``changed`` move from ``before`` to ``after``. Grid rows and grid
+    centers tie exactly; "dup" moves centers onto other centers, changed or
+    not; "lone" gives row 0 a far center of its own and moves only that
+    center, onto row 0."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(max(2, 4 * k), 80))
+    d = draw(st.sampled_from([2, 5, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+
+    def points(m):
+        return rng.integers(0, 4, (m, d)) / 4.0 if grid else rng.random((m, d))
+
+    X = points(n)
+    X = X[rng.integers(0, draw(st.integers(1, n)), n)]  # draws from the first m rows
+    before = points(k)
+    mode = draw(st.sampled_from(["none", "one", "some", "all", "dup", "lone"]))
+    if mode in ("none", "all"):
+        changed = np.full(k, mode == "all")
+    elif mode in ("one", "lone"):
+        changed = np.arange(k) == (rng.integers(k) if mode == "one" else 0)
+    else:
+        changed = rng.random(k) < 0.5
+    after = before.copy()
+    if mode == "dup":
+        after[changed] = before[rng.integers(0, k, int(changed.sum()))]
+    elif mode == "lone":
+        X[0] += 10.0
+        before[0] = X[0] + 0.25
+        after[0] = X[0]
+    else:
+        after[changed] = points(int(changed.sum()))
+    return X, before, after, changed
+
+
+def nearest_by_full_product(X, C, xx):
+    d2 = _pairwise_sq_dists(X, C, xx)
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(len(X)), labels]
+
+
+@settings(max_examples=300, deadline=None)
+@given(assign_cases())
+def test_assign_equals_the_full_products_argmin(case):
+    X, before, after, changed = case
+    xx = (X**2).sum(axis=1)
+    labels, d2min = nearest_by_full_product(X, before, xx)
+    kept = labels.copy(), d2min.copy()
+    got = cluster._assign(X, xx, after, labels, d2min, changed)
+    want = nearest_by_full_product(X, after, xx)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    for g, w in zip((labels, d2min), kept):  # the caller's state is left as it was
+        assert np.array_equal(g, w)
+
+
+def cold_adaptive_kmeans(X, theta, k_init, seed):
+    """Reference for adaptive_kmeans: the seed fit, every 2-means split and
+    every round's re-convergence run full_recompute_lloyd from scratch."""
+    rng = np.random.default_rng(seed)
+
+    def fit(X, centers):
+        return full_recompute_lloyd(X, centers, cluster.DEFAULT_MAX_ITER, cluster.DEFAULT_REL_TOL)
+
+    centers, labels, _ = fit(X, cluster._kmeans_pp_init(X, min(k_init, len(X)), rng))
+    rounds = 0
+    while True:
+        violating = cluster.rse_to_assigned(X, centers, labels) > theta
+        if not violating.any() or rounds == cluster.MAX_SPLIT_ROUNDS:
+            break
+        new = []
+        for c in range(len(centers)):
+            rows = np.flatnonzero(labels == c)
+            if violating[rows].any() and len(rows) >= 2:
+                new.extend(fit(X[rows], cluster._kmeans_pp_init(X[rows], 2, rng))[0])
+            else:
+                new.append(centers[c])
+        centers, labels, _ = fit(X, np.array(new))
+        rounds += 1
+    meta = {"phase": "adaptive", "seed": seed, "k_init": k_init, "split_rounds": rounds,
+            "residual_violations": int(violating.sum()), "k1": len(centers)}
+    return centers, labels, meta
+
+
+@st.composite
+def adaptive_cases(draw):
+    """(X, theta, k_init, seed) for one adaptive fit. Rows can repeat or
+    sit on a coarse grid (exact ties); no row is all zeros, so no centroid
+    has zero norm."""
+    n = draw(st.integers(2, 80))
+    d = draw(st.sampled_from([3, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(1, 5, (n, d)) / 4.0
+    else:
+        X = rng.gamma(0.8, size=(n, d)) + 1e-3
+    X = X[rng.integers(0, draw(st.integers(1, n)), n)]
+    theta = draw(st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    return X, theta, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+
+
+def _emptied_at_a_warm_start_case():
+    # the third split round's first assignment leaves a cluster empty
+    X = np.array([[25, 22], [20, 24], [21, 23], [21, 25], [20, 23], [24, 21], [25, 25],
+                  [21, 23], [21, 21], [23, 20], [22, 20], [20, 21], [23, 21], [24, 20],
+                  [20, 25], [23, 24]], dtype=float)
+    return X, 0.0012, 2, 12926
+
+
+@settings(max_examples=150, deadline=None)
+@given(adaptive_cases())
+@example(_emptied_at_a_warm_start_case())
+def test_warm_started_adaptive_kmeans_equals_cold_rounds(case):
+    X, theta, k_init, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the split-round cap
+        model = adaptive_kmeans(X, theta, k_init, seed)
+        centers, labels, meta = cold_adaptive_kmeans(X, theta, k_init, seed)
+    assert np.array_equal(model.centroids, centers)
+    assert np.array_equal(model.labels, labels)
+    assert model.meta == meta
+
+
+def test_a_warm_start_can_relocate_an_emptied_cluster(monkeypatch):
+    # keeps the example above meaningful: a warm-started round's first
+    # mean update does find an empty cluster
+    log = []
+
+    def lloyd(X, centers, max_iter=cluster.DEFAULT_MAX_ITER,
+              rel_tol=cluster.DEFAULT_REL_TOL, warm=None):
+        log.append("warm" if warm is not None else "cold")
+        return _lloyd(X, centers, max_iter, rel_tol, warm)
+
+    def group_means(*args):
+        out = _group_means(*args)
+        log.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(cluster, "_lloyd", lloyd)
+    monkeypatch.setattr(cluster, "_group_means", group_means)
+    adaptive_kmeans(*_emptied_at_a_warm_start_case())
+    assert any(a == "warm" and b > 0 for a, b in zip(log, log[1:]))
 
 
 def test_cluster_chain_golden_digest():
@@ -815,6 +986,30 @@ def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
     args = {"theta": 0.3, "k_init": 10, "seed": 0, **kwargs}
     with pytest.raises(ValueError, match=name):
         adaptive_kmeans(X, **args)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X: kmeans(X, 3, seed=0),
+    lambda X: adaptive_kmeans(X, theta=0.3, seed=0),
+])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fits_name_the_first_non_finite_row(fit, bad):
+    X = unit_shapes(np.random.default_rng(32), 40)
+    X[17, 5] = X[30, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"row 17 holds a non-finite value"):
+            fit(X)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X: kmeans(X, 3, seed=0),
+    lambda X: adaptive_kmeans(X, theta=0.3, seed=0),
+])
+@pytest.mark.parametrize("shape", [(24,), (2, 3, 24)])
+def test_fits_reject_an_array_that_is_not_a_table_of_rows(fit, shape):
+    with pytest.raises(ValueError, match=rf"2-D array.*got shape {re.escape(str(shape))}"):
+        fit(np.full(shape, 1 / 24))
 
 
 @pytest.mark.parametrize("kwargs,name", [
