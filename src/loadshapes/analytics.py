@@ -47,15 +47,32 @@ PEAK_BINS = (
 def entropy(frequencies) -> float:
     """Shannon entropy (nats) of a categorical distribution.
 
-    Zero entries contribute nothing; the input must sum to 1 within 1e-6.
+    Zero entries contribute nothing; the input must be finite, non-negative
+    and sum to 1 within 1e-6.
     """
     p = np.asarray(frequencies, dtype=float)
-    if p.size == 0 or abs(p.sum() - 1.0) > DISTRIBUTION_TOL or (p < 0).any():
+    if not np.isfinite(p).all():
+        raise NotADistributionError(f"frequency {p[~np.isfinite(p)][0]} is not finite")
+    if (p < 0).any():
+        raise NotADistributionError(f"frequency {p[p < 0][0]} is negative")
+    if p.size == 0 or abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
         raise NotADistributionError(
             f"frequencies sum to {p.sum() if p.size else 0}, expected 1"
         )
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def _factorize_runs(values) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, sorting only the first
+    row of each run of equal neighbours: cheap when equal values come in
+    runs, and one elementwise pass dearer than ``np.unique`` when not."""
+    values = np.asarray(values)
+    heads = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    distinct, codes = np.unique(values[starts], return_inverse=True)
+    return distinct, np.repeat(codes, np.diff(starts, append=len(values)))
 
 
 class StratumFrame:
@@ -64,7 +81,10 @@ class StratumFrame:
     ``day`` holds each row's date as int64 days since 1970-01-01. Household
     and cluster ids are factorized once: ``households``/``clusters`` are
     the sorted distinct ids (as ``np.unique`` gives them) and
-    ``household_code``/``cluster_code`` index them per row.
+    ``household_code``/``cluster_code`` index them per row. Household codes
+    come from the first row of each run of one id (``_factorize_runs``), since
+    tables hold each household's days together; they are still in
+    ``np.unique`` order.
     """
 
     def __init__(self, household_id, date, day, season, day_type, avg_temp_f,
@@ -76,8 +96,7 @@ class StratumFrame:
         self.day_type = day_type
         self.avg_temp_f = avg_temp_f
         self.cluster_id = cluster_id
-        self.households, self.household_code = np.unique(household_id,
-                                                         return_inverse=True)
+        self.households, self.household_code = _factorize_runs(household_id)
         self.clusters, self.cluster_code = np.unique(cluster_id, return_inverse=True)
 
     def __len__(self) -> int:
