@@ -11,6 +11,7 @@ entropy differences.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -184,13 +185,28 @@ def day_type_strata() -> list[Stratum]:
     return [Stratum("day_type", n, lambda f, n=n: f.day_type == n) for n in DAY_TYPES]
 
 
+def _checked_boundaries(boundaries) -> tuple:
+    """The temperature strata's boundaries as three floats; anything but
+    three finite numbers that do not decrease raises ValueError."""
+    try:
+        b1, b2, b3 = map(float, boundaries)
+        ok = all(map(math.isfinite, (b1, b2, b3))) and b1 <= b2 <= b3
+    except (TypeError, ValueError):  # not three numbers
+        ok = False
+    if not ok:
+        raise ValueError("boundaries must be three finite numbers that do not "
+                         f"decrease, got {boundaries!r}")
+    return b1, b2, b3
+
+
 def temperature_quartiles(weather, dates, mode: str = "empirical",
                           boundaries=None):
     """Four left-closed temperature strata T_1..T_4 over the given dates.
 
     Empirical mode derives the three boundaries from the quartiles of the
     daily average temperatures on those dates; fixed mode takes explicit
-    boundaries (e.g. 68/71/76 F).
+    boundaries (e.g. 68/71/76 F). Either kind must pass
+    ``_checked_boundaries``.
     """
     date_list = sorted(set(dates))
     date_days = day_numbers(date_list)
@@ -202,15 +218,12 @@ def temperature_quartiles(weather, dates, mode: str = "empirical",
         if len(np.unique(pool)) < 4:
             raise ValueError("need at least 4 distinct temperatures for quartiles")
         boundaries = tuple(np.quantile(pool, [0.25, 0.5, 0.75]))
+        _checked_boundaries(boundaries)  # the quartiles keep their numpy type
     elif mode == "fixed":
-        if boundaries is None or len(boundaries) != 3:
-            raise ValueError("fixed mode needs 3 boundaries")
-        boundaries = tuple(float(b) for b in boundaries)
+        boundaries = _checked_boundaries(boundaries)
     else:
         raise ValueError(f"unknown quartile mode '{mode}'")
     b1, b2, b3 = boundaries
-    if not b1 <= b2 <= b3:
-        raise ValueError(f"boundaries must be non-decreasing, got {boundaries}")
 
     def make(label, lo, hi):
         def mask_fn(f):
@@ -453,14 +466,11 @@ def coverage_curve(assignments: AssignmentTable, dictionary: ClusterDictionary,
 
 
 def peak_bin_of_hour(hour: int) -> str:
+    if not 0 <= hour < 24:  # the bins cover the whole clock
+        raise ValueError(f"hour {hour} outside 0..23")
     for name, start, end in PEAK_BINS:
-        if start < end:
-            if start <= hour < end:
-                return name
-        else:  # wraps midnight
-            if hour >= start or hour < end:
-                return name
-    raise ValueError(f"hour {hour} outside 0..23")
+        if start <= hour < end or start > end and (hour >= start or hour < end):
+            return name
 
 
 def find_peaks_circular(values, prominence_frac: float = 0.25,

@@ -7,10 +7,12 @@ model is re-converged, until no shape violates theta or the split-round cap
 is reached. A greedy merge pass then consolidates the most similar centroid
 pairs for as long as the violation rate stays under a budget.
 
-Lloyd keeps no distance matrix: each row's nearest center and distance,
-refreshed only for the centers that moved, and each round's re-convergence
-starts from the previous round's assignment. Both give the bits of a full
-recompute from scratch.
+Lloyd keeps no distance matrix: each row's nearest center and its
+expanded-form distance, refreshed only for the centers that moved, and each
+round's re-convergence starts from the previous round's assignment. Both
+give the bits of a cold full recompute as long as every element of a BLAS
+product with >= 2 rows and >= 2 columns rounds as in the full product. The
+merge uses no BLAS product.
 
 All randomness flows through one seeded numpy Generator; summation orders
 are fixed, so a given seed reproduces the model bit for bit.
@@ -63,11 +65,9 @@ def rse_to_assigned(X, centroids, labels) -> np.ndarray:
     return ((X - C) ** 2).sum(axis=1) / denom
 
 
-def _pairwise_sq_dists(X, C, xx=None) -> np.ndarray:
-    """Squared distances of every row of X to every row of C; ``xx`` is
-    ``(X**2).sum(axis=1)`` when the caller already holds it."""
-    if xx is None:
-        xx = (X**2).sum(axis=1)
+def _pairwise_sq_dists(X, C, xx) -> np.ndarray:
+    """Squared distances of every row of X to every row of C, in the
+    expanded form; ``xx`` is ``(X**2).sum(axis=1)``."""
     # in place, but the same roundings as xx - 2.0 * (X @ C.T) + cc
     d2 = X @ C.T
     d2 *= -2.0
@@ -147,18 +147,17 @@ def _two_or_more(idx, size):
 
 
 def _assign(X, xx, centers, labels, d2min, changed):
-    """Nearest center of every row, and its distance, after the centers
-    flagged in ``changed`` moved.
+    """The full product's first-index argmin of every row, and its
+    distance, after the centers flagged in ``changed`` moved.
 
-    ``labels`` and ``d2min`` are the first-index argmin and the distance of
-    every row against the centers before the move. A row's distances to
-    unchanged centers keep their bits, so its new label is its old one
-    unless a changed center is nearer, or as near at a lower position; a
-    row whose own center moved gets its full row recomputed. That costs
-    ``n * |changed| + |own rows| * k`` products, with both sets widened to
-    two, against the full product's ``n * k``, and the cheaper way is
-    taken. The result equals the full product's argmin bit for bit. The
-    arguments are left as they were.
+    ``labels`` and ``d2min`` are the argmin and the distance of every row
+    against the centers before the move; the arguments are left as they
+    were. A row's distances to unchanged centers keep their bits, so its
+    new label is its old one unless a changed center is nearer, or as near
+    at a lower position; a row whose own center moved gets its full row
+    recomputed. That costs ``n * |changed| + |own rows| * k`` products,
+    with both sets widened to two, against the full product's ``n * k``,
+    and the cheaper way is taken.
     """
     n, k = len(X), len(centers)
     cols = _two_or_more(np.flatnonzero(changed), k)
@@ -183,11 +182,8 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL, warm=
     of their assigned members, so downstream consistency checks hold to
     floating-point accuracy. An iteration that leaves a cluster empty
     relocates it and blocks convergence; if the last one does, a settling
-    pass follows and clusters still empty are dropped.
-
-    The kernel is incremental and exact. It keeps each row's label and
-    expanded-form distance ``d2min``, never an n x k matrix, and after each
-    mean update ``_assign`` refreshes them for the centers that changed
+    pass follows and clusters still empty are dropped. After each mean
+    update ``_assign`` refreshes the labels for the centers that changed
     bitwise; a cluster's mean is recomputed only when a row moved into or
     out of it, and an update that moves no center ends the loop.
 
@@ -197,9 +193,7 @@ def _lloyd(X, centers, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL, warm=
     of the new ``centers`` and ``stale`` also set for every center that is
     new, it starts the next call where this one ended; every center not
     stale must be its members' mean. Without ``warm`` every center is stale
-    and the first assignment is the full product. Results equal a cold full
-    recompute bit for bit as long as every element of a BLAS product with
-    >= 2 rows and >= 2 columns rounds as in the full product.
+    and the first assignment is the full product.
     """
     centers = np.array(centers, dtype=float)
     n, k = len(X), len(centers)
@@ -413,7 +407,9 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     the lower id pair) into their member-count-weighted mean; members keep
     the merged label and are never re-assigned elsewhere. The result is the
     model one step before the violation rate would reach max_violation, with
-    its centroids in ascending id order.
+    its centroids in ascending id order. Every distance it compares, at the
+    start and after each merge, is one form, the sum of the direct squared
+    differences, so a pair tied exactly in that form stays tied.
     """
     if not 0.0 <= max_violation < 1.0:
         raise ValueError(f"max_violation must be in [0, 1), got {max_violation}")
@@ -434,7 +430,7 @@ def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> Clus
     # pairs p < q only; a merged-away cluster's row and column become inf,
     # so the row-major order of the remaining pairs is that of a compacted
     # matrix
-    d2 = _pairwise_sq_dists(centroids, centroids)
+    d2 = np.array([((centroids - c) ** 2).sum(axis=1) for c in centroids])
     d2[np.tril_indices(k)] = np.inf
     alive = np.ones(k, dtype=bool)
 

@@ -28,8 +28,8 @@ reads shapes, ingest may leave ``shapes.csv`` to a background child; the
 entries of ingest and the stages run beside it are held (they count as
 finished for "run X first") and recorded in stage order once the child is
 joined: before a cached check against an entry whose params match, or at
-the end of the last selected stage; a parse meanwhile takes ingest's table,
-never shapes.csv. On any error or interrupt before then, the runner kills and
+the end of the run; a parse meanwhile takes ingest's table, never
+shapes.csv. On any error or interrupt before then, the runner kills and
 reaps the child and removes the outputs of the held stages, which get no entry.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
@@ -292,25 +292,16 @@ class RunConfig:
         self.quartile_spec()
 
     def quartile_spec(self):
-        """Parse the quartiles option into (mode, boundaries)."""
+        """Parse the quartiles option into (mode, boundaries); fixed
+        boundaries must pass ``analytics._checked_boundaries``."""
         if self.quartiles == "empirical":
             return "empirical", None
-        if self.quartiles.startswith("fixed:"):
-            try:
-                b1, b2, b3 = map(float, self.quartiles[len("fixed:"):].split(","))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config key 'quartiles': expected 3 numeric boundaries, got '{self.quartiles}'"
-                ) from exc
-            if not all(map(math.isfinite, (b1, b2, b3))) or not b1 <= b2 <= b3:
-                raise ConfigError(
-                    f"config key 'quartiles': boundaries must be finite and "
-                    f"non-decreasing, got '{self.quartiles}'"
-                )
-            return "fixed", (b1, b2, b3)
-        raise ConfigError(
-            f"config key 'quartiles': expected 'empirical' or 'fixed:a,b,c', got '{self.quartiles}'"
-        )
+        try:
+            if not self.quartiles.startswith("fixed:"):
+                raise ValueError(f"expected 'empirical' or 'fixed:a,b,c', got '{self.quartiles}'")
+            return "fixed", analytics._checked_boundaries(self.quartiles[len("fixed:"):].split(","))
+        except ValueError as exc:
+            raise ConfigError(f"config key 'quartiles': {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -349,27 +340,26 @@ class RunCache:
     so a reader finds it only while those files hold what it was made
     from, and parses them otherwise; ``ingest._frozen`` makes it read-only.
 
-    With ``join_at``, the stage after whose body it joins the write,
-    ``write`` may leave a table's file to a background child, whose
-    ExitStack stands in for the file's digest in object keys until
-    ``join``, at a cached check whose params match or after that body;
-    ``record`` holds the stages in ``held`` (None while a stage runs)
-    until then and builds their ``entry`` after it.
+    With ``background``, ``write`` may leave a table's file to a
+    background child, whose ExitStack stands in for the file's digest in
+    object keys until ``join``, at a cached check whose params match or at
+    the end of the run; ``record`` holds the stages in ``held`` (None while
+    a stage runs) until then and builds their ``entry`` after it.
     """
 
-    def __init__(self, join_at: str | None = None):
+    def __init__(self, background: bool = False):
         self._digests: dict = {}  # resolved path -> (stat key, sha256)
         self.objects: dict = {}  # (kind, sha256 of each file) -> read-only object
-        self.join_at = join_at
-        self.writing: dict = {}  # resolved path -> (ExitStack of its ingest._forked, results)
+        self.background = background
+        self.writing = None  # or (resolved path, ExitStack of its ingest._forked, results)
         self.held: dict = {}  # stage -> (params hash, input paths), in stage order
 
     def digest(self, path) -> str:
         """The file's sha256; for a file still being written, the
         ExitStack of its writer."""
         path = os.path.realpath(path)
-        if path in self.writing:
-            return self.writing[path][0]
+        if self.writing and self.writing[0] == path:
+            return self.writing[1]
         stat = _stat_key(path)
         known = self._digests.get(path)
         if known is None or known[0] != stat:
@@ -397,10 +387,10 @@ class RunCache:
 
     def write(self, table, path, workers: int) -> None:
         """Write ``table`` to ``path`` with up to ``workers`` processes:
-        with ``join_at``, for a table the writer would split, in a
+        with ``background``, for a table the writer would split, in a
         background child, ``BACKGROUND_NICE`` nicer, that hands back the
         file's sha256, so this process never reads it back."""
-        if self.join_at and len(table) // ingest.CSV_BLOCK_ROWS >= 2:
+        if self.background and len(table) // ingest.CSV_BLOCK_ROWS >= 2:
             writer = contextlib.ExitStack()
             shard, shards, results = writer.enter_context(ingest._forked(2, group=True))
             if shard:  # the background child, which ends with the block
@@ -409,7 +399,7 @@ class RunCache:
                     table.write_csv(path, workers=workers)
                     results.write(_file_digest(path).encode())
             if shards > 1:
-                self.writing[os.path.realpath(path)] = writer, results
+                self.writing = os.path.realpath(path), writer, results
                 return
             writer.close()
         table.write_csv(path, workers=workers)
@@ -418,17 +408,18 @@ class RunCache:
         """Wait for the write in flight, if any; its sha256 takes its
         child's place in the object keys. A failed child fails ingest,
         naming the file."""
-        for path, (writer, results) in self.writing.items():
+        if self.writing:
+            path, writer, results = self.writing
             with writer:
                 code, file = next(results)
                 digest = file.read().decode()
+            self.writing = None
             if code:
                 raise StageError("ingest", f"{path}: the background process writing it "
                                  f"failed (exit code {code})")
             self._digests[path] = (_stat_key(path), digest)
             self.objects = {tuple(digest if d is writer else d for d in key): obj
                             for key, obj in self.objects.items()}
-        self.writing = {}
 
     def entry(self, params_hash: str, inputs, outputs, out: Path) -> dict:
         """A stage's manifest entry; input paths are relative to ``out``."""
@@ -448,11 +439,11 @@ class RunCache:
     def abandon(self, out: Path) -> None:
         """After a failure: kill and reap the child of a write in flight,
         and remove the outputs of the held stages, which get no entry."""
-        for writer, _ in self.writing.values():
-            writer.close()
+        if self.writing:
+            self.writing[1].close()
         for stage in self.held:
             _remove(out / name for name in STAGES[stage].outputs)
-        self.writing, self.held = {}, {}
+        self.writing, self.held = None, {}
 
 
 def _remove(paths) -> None:
@@ -568,7 +559,7 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
                 return StageResult(stage.name, "cached")
     manifest.drop(stage.name)  # no entry until the outputs are whole: a kill re-runs it
     cache.forget(out / name for name in stage.outputs)
-    if cache.join_at:
+    if cache.background:
         cache.held[stage.name] = None  # its outputs go if the run fails before the join
     try:
         read = {}
@@ -589,8 +580,6 @@ def _run_stage(stage: Stage, config: RunConfig, manifest: Manifest | None,
         _remove(out / name for name in stage.outputs)
         raise StageError(stage.name, str(exc)) from exc
     cache.held[stage.name] = params_hash, inputs
-    if stage.name == cache.join_at:
-        cache.join()
     cache.record(manifest)
     return StageResult(stage.name, "ran")
 
@@ -622,11 +611,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
     selected = [name for name in PIPELINE_STAGES if name in config.stages]
     manifest = Manifest(Path(config.out))
     overlap = config.threads > 1 and any("shapes" in STAGES[name].reads for name in selected)
-    cache = RunCache(join_at=selected[-1] if overlap else None)  # this run only
+    cache = RunCache(background=overlap)  # this run only
     result = RunResult(run_id=run_id_for(config, cache))
     try:
         for name in selected:
             result.results.append(_STAGE_FNS[name](config, manifest, cache))
+        cache.join()
+        cache.record(manifest)
     except BaseException:
         cache.abandon(Path(config.out))
         raise

@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import math
+import re
 import threading
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_stratified_entropy_empty_stratum_is_undefined():
     report = stratified_entropy(frame, season_strata())
     assert report.get("winter").entropy is None
     assert report.get("winter").n == 0
+    with pytest.raises(KeyError, match="monsoon"):
+        report.get("monsoon")
 
 
 def test_stratified_frequencies_sum_to_one():
@@ -178,6 +181,27 @@ def test_temperature_quartiles_need_distinct_values():
     weather = weather_for(dates, [70.0, 70.0, 70.0, 71.0, 72.0])
     with pytest.raises(ValueError):
         temperature_quartiles(weather, dates)
+
+
+NOT_THREE = "boundaries must be three finite numbers that do not decrease"
+
+
+@pytest.mark.parametrize("mode, boundaries, message", [
+    ("median", None, "unknown quartile mode 'median'"),
+    ("fixed", None, NOT_THREE),
+    ("fixed", (68.0, 71.0), NOT_THREE),
+    ("fixed", (68.0, 71.0, 76.0, 80.0), NOT_THREE),
+    ("fixed", (76.0, 71.0, 68.0), NOT_THREE),
+    ("fixed", (math.inf, math.inf, math.inf), NOT_THREE),
+    ("fixed", (-math.inf, 62.0, 65.0), NOT_THREE),
+    ("fixed", (math.nan, 71.0, 76.0), NOT_THREE),
+    ("fixed", ("68", "warm", "76"), NOT_THREE),
+])
+def test_temperature_quartiles_reject_a_bad_mode_or_boundaries(mode, boundaries, message):
+    dates = [D(2011, 7, 1) + dt.timedelta(days=i) for i in range(4)]
+    weather = weather_for(dates, [78.2, 69.5, 67.9, 71.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        temperature_quartiles(weather, dates, mode=mode, boundaries=boundaries)
 
 
 def test_temperature_quartiles_missing_weather_rejected():
@@ -679,6 +703,11 @@ def test_coverage_requires_weights():
     table = AssignmentTable(["H1"], [D(2011, 7, 1)], [1], [0.0], [0.0])
     with pytest.raises(ValueError, match="weights"):
         coverage_curve(table, d)
+    table = AssignmentTable(["H1"], [D(2011, 7, 1)], [1], [0.0], [0.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="unknown coverage weight 'net'"):
+        coverage_curve(table, d, weight="net")
+    with pytest.raises(EmptyInputError, match="total kWh is zero"):
+        coverage_curve(table, d)
 
 
 def spike_shape(hours, width=0.8):
@@ -703,15 +732,25 @@ def test_peak_bins():
     assert peak_bin_of_hour(18) == "tou"
     assert peak_bin_of_hour(19) == "evening"
     assert peak_bin_of_hour(22) == "evening"
+    for hour in (-1, 24):
+        with pytest.raises(ValueError, match=f"hour {hour} outside 0..23"):
+            peak_bin_of_hour(hour)
 
 
 def test_peak_taxonomy_single_spike_at_17_is_tou():
     d = dictionary_of([spike_shape([17])])
     tax = peak_taxonomy(d)
+    with pytest.raises(KeyError, match="2"):
+        tax.get(2)
     entry = tax.get(1)
     assert entry.count_label == "single"
     assert entry.peak_hours == (17,)
     assert entry.primary_bin == "tou"
+
+
+def test_peak_taxonomy_of_an_empty_dictionary_is_rejected():
+    with pytest.raises(EmptyInputError, match="dictionary is empty"):
+        peak_taxonomy(dictionary_of(np.empty((0, 24))))
 
 
 def test_peak_taxonomy_equal_double_spike_tie_to_earlier_hour():

@@ -73,6 +73,9 @@ def test_rse_threshold_strictness():
 def test_rse_degenerate_center():
     with pytest.raises(DegenerateCenterError):
         rse(np.ones(24), np.zeros(24))
+    centroids = np.vstack([np.full(24, 1 / 24), np.zeros(24)])
+    with pytest.raises(DegenerateCenterError, match="a centroid has zero norm"):
+        cluster.rse_to_assigned(np.ones((3, 24)), centroids, np.array([0, 1, 0]))
 
 
 def exhaustive_two_partition_wcss(X):
@@ -137,6 +140,8 @@ def test_kmeans_draws_from_a_generator_given_as_seed():
 def test_kmeans_empty_raises():
     with pytest.raises(EmptyInputError):
         kmeans(np.empty((0, 24)), 2, seed=0)
+    with pytest.raises(EmptyInputError, match="adaptive_kmeans on empty input"):
+        adaptive_kmeans(np.empty((0, 24)), theta=0.3, seed=0)
 
 
 def two_group_table(rng, n_per=40, spread=0.002):
@@ -186,7 +191,6 @@ def test_pairwise_sq_dists_bit_identical_to_expanded_form():
     C = unit_shapes(rng, 31)
     xx = (X**2).sum(axis=1)
     want = np.maximum(xx[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :], 0.0)
-    assert np.array_equal(_pairwise_sq_dists(X, C), want)
     assert np.array_equal(_pairwise_sq_dists(X, C, xx), want)
 
 
@@ -684,6 +688,40 @@ def test_merge_tie_breaks_to_lowest_id_pair():
     assert merged.ids[merged.labels].tolist() == [5, 5, 1, 1, 1, 1]
 
 
+def _direct_distance_ties(draws, seed=5):
+    """Centroid rows (c1 - v, c1, c1 + v), v on a 1/256 grid, kept where the
+    direct squared distances of the middle row to the other two are equal
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        c1 = rng.random(24)
+        v = rng.integers(-16, 17, 24) / 256
+        C = np.vstack([c1 - v, c1, c1 + v])
+        d = ((C - C[1]) ** 2).sum(axis=1)
+        if v.any() and d[0] == d[2]:
+            yield C
+
+
+def test_merge_breaks_direct_distance_ties_to_the_lowest_id_pair():
+    # the two tied pairs: merging the one with two members sends two of six
+    # rows over theta, which the budget admits; merging the one with five
+    # sends five and breaks it, so which pair merged is visible
+    cases = 0
+    for C in _direct_distance_ties(400):
+        cases += 1
+        for rows, ids, kept in (
+            ([0, 1, 2, 2, 2, 2], [0, 1, 2], [0, 2]),  # the lowest pair (0, 1) in rows 0, 1
+            ([0, 0, 0, 0, 1, 2], [5, 1, 3], [1, 5]),  # out of row order: (1, 3) in rows 1, 2
+        ):
+            model = ClusterModel(table=cluster._bare_table(C[rows]), centroids=C.copy(),
+                                 ids=np.array(ids, dtype=np.int64),
+                                 labels=np.array(rows, dtype=np.int64), theta=1e-9, meta={})
+            merged = hierarchical_merge(model, max_violation=0.5)
+            assert merged.meta["merges"] == 1
+            assert merged.ids.tolist() == kept
+    assert cases > 100
+
+
 def compacting_merge(model, max_violation):
     """Reference for hierarchical_merge: it puts the centroids in ascending
     id order, and after each merge it compacts the distance matrix and the
@@ -700,7 +738,7 @@ def compacting_merge(model, max_violation):
     theta = model.theta
     violating = cluster.rse_to_assigned(X, centroids, labels) > theta
     viol_count = int(violating.sum())
-    d2 = _pairwise_sq_dists(centroids, centroids)
+    d2 = np.array([((centroids - c) ** 2).sum(axis=1) for c in centroids])
     np.fill_diagonal(d2, np.inf)
     tri = np.triu(np.ones_like(d2, dtype=bool), k=1)
     d2 = np.where(tri, d2, np.inf)
@@ -980,6 +1018,7 @@ def test_model_labels_naming_unknown_cluster_rejected(tmp_path):
     ({"theta": float("nan")}, "theta"),
     ({"theta": float("inf")}, "theta"),
     ({"theta": 0.0}, "theta"),
+    ({"k_init": 0}, "k_init"),
 ])
 def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
     X = unit_shapes(np.random.default_rng(26), 300)

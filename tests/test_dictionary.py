@@ -140,6 +140,11 @@ def test_truncate_validates_budget():
     for v in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             truncate(model, v)
+    empty = ClusterModel(table=_bare_table(np.empty((0, 24))), centroids=np.empty((0, 24)),
+                         ids=np.empty(0, dtype=np.int64), labels=np.empty(0, dtype=np.int64),
+                         theta=0.3)
+    with pytest.raises(EmptyInputError, match="cannot truncate an empty model"):
+        truncate(empty, 0.3)
 
 
 def test_dictionary_ordering_by_kwh():
@@ -500,6 +505,8 @@ def test_assignments_read_rejects_misaligned_middle_row(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(CorruptArtifactError, match="aligned"):
         AssignmentTable.read_csv(path, table)
+    with pytest.raises(CorruptArtifactError, match="row counts differ"):
+        AssignmentTable.read_csv(path, table.take([0, 1, 2, 3]))
 
 
 @pytest.mark.parametrize("line, message", [

@@ -105,6 +105,8 @@ def test_header_mismatch_raises(tmp_path):
     path.write_text("household,date,h1\nH1,2011-06-01,0.3\n")
     with pytest.raises(HeaderMismatchError):
         read_meter_corpus(path)
+    with pytest.raises(ValueError, match="unknown meter schema 'tall'"):
+        read_meter_corpus(path, "tall")
 
 
 def test_bad_date_rejected_with_row_number(tmp_path):
@@ -413,6 +415,10 @@ def test_survey_repeated_column_raises(tmp_path):
     path.write_text("household_id,elderly,elderly\nH1,1,0\n")
     with pytest.raises(HeaderMismatchError, match="'elderly'"):
         read_survey(path)
+    for text in ("", "household,elderly\nH1,1\n"):
+        path.write_text(text)
+        with pytest.raises(HeaderMismatchError, match="must start with 'household_id'"):
+            read_survey(path)
 
 
 def test_survey_duplicate_household_raises(tmp_path):

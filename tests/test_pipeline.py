@@ -2,11 +2,14 @@ import argparse
 import builtins
 import dataclasses
 import datetime as dt
+import errno
 import filecmp
 import hashlib
 import json
 import os
+import re
 import shutil
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -206,7 +209,9 @@ def test_run_config_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("quartiles", ["fixed:nan,71,76", "fixed:68,71,inf",
-                                       "fixed:-inf,71,76", "fixed:76,71,68"])
+                                       "fixed:-inf,71,76", "fixed:76,71,68",
+                                       "fixed:68,71", "fixed:68,warm,76", "median",
+                                       "fixed 68,71,76"])
 def test_run_config_rejects_non_finite_quartiles(quartiles):
     with pytest.raises(ConfigError, match="quartiles"):
         RunConfig(seed=1, quartiles=quartiles).validate()
@@ -492,6 +497,23 @@ def test_a_cold_run_records_the_same_manifest_with_a_background_write(
     for threads in (1, 2):
         _run(smoke_config(smoke_corpus, tmp_path / f"threads{threads}", threads=threads))
     assert len(writers) == 1
+    assert _files(tmp_path / "threads1") == _files(tmp_path / "threads2")
+
+
+def test_a_second_thread_keeps_the_write_of_shapes_csv_in_the_foreground(
+    smoke_corpus, tmp_path, forks, writers
+):
+    # a fork beside another thread could hand the child a lock that thread holds
+    _run(smoke_config(smoke_corpus, tmp_path / "threads1", threads=1))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        _run(smoke_config(smoke_corpus, tmp_path / "threads2", threads=2))
+    finally:
+        release.set()
+        other.join()
+    assert forks == [] and writers == []
     assert _files(tmp_path / "threads1") == _files(tmp_path / "threads2")
 
 
@@ -915,6 +937,19 @@ def test_an_out_path_under_a_file_fails_every_stage_as_mkdir_would(smoke_corpus,
     assert capsys.readouterr().err == (f"error: stage '{stage}': cannot make output "
                                        f"directory {out} (Not a directory)\n")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_a_refused_mkdir_fails_the_stage_with_its_reason(smoke_corpus, tmp_path, monkeypatch):
+    # patched in, since a test run as root makes directories in spite of their modes
+    def refused(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, "mkdir", refused)
+    with pytest.raises(StageError, match=rf"^stage 'ingest': cannot make output directory "
+                                         rf"{re.escape(str(out))} \(Permission denied\)$"):
+        stage_ingest(smoke_config(smoke_corpus, out))
+    assert not out.exists()
 
 
 def test_an_empty_meter_file_fails_ingest(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadshapes.errors import CorruptArtifactError, ZeroDiscretionaryError
+from loadshapes.errors import CorruptArtifactError, EmptyInputError, ZeroDiscretionaryError
 from loadshapes.ingest import DayTable, read_meter_corpus
 from loadshapes.pipeline import RunCache
 from loadshapes.preprocess import (
@@ -344,6 +344,8 @@ def test_subsample_too_large_raises():
     table, _ = preprocess_days(days)
     with pytest.raises(ValueError):
         subsample(table, 6, seed=0)
+    with pytest.raises(EmptyInputError, match="cannot subsample an empty collection"):
+        subsample(table.take([]), 0, seed=0)
 
 
 def reference_clean(rows):

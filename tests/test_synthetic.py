@@ -70,6 +70,13 @@ def test_generator_validation():
         GeneratorConfig(entropy_bias={"owns_pool": 0.1}).validate()
     with pytest.raises(GeneratorConfigError):
         GeneratorConfig(outlier_rate=0.8, fuzz_rate=0.5).validate()
+    with pytest.raises(GeneratorConfigError, match="at least one household"):
+        GeneratorConfig(households=0).validate()
+    for rate in ("outlier_rate", "fuzz_rate", "bad_day_rate"):
+        with pytest.raises(GeneratorConfigError, match=r"rate -0.1 outside \[0, 1\]"):
+            GeneratorConfig(**{rate: -0.1}).validate()
+    with pytest.raises(GeneratorConfigError, match=r"rate 1.5 outside \[0, 1\]"):
+        GeneratorConfig(bad_day_rate=1.5).validate()
 
 
 @pytest.mark.parametrize("overrides", [
