@@ -24,7 +24,7 @@ from .errors import (
     NotADistributionError,
     SingletonClusteringError,
 )
-from .ingest import DAY_TYPES, SEASONS, SeasonCalendar, _write_table, day_numbers
+from .ingest import DAY_TYPES, SEASONS, SeasonCalendar, _repr_or_empty, _write_table, day_numbers
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -451,8 +451,7 @@ def coverage_curve(assignments: AssignmentTable, dictionary: ClusterDictionary,
     if not found.all():
         raise ValueError(f"assignments name cluster id {assignments.cluster_ids[~found][0]}, "
                          "which the dictionary lacks")
-    kwh = np.zeros(len(dictionary))
-    np.add.at(kwh, positions, weights)
+    kwh = np.bincount(positions, weights=weights, minlength=len(dictionary))
     total = kwh.sum()
     if total <= 0:
         raise EmptyInputError("total kWh is zero")
@@ -611,8 +610,8 @@ def occurrence_map(frame: StratumFrame, target_ids,
 # plot-ready CSV outputs, each with a provenance comment line
 
 def _cell(value) -> str:
-    """A number as the repr of its float; None as an empty cell."""
-    return "" if value is None else repr(float(value))
+    """A number as the repr of its float; None and NaN as an empty cell."""
+    return "" if value is None else _repr_or_empty(float(value))
 
 
 def write_entropy_csv(report: EntropyReport, path, provenance: dict) -> None:
@@ -656,6 +655,6 @@ def write_occurrence_csv(occ: OccurrenceMap, path, provenance: dict) -> None:
     rows = [[hid] + cells for hid, cells in zip(occ.household_ids, occ.matrix.tolist())]
     for label, series in (("daily_mean_temp_f", occ.daily_mean_temp_f),
                           ("daily_entropy", occ.daily_entropy)):
-        rows.append([label] + ["" if np.isnan(x) else repr(float(x)) for x in series])
+        rows.append([label] + [_cell(x) for x in series])
     _write_table(path, ["household_id"] + [d.isoformat() for d in occ.dates], rows,
                  provenance)

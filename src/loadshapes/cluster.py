@@ -31,7 +31,7 @@ from .errors import (
     DegenerateCenterError,
     EmptyInputError,
 )
-from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _write_json
+from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _json_array, _write_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -293,15 +293,6 @@ class ClusterModel:
     def violation_rate(self) -> float:
         return float((self.rse_per_shape() > self.theta).mean())
 
-    def max_consistency_error(self) -> float:
-        """Largest |centroid - mean(members)| entry, for invariant checks."""
-        X = self.table.values
-        k = self.n_clusters
-        sums = _group_sums(X, self.labels, k)
-        counts = np.bincount(self.labels, minlength=k)
-        means = sums / counts[:, None]
-        return float(np.abs(means - self.centroids).max())
-
 
 def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
                     seed: int = 0) -> ClusterModel:
@@ -515,8 +506,8 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
     labels.csv lists twice, raises CorruptArtifactError.
     """
     with _centroid_json(model_path, "model", MODEL_SCHEMA_VERSION) as (payload, ids, centroids):
-        theta = float(payload["theta"])
-        counts = payload["counts"]
+        theta = float(_json_array(payload, "theta", float, 0))
+        counts = _json_array(payload, "counts", np.int64, 1).tolist()
     position = {int(cid): pos for pos, cid in enumerate(ids)}
     row_of = {key: i for i, key in enumerate(zip(table.household_ids, table.dates))}
     labelled = _Labels._parse_csv(labels_path)

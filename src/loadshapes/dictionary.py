@@ -25,7 +25,7 @@ import numpy as np
 
 from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assigned
 from .errors import CorruptArtifactError, EmptyInputError
-from .ingest import KeyedTable, _centroid_json, _json_digest, _write_json
+from .ingest import KeyedTable, _centroid_json, _json_array, _json_digest, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
@@ -177,24 +177,21 @@ class AssignmentTable(KeyedTable):
     write_csv = KeyedTable._write_csv
 
     @classmethod
-    def read_csv(cls, path, shapes: ShapeTable | None = None) -> "AssignmentTable":
+    def read_csv(cls, path, shapes: ShapeTable) -> "AssignmentTable":
         table = cls._parse_csv(path)
-        if shapes is not None:
-            if len(shapes) != len(table):
-                raise CorruptArtifactError(
-                    "assignments and shapes row counts differ"
-                )
-            misaligned = np.flatnonzero(
-                (shapes.household_ids != table.household_ids)
-                | (shapes.dates != table.dates)
+        if len(shapes) != len(table):
+            raise CorruptArtifactError(f"{path}: assignments and shapes row counts differ")
+        misaligned = np.flatnonzero(
+            (shapes.household_ids != table.household_ids)
+            | (shapes.dates != table.dates)
+        )
+        if len(misaligned):
+            raise CorruptArtifactError(
+                f"{path}: assignments and shapes rows are not aligned "
+                f"(first at data row {misaligned[0] + 1})"
             )
-            if len(misaligned):
-                raise CorruptArtifactError(
-                    "assignments and shapes rows are not aligned "
-                    f"(first at data row {misaligned[0] + 1})"
-                )
-            table.day_total_kwh = shapes.day_total_kwh.copy()
-            table.discretionary_kwh = shapes.discretionary_kwh.copy()
+        table.day_total_kwh = shapes.day_total_kwh.copy()
+        table.discretionary_kwh = shapes.discretionary_kwh.copy()
         return table
 
 
@@ -301,13 +298,11 @@ def load_dictionary(path) -> ClusterDictionary:
         dictionary = ClusterDictionary(
             values=values,
             ids=ids,
-            member_counts=np.asarray(payload["member_counts"], dtype=np.int64),
-            member_kwh=np.asarray(payload["member_kwh"], dtype=float),
-            member_discretionary_kwh=np.asarray(
-                payload["member_discretionary_kwh"], dtype=float
-            ),
-            theta=float(payload["theta"]),
-            truncation_v=float(payload["truncation_v"]),
+            member_counts=_json_array(payload, "member_counts", np.int64, 1),
+            member_kwh=_json_array(payload, "member_kwh", float, 1),
+            member_discretionary_kwh=_json_array(payload, "member_discretionary_kwh", float, 1),
+            theta=float(_json_array(payload, "theta", float, 0)),
+            truncation_v=float(_json_array(payload, "truncation_v", float, 0)),
             provenance=payload.get("provenance", {}),
             digest=digest,
         )

@@ -322,13 +322,6 @@ class HouseholdProfile:
     def __reduce__(self):
         return type(self), (self.household_id, dict(self.indicators))
 
-    def flag(self, indicator: str) -> bool | None:
-        if indicator not in INDICATOR_VOCABULARY:
-            raise UnknownIndicatorError(
-                f"'{indicator}' is not in the indicator vocabulary"
-            )
-        return self.indicators.get(indicator)
-
 
 _MONTH_SEASON = {
     12: "winter", 1: "winter", 2: "winter",
@@ -363,10 +356,6 @@ class SeasonCalendar:
     @staticmethod
     def season(date: dt.date) -> str:
         return _MONTH_SEASON[date.month]
-
-    @staticmethod
-    def day_type(date: dt.date) -> str:
-        return "weekend" if date.weekday() >= 5 else "weekday"
 
     @staticmethod
     def day_labels(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,6 +503,22 @@ def _json_digest(payload) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _json_array(payload, key: str, dtype, ndim: int) -> np.ndarray:
+    """``payload[key]`` as an ``ndim``-D array of JSON integers or numbers, not bools."""
+    try:
+        array = np.asarray(payload[key], dtype=dtype)
+        cells = np.asarray(payload[key], dtype=object).ravel().tolist()
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"'{key}': {exc}") from exc
+    kinds, name = ((int,), "integer") if dtype is np.int64 else ((int, float), "number")
+    wrong = [cell for cell in cells if type(cell) not in kinds]
+    if wrong:
+        raise ValueError(f"'{key}' holds {wrong[0]!r}, not a JSON {name}")
+    if array.ndim != ndim:
+        raise ValueError(f"'{key}' has {array.ndim} dimensions, not {ndim}")
+    return array
+
+
 @contextlib.contextmanager
 def _centroid_json(path, kind: str, version: int):
     """Yield the JSON object in the ``kind`` artifact ``path`` with its
@@ -526,9 +531,9 @@ def _centroid_json(path, kind: str, version: int):
     if found != version:
         raise VersionMismatchError(f"{kind} schema {found}, supported {version}")
     try:
-        ids = np.asarray(payload["ids"], dtype=np.int64)
-        centroids = np.asarray(payload["centroids"], dtype=float)
-        if ids.ndim != 1 or centroids.shape != (len(ids), HOURS_PER_DAY):
+        ids = _json_array(payload, "ids", np.int64, 1)
+        centroids = _json_array(payload, "centroids", float, 2)
+        if centroids.shape != (len(ids), HOURS_PER_DAY):
             raise ValueError(f"centroids of shape {centroids.shape} for {len(ids)} ids")
         yield payload, ids, centroids
     except KeyError as exc:

@@ -270,14 +270,13 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
     date_grid = np.tile(np.array(dates, dtype=object), n_house)
     truth = SyntheticTruth(hid_grid, date_grid, truth_ids.reshape(-1))
 
+    shapes = archetype_shapes(k)
     if not include_meter:
         return SyntheticCorpus(
             config, DayTable([], [], np.empty((0, HOURS_PER_DAY))),
-            weather, profiles, truth,
-            archetype_shapes(k), targets,
+            weather, profiles, truth, shapes, targets,
         )
 
-    shapes = archetype_shapes(k)
     base = shapes[archetype_id.reshape(-1)]  # (N, 24)
     n_total = base.shape[0]
 

@@ -698,6 +698,40 @@ def test_coverage_curve_maps_ids_that_do_not_ascend():
     assert curve.kwh.tolist() == [7.0, 3.0]
 
 
+@st.composite
+def _coverage_cases(draw):
+    """Dictionaries of up to 120 shapes with ids in any order, and up to
+    5,000 assignments to some of them, weighted over many magnitudes."""
+    k = draw(st.integers(1, 120))
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(np.arange(1, k + 1))
+    used = rng.choice(ids, int(rng.integers(1, k + 1)), replace=False)
+    weights = rng.random(n) * 10.0 ** rng.integers(-6, 7, n)
+    weight = draw(st.sampled_from(["total", "discretionary"]))
+    return ids, used[rng.integers(0, len(used), n)], weights, weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coverage_cases())
+def test_coverage_kwh_equals_add_at(case):
+    """coverage_curve's per-shape kWh is, bit for bit, the np.add.at sum it
+    replaced: both add each shape's days one by one in row order."""
+    ids, cluster_ids, weights, weight = case
+    d = dictionary_of([np.full(24, 1 / 24)] * len(ids))
+    d.ids = ids
+    n = len(cluster_ids)
+    table = AssignmentTable(np.full(n, "H1", dtype=object), [D(2011, 7, 1)] * n, cluster_ids,
+                            np.zeros(n), np.zeros(n), weights, weights)
+    row_of = {int(c): i for i, c in enumerate(ids)}
+    want = np.zeros(len(ids))
+    np.add.at(want, [row_of[int(c)] for c in cluster_ids], weights)
+    curve = coverage_curve(table, d, weight=weight)
+    got = np.empty(len(ids))
+    got[[row_of[int(c)] for c in curve.cluster_ids]] = curve.kwh
+    assert np.array_equal(got, want)
+
+
 def test_coverage_requires_weights():
     d = dictionary_of([np.full(24, 1 / 24)])
     table = AssignmentTable(["H1"], [D(2011, 7, 1)], [1], [0.0], [0.0])

@@ -555,7 +555,10 @@ def test_adaptive_centroid_consistency_and_determinism():
     m2 = adaptive_kmeans(X, theta=0.2, k_init=5, seed=7)
     assert np.array_equal(m1.centroids, m2.centroids)
     assert np.array_equal(m1.labels, m2.labels)
-    assert m1.max_consistency_error() <= 1e-9
+    means, counts, _ = add_at_group_means(m1.table.values, m1.labels, m1.n_clusters,
+                                          np.zeros(m1.n_shapes))
+    assert counts.min() > 0  # every centroid is the mean of its members
+    assert np.abs(means - m1.centroids).max() <= 1e-9
 
 
 def test_adaptive_split_cap_warns(monkeypatch):
@@ -933,9 +936,20 @@ def _edit_json(change):
     ("model.json", _edit_json(lambda m: m.update(ids=m["ids"][:-1])),
      r"model.json: malformed value \(centroids of shape \(\d+, 24\) for \d+ ids"),
     ("model.json", _edit_json(lambda m: m.update(theta="loose")),
-     "model.json: malformed value .*could not convert"),
+     r"model.json: malformed value \('theta': could not convert"),
     ("model.json", _edit_json(lambda m: m.update(ids=["a"] * len(m["ids"]))),
-     "model.json: malformed value .*invalid literal"),
+     r"model.json: malformed value \('ids': invalid literal"),
+    # values numpy would cast, but of the wrong JSON type
+    ("model.json", _edit_json(lambda m: m.update(ids=[i + 0.4 for i in m["ids"]])),
+     r"model.json: malformed value \('ids' holds 0.4, not a JSON integer\)"),
+    ("model.json", _edit_json(lambda m: m.update(counts=[float(c) for c in m["counts"]])),
+     r"model.json: malformed value \('counts' holds \d+\.0, not a JSON integer\)"),
+    ("model.json", _edit_json(lambda m: m.update(theta=str(m["theta"]))),
+     r"model.json: malformed value \('theta' holds '0.3', not a JSON number\)"),
+    ("model.json", _edit_json(lambda m: m["centroids"][0].__setitem__(0, "0.25")),
+     r"model.json: malformed value \('centroids' holds '0.25', not a JSON number\)"),
+    ("model.json", _edit_json(lambda m: m.update(ids=[[i] for i in m["ids"]])),
+     r"model.json: malformed value \('ids' has 2 dimensions, not 1\)"),
     ("model.json", _edit_json(lambda m: m.update(counts=[0] * len(m["counts"]))),
      "model.json: label counts disagree"),
 ])

@@ -431,10 +431,26 @@ def _redigest(payload, **changes):
     (lambda d: d["centroids"][0].pop(), r"malformed value \(.*inhomogeneous"),
     (lambda d: [row.pop() for row in d["centroids"]],
      r"malformed value \(centroids of shape \(\d+, 23\)"),
-    (lambda d: d.update(centroids=[]),
-     r"malformed value \(centroids of shape \(0,\) for \d+ ids"),
-    (lambda d: d.update(theta="tight"), "malformed value .*could not convert"),
-    (lambda d: d.update(member_counts=[1, None]), r"malformed value \(.*NoneType"),
+    (lambda d: d.update(centroids=[]), r"malformed value \('centroids' has 1 dimensions, not 2\)"),
+    (lambda d: d.update(theta="tight"), r"malformed value \('theta': could not convert"),
+    (lambda d: d.update(member_counts=[1, None]),
+     r"malformed value \('member_counts': .*NoneType"),
+    # values numpy would cast, but of the wrong JSON type; cast, the ids
+    # [1, 2, 3, 4] would match the recorded digest
+    (lambda d: d.update(ids=[1.9, "2", 3, 4]),
+     r"malformed value \('ids' holds 1.9, not a JSON integer\)"),
+    (lambda d: d.update(ids=[True, 2, 3, 4]),
+     r"malformed value \('ids' holds True, not a JSON integer\)"),
+    (lambda d: d.update(member_counts=[10.7, 10, 10, 10]),
+     r"malformed value \('member_counts' holds 10.7, not a JSON integer\)"),
+    (lambda d: d["member_kwh"].__setitem__(0, "400.0"),
+     r"malformed value \('member_kwh' holds '400.0', not a JSON number\)"),
+    (lambda d: d.update(theta="0.3"),
+     r"malformed value \('theta' holds '0.3', not a JSON number\)"),
+    (lambda d: d.update(truncation_v=True),
+     r"malformed value \('truncation_v' holds True, not a JSON number\)"),
+    (lambda d: d.update(ids=[2**70, 2, 3, 4]), r"malformed value \('ids': Python int too large"),
+    (lambda d: d.update(theta=[0.3]), r"malformed value \('theta' has 1 dimensions, not 0\)"),
     (lambda d: _redigest(d, centroids=[[0.5] * 24, *d["centroids"][1:]]),
      "dictionary shape id 1 sums to 12.0"),
     (lambda d: _redigest(d, centroids=[d["centroids"][0], [float("nan")] * 24,
@@ -503,9 +519,10 @@ def test_assignments_read_rejects_misaligned_middle_row(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     lines[2], lines[4] = lines[4], lines[2]  # swap data rows 2 and 4; ends intact
     path.write_text("".join(lines))
-    with pytest.raises(CorruptArtifactError, match="aligned"):
+    with pytest.raises(CorruptArtifactError,
+                       match=r"assignments.csv: .*not aligned \(first at data row 2\)"):
         AssignmentTable.read_csv(path, table)
-    with pytest.raises(CorruptArtifactError, match="row counts differ"):
+    with pytest.raises(CorruptArtifactError, match="assignments.csv: .*row counts differ"):
         AssignmentTable.read_csv(path, table.take([0, 1, 2, 3]))
 
 
@@ -519,5 +536,8 @@ def test_assignments_read_names_file_and_row_of_a_bad_row(tmp_path, line, messag
     path = tmp_path / "assignments.csv"
     path.write_text("household_id,date,cluster_id,distance,rse\n"
                     f"H0,2011-07-01,1,0.5,0.1\n{line}\n")
+    # the parse fails before the join with the shapes
+    shapes = ShapeTable(unit_shapes(np.random.default_rng(37), 2), ["H0", "H1"],
+                        [dt.date(2011, 7, 1), dt.date(2011, 7, 2)], np.ones(2), np.ones(2))
     with pytest.raises(CorruptArtifactError, match=f"assignments.csv: {message}"):
-        AssignmentTable.read_csv(path)
+        AssignmentTable.read_csv(path, shapes)

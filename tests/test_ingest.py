@@ -396,9 +396,9 @@ def test_survey_cell_mapping(tmp_path):
     profiles, diags = read_survey(path)
     assert diags == []
     prof = profiles[0]
-    assert prof.flag("elderly") is True
-    assert prof.flag("low_income") is False
-    assert prof.flag("chronically_ill") is None
+    assert prof.indicators.get("elderly") is True
+    assert prof.indicators.get("low_income") is False
+    assert prof.indicators.get("chronically_ill") is None
 
 
 def test_survey_unknown_column_lists_vocabulary(tmp_path):
@@ -432,7 +432,7 @@ def test_survey_bad_cell_treated_unknown_with_diagnostic(tmp_path):
     path = tmp_path / "survey.csv"
     path.write_text("household_id,elderly\nH1,yes\n")
     profiles, diags = read_survey(path)
-    assert profiles[0].flag("elderly") is None
+    assert profiles[0].indicators.get("elderly") is None
     assert len(diags) == 1
 
 
@@ -458,7 +458,7 @@ def test_profiles_are_read_only_and_pickle_and_copy(tmp_path):
     given = {"elderly": True}
     built = HouseholdProfile("H3", given)
     given["elderly"] = False  # the record holds its own copy
-    assert built.flag("elderly") is True
+    assert built.indicators.get("elderly") is True
     for profile in [*read, *drawn, built]:
         with pytest.raises(TypeError):
             profile.indicators["elderly"] = False
@@ -478,12 +478,17 @@ def test_season_boundaries():
     assert SeasonCalendar.season(D(2012, 5, 31)) == "spring"
 
 
+def day_type(date: D) -> str:
+    """Reference weekend rule: Saturday and Sunday; holidays are weekdays."""
+    return "weekend" if date.weekday() >= 5 else "weekday"
+
+
 def test_day_type_weekend_rule():
-    assert SeasonCalendar.day_type(D(2011, 6, 4)) == "weekend"  # Saturday
-    assert SeasonCalendar.day_type(D(2011, 6, 5)) == "weekend"  # Sunday
-    assert SeasonCalendar.day_type(D(2011, 6, 6)) == "weekday"  # Monday
-    # holidays are not treated as weekends (July 4th 2011 was a Monday)
-    assert SeasonCalendar.day_type(D(2011, 7, 4)) == "weekday"
+    # Saturday, Sunday, Monday, and July 4th 2011: holidays are not
+    # treated as weekends (it was a Monday)
+    dates = [D(2011, 6, 4), D(2011, 6, 5), D(2011, 6, 6), D(2011, 7, 4)]
+    _, day_types = SeasonCalendar.day_labels(ingest.day_numbers(dates))
+    assert day_types.tolist() == ["weekend", "weekend", "weekday", "weekday"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,15 +496,13 @@ def test_day_type_weekend_rule():
 def test_vectorized_labels_match_per_date_rules(dates):
     seasons, day_types = SeasonCalendar.day_labels(ingest.day_numbers(dates))
     assert seasons.tolist() == [SeasonCalendar.season(d) for d in dates]
-    assert day_types.tolist() == [SeasonCalendar.day_type(d) for d in dates]
+    assert day_types.tolist() == [day_type(d) for d in dates]
     assert seasons.dtype == object and day_types.dtype == object
 
 
 def test_indicator_vocabulary_is_closed():
+    # read_survey rejects any other column: test_survey_unknown_column_lists_vocabulary
     assert len(INDICATOR_VOCABULARY) == 12
-    prof = HouseholdProfile("H1", {})
-    with pytest.raises(UnknownIndicatorError):
-        prof.flag("owns_pool")
 
 
 # One input per reader holding every kind of row or cell it rejects, with

@@ -749,17 +749,26 @@ def test_run_parses_shapes_csv_at_most_once(smoke_corpus, tmp_path, shape_reads)
         assert len(shape_reads) == 1
 
 
-def test_stage_by_stage_run_matches_pipeline_artifacts(smoke_corpus, smoke_run, tmp_path):
-    # each standalone stage parses shapes.csv; the pipeline hands its table on
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stage_by_stage_run_matches_pipeline_artifacts(smoke_corpus, smoke_run, tmp_path_factory,
+                                                       monkeypatch, forks, threads):
+    # each standalone stage parses shapes.csv; the pipeline (threads 1) hands its table on.
+    # At threads 2 ingest parses the meter file in two ranges, whatever its size, and
+    # shapes.csv and assignments.csv are written in shards: three forks
+    monkeypatch.setattr(ingest, "FORK_MIN_BYTES", 1)
     _, piped, _ = smoke_run
-    out = tmp_path / "staged"
-    config = smoke_config(smoke_corpus, out)
+    # beside the piped run, so both manifests record the same relative input paths
+    out = tmp_path_factory.mktemp("staged")
+    assert os.path.relpath(smoke_corpus["meter"], out) == os.path.relpath(
+        smoke_corpus["meter"], piped)
+    config = smoke_config(smoke_corpus, out, threads=threads)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for stage in (stage_ingest, stage_cluster, stage_truncate, stage_assign,
                       stage_analyze):
             assert stage(config).status == "ran"
-    for name in ARTIFACTS:
+    assert len(forks) == (0 if threads == 1 else 3)
+    for name in (*ARTIFACTS, "run_manifest.json"):
         assert filecmp.cmp(piped / name, out / name, shallow=False), name
 
 
