@@ -20,7 +20,6 @@ are fixed, so a given seed reproduces the model bit for bit.
 
 from __future__ import annotations
 
-import datetime as dt
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .errors import (
     DegenerateCenterError,
     EmptyInputError,
 )
-from .ingest import HOURS_PER_DAY, KeyedTable, _centroid_json, _json_array, _write_json
+from .ingest import KeyedTable, _centroid_json, _json_array, _write_json
 from .preprocess import ShapeTable
 
 MODEL_SCHEMA_VERSION = 1
@@ -294,9 +293,10 @@ class ClusterModel:
         return float((self.rse_per_shape() > self.theta).mean())
 
 
-def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
+def adaptive_kmeans(shapes: ShapeTable, theta: float, k_init: int = DEFAULT_K_INIT,
                     seed: int = 0) -> ClusterModel:
-    """Grow a clustering until every shape fits its centroid within theta.
+    """Grow a clustering of the rows of ``shapes`` until every shape fits
+    its centroid within theta; anything but a ShapeTable is a TypeError.
 
     Each round splits every cluster that still contains a shape with RSE >
     theta into two (2-means on its members), then re-converges Lloyd's
@@ -304,9 +304,9 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
     violations unless the round cap, MAX_SPLIT_ROUNDS, triggers; a warning
     then reports the residual violations.
     """
-    is_table = isinstance(shapes, ShapeTable)
-    X = _checked_rows(shapes.values if is_table else shapes, "adaptive_kmeans")
-    table = shapes if is_table else _bare_table(X)
+    if not isinstance(shapes, ShapeTable):
+        raise TypeError(f"adaptive_kmeans needs a ShapeTable, got {type(shapes).__name__}")
+    X = _checked_rows(shapes.values, "adaptive_kmeans")
     if len(X) == 0:
         raise EmptyInputError("adaptive_kmeans on empty input")
     if not 0.0 < theta < np.inf:
@@ -356,7 +356,7 @@ def adaptive_kmeans(shapes, theta: float, k_init: int = DEFAULT_K_INIT,
         "k1": len(centers),
     }
     return ClusterModel(
-        table=table,
+        table=shapes,
         centroids=centers,
         ids=np.arange(len(centers), dtype=np.int64),
         labels=labels.astype(np.int64),
@@ -370,25 +370,6 @@ def _members(labels, k) -> list:
     by_label = np.argsort(labels, kind="stable")  # stable: row order within a cluster
     bounds = np.searchsorted(labels[by_label], np.arange(k + 1))
     return [by_label[bounds[c]:bounds[c + 1]] for c in range(k)]
-
-
-class _BareShapes(ShapeTable):
-    """A bare array's rows when they are not 24 wide, which no file holds."""
-
-    COLUMNS = (*ShapeTable.COLUMNS[:2], ("values", float, []))
-
-
-def _bare_table(shapes) -> ShapeTable:
-    X = np.asarray(shapes, dtype=float)
-    n = len(X)
-    table = ShapeTable if X.shape[1:] == (HOURS_PER_DAY,) else _BareShapes
-    return table(
-        X,
-        np.array([f"s{i}" for i in range(n)], dtype=object),
-        np.array([dt.date(2000, 1, 1)] * n, dtype=object),
-        np.ones(n),
-        np.ones(n),
-    )
 
 
 def hierarchical_merge(model: ClusterModel, max_violation: float = 0.05) -> ClusterModel:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterModel, _bare_table, _pairwise_sq_dists, rse_to_assigned
+from .cluster import ClusterModel, _pairwise_sq_dists, rse_to_assigned
 from .errors import CorruptArtifactError, EmptyInputError
 from .ingest import KeyedTable, _centroid_json, _json_array, _json_digest, _write_json
 from .preprocess import ShapeTable
@@ -243,23 +243,25 @@ def _nearest(X, C, ids, workers: int = 1):
     return labels, dist, rse_vals
 
 
-def assign_all(shapes, dictionary: ClusterDictionary, workers: int = 1) -> AssignmentTable:
-    """Assign every shape to its nearest dictionary shape by ``_nearest``
-    (Euclidean, exact ties to the lowest shape id). A bare (N, 24) array is
-    keyed as ``adaptive_kmeans`` keys one: placeholder keys and unit kWh.
+def assign_all(shapes: ShapeTable, dictionary: ClusterDictionary,
+               workers: int = 1) -> AssignmentTable:
+    """Assign every shape of the table ``shapes`` to its nearest dictionary
+    shape by ``_nearest`` (Euclidean, exact ties to the lowest shape id);
+    anything but a ShapeTable is a TypeError.
     """
+    if not isinstance(shapes, ShapeTable):
+        raise TypeError(f"assign_all needs a ShapeTable, got {type(shapes).__name__}")
     if len(dictionary) == 0:
         raise EmptyInputError("cannot assign against an empty dictionary")
-    table = shapes if isinstance(shapes, ShapeTable) else _bare_table(shapes)
-    labels, dist, rse_vals = _nearest(table.values, dictionary.values, dictionary.ids, workers)
+    labels, dist, rse_vals = _nearest(shapes.values, dictionary.values, dictionary.ids, workers)
     return AssignmentTable(
-        table.household_ids,
-        table.dates,
+        shapes.household_ids,
+        shapes.dates,
         dictionary.ids[labels],
         dist,
         rse_vals,
-        table.day_total_kwh,
-        table.discretionary_kwh,
+        shapes.day_total_kwh,
+        shapes.discretionary_kwh,
     )
 
 

@@ -205,10 +205,6 @@ class KeyedTable:
             idx = idx.astype(np.intp)
         return type(self)(**{name: column[idx] for name, column in vars(self).items()})
 
-    def freeze(self):
-        """The table, with every column made read-only by ``_frozen``."""
-        return _frozen(self)
-
     def _csv_blocks(self, lo, hi, *columns):
         """Yield ``(keys, *columns)`` per block of up to ``CSV_BLOCK_ROWS``
         rows of the rows ``lo`` to ``hi`` (exclusive) of the table and of
@@ -234,6 +230,11 @@ class KeyedTable:
                     for hid, date in zip(self.household_ids[start:stop], self.dates[start:stop])]
             yield (keys, *(column[start:stop].tolist() for column in columns))
 
+    def _write_shards(self, workers: int) -> int:
+        """How many processes ``_write_csv`` formats the table with: up to
+        ``workers``, each with a range of at least ``CSV_BLOCK_ROWS`` rows."""
+        return max(1, min(workers, len(self) // CSV_BLOCK_ROWS))
+
     def _write_csv(self, path, workers: int = 1) -> None:
         """Write the table to the CSV file ``path``, byte for byte as
         ``csv.writer`` writes rows of the id, the ISO date and the ``repr``
@@ -254,8 +255,8 @@ class KeyedTable:
                 vectors += list(column.T) if column.ndim == 2 else [column]
         texts = [_repr_or_empty if np.isnan(vector).any() else repr for vector in vectors]
         n = len(self)
-        wanted = max(1, min(workers, n // CSV_BLOCK_ROWS))
-        with _forked(wanted, os.path.dirname(os.path.abspath(path))) as (shard, shards, parts):
+        with _forked(self._write_shards(workers),
+                     os.path.dirname(os.path.abspath(path))) as (shard, shards, parts):
             bounds = [n * i // shards for i in range(shards + 1)]
             with (io.TextIOWrapper(parts, encoding="utf-8", newline="") if shard else
                   open(path, "w", newline="", encoding="utf-8")) as fh:

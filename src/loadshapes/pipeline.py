@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import analytics, ingest
-from .cluster import adaptive_kmeans, hierarchical_merge, load_model, save_model
+from .cluster import DEFAULT_K_INIT, adaptive_kmeans, hierarchical_merge, load_model, save_model
 from .config import flag, read_config
 from .dictionary import (
     AssignmentTable,
@@ -267,7 +267,7 @@ class RunConfig:
     quartiles: str = flag("empirical", "'empirical' or 'fixed:68,71,76'")
     coverage_weight: str = flag("total", "kWh weighting for coverage: total or discretionary")
     meter_schema: str = flag("wide", "meter CSV layout: wide or long")
-    k_init: int = flag(10, "initial k")
+    k_init: int = flag(DEFAULT_K_INIT, "initial k")
     stages: tuple = PIPELINE_STAGES
 
     def validate(self) -> None:
@@ -390,7 +390,7 @@ class RunCache:
         with ``background``, for a table the writer would split, in a
         background child, ``BACKGROUND_NICE`` nicer, that hands back the
         file's sha256, so this process never reads it back."""
-        if self.background and len(table) // ingest.CSV_BLOCK_ROWS >= 2:
+        if self.background and table._write_shards(workers) > 1:
             writer = contextlib.ExitStack()
             shard, shards, results = writer.enter_context(ingest._forked(2, group=True))
             if shard:  # the background child, which ends with the block

@@ -33,8 +33,9 @@ from loadshapes.dictionary import (
 )
 from loadshapes.ingest import DayTable
 from loadshapes.pipeline import RunConfig, run_pipeline
-from loadshapes.preprocess import normalize, preprocess_days, shape_from_day
+from loadshapes.preprocess import ShapeTable, normalize, preprocess_days, shape_from_day
 from loadshapes.synthetic import GeneratorConfig, generate_synthetic
+from shape_rows import shape_table
 
 ARTIFACTS = (
     "shapes.csv", "cleaning_report.csv", "model.json", "labels.csv",
@@ -324,10 +325,10 @@ def test_criterion_06_truncation_contract(recovery_chain):
     for c, count in enumerate((90, 8, 2)):
         rows.extend([base[c]] * count)
         labels.extend([c] * count)
-    from loadshapes.cluster import ClusterModel, _bare_table
+    from loadshapes.cluster import ClusterModel
 
     toy = ClusterModel(
-        table=_bare_table(np.array(rows)),
+        table=shape_table(np.array(rows)),
         centroids=base.copy(),
         ids=np.arange(3, dtype=np.int64),
         labels=np.array(labels, dtype=np.int64),
@@ -505,6 +506,9 @@ def test_criterion_12_determinism_and_throughput(big_run):
     n = 5_000_000
     X = rng.random((n, 24))
     X /= X.sum(axis=1, keepdims=True)
+    # assign_all needs no unique keys: one id and one date serve every row
+    shapes = ShapeTable(X, np.full(n, "h", dtype=object),
+                        np.full(n, dt.date(2000, 1, 1), dtype=object), np.ones(n), np.ones(n))
     values = rng.random((99, 24))
     values /= values.sum(axis=1, keepdims=True)
     dictionary = ClusterDictionary(
@@ -517,7 +521,7 @@ def test_criterion_12_determinism_and_throughput(big_run):
         truncation_v=0.3,
     )
     t0 = time.perf_counter()
-    assign_all(X, dictionary, workers=8)
+    assign_all(shapes, dictionary, workers=8)
     rate = n / (time.perf_counter() - t0)
     ok = identical and under_budget and rate > 100_000
     report(12, ok, f"bit-identical artifacts {identical}; runs took "

@@ -31,6 +31,7 @@ from loadshapes.errors import (
 )
 from loadshapes.preprocess import ShapeTable, preprocess_days
 from loadshapes.synthetic import GeneratorConfig, generate_synthetic
+from shape_rows import shape_table
 
 
 def unit_shapes(rng, n):
@@ -141,7 +142,7 @@ def test_kmeans_empty_raises():
     with pytest.raises(EmptyInputError):
         kmeans(np.empty((0, 24)), 2, seed=0)
     with pytest.raises(EmptyInputError, match="adaptive_kmeans on empty input"):
-        adaptive_kmeans(np.empty((0, 24)), theta=0.3, seed=0)
+        adaptive_kmeans(shape_table(np.empty((0, 24))), theta=0.3, seed=0)
 
 
 def two_group_table(rng, n_per=40, spread=0.002):
@@ -467,7 +468,7 @@ def test_warm_started_adaptive_kmeans_equals_cold_rounds(case):
     X, theta, k_init, seed = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the split-round cap
-        model = adaptive_kmeans(X, theta, k_init, seed)
+        model = adaptive_kmeans(shape_table(X), theta, k_init, seed)
         centers, labels, meta = cold_adaptive_kmeans(X, theta, k_init, seed)
     assert np.array_equal(model.centroids, centers)
     assert np.array_equal(model.labels, labels)
@@ -491,7 +492,8 @@ def test_a_warm_start_can_relocate_an_emptied_cluster(monkeypatch):
 
     monkeypatch.setattr(cluster, "_lloyd", lloyd)
     monkeypatch.setattr(cluster, "_group_means", group_means)
-    adaptive_kmeans(*_emptied_at_a_warm_start_case())
+    X, *args = _emptied_at_a_warm_start_case()
+    adaptive_kmeans(shape_table(X), *args)
     assert any(a == "warm" and b > 0 for a, b in zip(log, log[1:]))
 
 
@@ -519,7 +521,7 @@ def test_cluster_chain_golden_digest():
 def test_adaptive_two_well_separated_groups():
     rng = np.random.default_rng(14)
     X, truth = two_group_table(rng)
-    model = adaptive_kmeans(X, theta=0.5, k_init=2, seed=3)
+    model = adaptive_kmeans(shape_table(X), theta=0.5, k_init=2, seed=3)
     assert model.n_clusters == 2
     assert model.violation_rate == 0.0
     # recovered split matches the generating groups (up to label swap)
@@ -531,7 +533,7 @@ def test_adaptive_splits_to_meet_threshold():
     # k_init=1 forces the threshold loop to discover the second group
     rng = np.random.default_rng(15)
     X, _ = two_group_table(rng)
-    model = adaptive_kmeans(X, theta=0.3, k_init=1, seed=3)
+    model = adaptive_kmeans(shape_table(X), theta=0.3, k_init=1, seed=3)
     assert model.n_clusters >= 2
     assert model.violation_rate == 0.0
     assert model.meta["split_rounds"] >= 1
@@ -540,7 +542,7 @@ def test_adaptive_splits_to_meet_threshold():
 def test_adaptive_single_repeated_shape():
     shape = np.full(24, 1 / 24)
     X = np.tile(shape, (50, 1))
-    model = adaptive_kmeans(X, theta=0.3, k_init=10, seed=0)
+    model = adaptive_kmeans(shape_table(X), theta=0.3, k_init=10, seed=0)
     assert model.n_clusters == 1
     assert np.allclose(model.centroids[0], shape, atol=1e-15)
     # the centroid is a 50-term mean of identical values, so the RSE floor
@@ -551,8 +553,8 @@ def test_adaptive_single_repeated_shape():
 def test_adaptive_centroid_consistency_and_determinism():
     rng = np.random.default_rng(16)
     X = unit_shapes(rng, 400)
-    m1 = adaptive_kmeans(X, theta=0.2, k_init=5, seed=7)
-    m2 = adaptive_kmeans(X, theta=0.2, k_init=5, seed=7)
+    m1 = adaptive_kmeans(shape_table(X), theta=0.2, k_init=5, seed=7)
+    m2 = adaptive_kmeans(shape_table(X), theta=0.2, k_init=5, seed=7)
     assert np.array_equal(m1.centroids, m2.centroids)
     assert np.array_equal(m1.labels, m2.labels)
     means, counts, _ = add_at_group_means(m1.table.values, m1.labels, m1.n_clusters,
@@ -566,7 +568,7 @@ def test_adaptive_split_cap_warns(monkeypatch):
     X = unit_shapes(rng, 300)
     monkeypatch.setattr(cluster, "MAX_SPLIT_ROUNDS", 2)
     with pytest.warns(UserWarning, match="cap 2 reached"):
-        model = adaptive_kmeans(X, theta=1e-6, k_init=2, seed=1)
+        model = adaptive_kmeans(shape_table(X), theta=1e-6, k_init=2, seed=1)
     assert model.meta["split_rounds"] == 2
     assert model.meta["residual_violations"] > 0
 
@@ -575,10 +577,8 @@ def _model_from(X, labels, k, theta):
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     centroids = np.vstack([X[labels == c].mean(0) for c in range(k)])
-    from loadshapes.cluster import _bare_table
-
     return ClusterModel(
-        table=_bare_table(X),
+        table=shape_table(X),
         centroids=centroids,
         ids=np.arange(k, dtype=np.int64),
         labels=labels,
@@ -600,7 +600,7 @@ def test_merge_of_identical_centroids_keeps_rse():
 def test_merge_with_zero_budget_returns_input_unchanged():
     rng = np.random.default_rng(18)
     X = unit_shapes(rng, 12)
-    model = adaptive_kmeans(X, theta=0.5, k_init=3, seed=0)
+    model = adaptive_kmeans(shape_table(X), theta=0.5, k_init=3, seed=0)
     if model.n_clusters < 2:
         pytest.skip("degenerate draw")
     merged = hierarchical_merge(model, max_violation=0.0)
@@ -716,7 +716,7 @@ def test_merge_breaks_direct_distance_ties_to_the_lowest_id_pair():
             ([0, 1, 2, 2, 2, 2], [0, 1, 2], [0, 2]),  # the lowest pair (0, 1) in rows 0, 1
             ([0, 0, 0, 0, 1, 2], [5, 1, 3], [1, 5]),  # out of row order: (1, 3) in rows 1, 2
         ):
-            model = ClusterModel(table=cluster._bare_table(C[rows]), centroids=C.copy(),
+            model = ClusterModel(table=shape_table(C[rows]), centroids=C.copy(),
                                  ids=np.array(ids, dtype=np.int64),
                                  labels=np.array(rows, dtype=np.int64), theta=1e-9, meta={})
             merged = hierarchical_merge(model, max_violation=0.5)
@@ -796,7 +796,7 @@ def merge_cases(draw):
     else:  # far from the member means, and on the grid when X is
         centroids = X[rng.integers(0, n, k)]
     model = ClusterModel(
-        table=cluster._bare_table(X), centroids=centroids,
+        table=shape_table(X), centroids=centroids,
         ids=rng.permutation(k).astype(np.int64) * 3 + 1, labels=labels,
         theta=draw(st.sampled_from([0.01, 0.1, 0.3, 1.0])), meta={},
     )
@@ -988,9 +988,7 @@ def test_model_version_mismatch(tmp_path):
 def test_model_count_mismatch_rejected(tmp_path):
     rng = np.random.default_rng(20)
     X = unit_shapes(rng, 20)
-    from loadshapes.cluster import _bare_table
-
-    table = _bare_table(X)
+    table = shape_table(X)
     model = adaptive_kmeans(table, theta=0.5, k_init=2, seed=4)
     save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
     import json
@@ -1005,7 +1003,7 @@ def test_model_count_mismatch_rejected(tmp_path):
 def test_violation_rate_recomputed_not_cached():
     rng = np.random.default_rng(21)
     X = unit_shapes(rng, 30)
-    model = adaptive_kmeans(X, theta=0.4, k_init=3, seed=5)
+    model = adaptive_kmeans(shape_table(X), theta=0.4, k_init=3, seed=5)
     assert model.violation_rate == 0.0
     # shrink theta: recomputation must see new violations immediately
     model.theta = 1e-9
@@ -1015,9 +1013,7 @@ def test_violation_rate_recomputed_not_cached():
 def test_model_labels_naming_unknown_cluster_rejected(tmp_path):
     rng = np.random.default_rng(22)
     X = unit_shapes(rng, 20)
-    from loadshapes.cluster import _bare_table
-
-    table = _bare_table(X)
+    table = shape_table(X)
     model = adaptive_kmeans(table, theta=0.5, k_init=2, seed=4)
     save_model(model, tmp_path / "model.json", tmp_path / "labels.csv")
     lines = (tmp_path / "labels.csv").read_text().splitlines(keepends=True)
@@ -1038,12 +1034,12 @@ def test_adaptive_kmeans_rejects_bad_parameters(kwargs, name):
     X = unit_shapes(np.random.default_rng(26), 300)
     args = {"theta": 0.3, "k_init": 10, "seed": 0, **kwargs}
     with pytest.raises(ValueError, match=name):
-        adaptive_kmeans(X, **args)
+        adaptive_kmeans(shape_table(X), **args)
 
 
 @pytest.mark.parametrize("fit", [
     lambda X: kmeans(X, 3, seed=0),
-    lambda X: adaptive_kmeans(X, theta=0.3, seed=0),
+    lambda X: adaptive_kmeans(shape_table(X), theta=0.3, seed=0),
 ])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_fits_name_the_first_non_finite_row(fit, bad):
@@ -1057,7 +1053,7 @@ def test_fits_name_the_first_non_finite_row(fit, bad):
 
 @pytest.mark.parametrize("fit", [
     lambda X: kmeans(X, 3, seed=0),
-    lambda X: adaptive_kmeans(X, theta=0.3, seed=0),
+    lambda X: adaptive_kmeans(shape_table(X), theta=0.3, seed=0),
 ])
 @pytest.mark.parametrize("shape", [(24,), (2, 3, 24)])
 def test_fits_reject_an_array_that_is_not_a_table_of_rows(fit, shape):
@@ -1091,7 +1087,8 @@ def test_fixed_fit_setting_is_no_parameter(fit, name):
 
 
 def test_save_model_requires_a_labels_path(tmp_path):
-    model = adaptive_kmeans(unit_shapes(np.random.default_rng(26), 300), theta=0.3, seed=0)
+    model = adaptive_kmeans(shape_table(unit_shapes(np.random.default_rng(26), 300)),
+                            theta=0.3, seed=0)
     with pytest.raises(TypeError, match="labels_path"):
         save_model(model, tmp_path / "model.json")
     assert not (tmp_path / "model.json").exists()

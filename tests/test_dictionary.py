@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loadshapes import dictionary as dictionary_module
-from loadshapes.cluster import ClusterModel, _bare_table, save_model
+from loadshapes.cluster import ClusterModel, adaptive_kmeans, save_model
 from loadshapes.dictionary import (
     AssignmentTable,
     ClusterDictionary,
@@ -23,6 +23,7 @@ from loadshapes.errors import (
 )
 from loadshapes.ingest import _frozen
 from loadshapes.preprocess import ShapeTable
+from shape_rows import shape_table
 
 
 def unit_shapes(rng, n):
@@ -35,7 +36,7 @@ def make_model(X, labels, theta, day_kwh=None):
     labels = np.asarray(labels, dtype=np.int64)
     k = labels.max() + 1
     centroids = np.vstack([X[labels == c].mean(0) for c in range(k)])
-    table = _bare_table(X)
+    table = shape_table(X)
     if day_kwh is not None:
         table.day_total_kwh = np.asarray(day_kwh, dtype=float)
     return ClusterModel(
@@ -140,7 +141,7 @@ def test_truncate_validates_budget():
     for v in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             truncate(model, v)
-    empty = ClusterModel(table=_bare_table(np.empty((0, 24))), centroids=np.empty((0, 24)),
+    empty = ClusterModel(table=shape_table(np.empty((0, 24))), centroids=np.empty((0, 24)),
                          ids=np.empty(0, dtype=np.int64), labels=np.empty(0, dtype=np.int64),
                          theta=0.3)
     with pytest.raises(EmptyInputError, match="cannot truncate an empty model"):
@@ -182,7 +183,7 @@ def small_dictionary(k=4):
 
 def test_assign_identical_shape_distance_zero():
     dictionary = small_dictionary()
-    out = assign_all(dictionary.values[2][None, :], dictionary)
+    out = assign_all(shape_table(dictionary.values[2][None, :]), dictionary)
     assert out.cluster_ids.tolist() == [3]
     assert out.distances[0] == 0.0
     assert out.rses[0] == 0.0
@@ -191,7 +192,7 @@ def test_assign_identical_shape_distance_zero():
 def test_assign_tie_goes_to_lowest_id():
     dictionary = small_dictionary(k=2)
     midpoint = (dictionary.values[0] + dictionary.values[1]) / 2
-    out = assign_all(midpoint[None, :], dictionary)
+    out = assign_all(shape_table(midpoint[None, :]), dictionary)
     assert out.cluster_ids.tolist() == [1]
 
 
@@ -229,7 +230,7 @@ def test_assign_exact_ties_go_to_lowest_id():
     for a, b, x in swap_tie_cases(rng, 2000):
         assert ((x - a) ** 2).sum() == ((x - b) ** 2).sum()
         for first, second, ids in ((a, b, (1, 2)), (b, a, (1, 2)), (a, b, (2, 1))):
-            out = assign_all(x[None, :], two_shape_dictionary(first, second, ids))
+            out = assign_all(shape_table(x[None, :]), two_shape_dictionary(first, second, ids))
             if out.cluster_ids[0] != 1:
                 wrong.append(ids)
     assert wrong == []
@@ -244,7 +245,7 @@ def test_truncate_rehomes_exact_ties_to_lowest_id():
     for a, b, x in swap_tie_cases(rng, 2000):
         for first, second in ((a, b), (b, a)):
             model = ClusterModel(
-                table=_bare_table(np.vstack([first] * 10 + [second] * 10 + [x])),
+                table=shape_table(np.vstack([first] * 10 + [second] * 10 + [x])),
                 centroids=np.vstack([first, second, x]),
                 ids=np.arange(3, dtype=np.int64),
                 labels=np.repeat(np.arange(3, dtype=np.int64), [10, 10, 1]),
@@ -273,7 +274,7 @@ def test_assign_matches_brute_force(monkeypatch):
         theta=0.3,
         truncation_v=0.3,
     )
-    out = assign_all(X, dictionary)
+    out = assign_all(shape_table(X), dictionary)
     d2 = ((X[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
     expected = d2.argmin(axis=1) + 1
     assert np.array_equal(out.cluster_ids, expected)
@@ -285,13 +286,13 @@ def test_assign_matches_brute_force(monkeypatch):
 def test_assign_idempotent_and_worker_independent(monkeypatch):
     monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", 64)
     rng = np.random.default_rng(34)
-    X = unit_shapes(rng, 500)
+    table = shape_table(unit_shapes(rng, 500))
     dictionary = small_dictionary()
-    one = assign_all(X, dictionary, workers=1)
-    four = assign_all(X, dictionary, workers=4)
+    one = assign_all(table, dictionary, workers=1)
+    four = assign_all(table, dictionary, workers=4)
     assert np.array_equal(one.cluster_ids, four.cluster_ids)
     assert np.array_equal(one.distances, four.distances)
-    again = assign_all(X, dictionary, workers=1)
+    again = assign_all(table, dictionary, workers=1)
     assert np.array_equal(one.cluster_ids, again.cluster_ids)
 
 
@@ -302,11 +303,11 @@ def test_one_worker_searches_in_the_calling_thread(monkeypatch):
     monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", 64)
     monkeypatch.setattr(dictionary_module, "ThreadPoolExecutor", no_pool)
     rng = np.random.default_rng(35)
-    X = unit_shapes(rng, 300)
+    table = shape_table(unit_shapes(rng, 300))
     dictionary = small_dictionary()
-    out = assign_all(X, dictionary, workers=1)
+    out = assign_all(table, dictionary, workers=1)
     monkeypatch.setattr(dictionary_module, "ThreadPoolExecutor", ThreadPoolExecutor)
-    pooled = assign_all(X, dictionary, workers=2)
+    pooled = assign_all(table, dictionary, workers=2)
     assert np.array_equal(out.cluster_ids, pooled.cluster_ids)
     assert np.array_equal(out.rses, pooled.rses)
 
@@ -330,19 +331,18 @@ def test_assign_does_not_depend_on_chunking(monkeypatch):
     table = ShapeTable(X, np.array([f"h{i % 40}" for i in range(n)], dtype=object),
                        np.array([dt.date(2011, 1, 1)] * n, dtype=object),
                        np.ones(n), np.ones(n))
-    for shapes in (table, X):
-        ref = assign_all(shapes, dictionary)
-        for chunk_rows in (1, 7, 8192, 65536, n):
-            monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", chunk_rows)
-            for workers in (1, 4):
-                out = assign_all(shapes, dictionary, workers=workers)
-                assert np.array_equal(out.cluster_ids, ref.cluster_ids)
-                assert np.array_equal(out.distances, ref.distances)
-                assert np.array_equal(out.rses, ref.rses)
+    ref = assign_all(table, dictionary)
+    for chunk_rows in (1, 7, 8192, 65536, n):
+        monkeypatch.setattr(dictionary_module, "NEAREST_CHUNK_ROWS", chunk_rows)
+        for workers in (1, 4):
+            out = assign_all(table, dictionary, workers=workers)
+            assert np.array_equal(out.cluster_ids, ref.cluster_ids)
+            assert np.array_equal(out.distances, ref.distances)
+            assert np.array_equal(out.rses, ref.rses)
 
 
-def test_assign_empty_dictionary_rejected():
-    empty = ClusterDictionary(
+def empty_dictionary():
+    return ClusterDictionary(
         values=np.empty((0, 24)),
         ids=np.empty(0, dtype=np.int64),
         member_counts=np.empty(0, dtype=np.int64),
@@ -351,8 +351,21 @@ def test_assign_empty_dictionary_rejected():
         theta=0.3,
         truncation_v=0.3,
     )
+
+
+def test_assign_empty_dictionary_rejected():
     with pytest.raises(EmptyInputError):
-        assign_all(np.full((3, 24), 1 / 24), empty)
+        assign_all(shape_table(np.full((3, 24), 1 / 24)), empty_dictionary())
+
+
+@pytest.mark.parametrize("call", [
+    lambda X: adaptive_kmeans(X, theta=float("nan"), seed=0),
+    lambda X: assign_all(X, empty_dictionary()),
+], ids=["adaptive_kmeans", "assign_all"])
+def test_table_layer_rejects_a_bare_array(call):
+    # the type is checked first: a bad theta or an empty dictionary is not reached
+    with pytest.raises(TypeError, match="needs a ShapeTable, got ndarray"):
+        call(np.full((3, 24), 1 / 24))
 
 
 def test_dictionary_save_load_round_trip(tmp_path):

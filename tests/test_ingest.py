@@ -280,7 +280,7 @@ def test_keyed_table_checks_lengths_freezes_and_takes_copies(make):
     with pytest.raises(ValueError, match="column lengths"):
         make(["H1", "H2"], [D(2011, 6, 1)])
     table = make(["H1", "H2"], [D(2011, 6, 1), D(2011, 6, 2)])
-    assert table.freeze() is table
+    assert _frozen(table) is table
     columns = {name: value for name, value in vars(table).items()
                if isinstance(value, np.ndarray)}
     assert {"household_ids", "dates"} < set(columns)

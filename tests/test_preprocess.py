@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadshapes.errors import CorruptArtifactError, EmptyInputError, ZeroDiscretionaryError
-from loadshapes.ingest import DayTable, read_meter_corpus
+from loadshapes.ingest import DayTable, _frozen, read_meter_corpus
 from loadshapes.pipeline import RunCache
 from loadshapes.preprocess import (
     LOW_DEMAND_KW,
@@ -295,8 +295,9 @@ def test_shape_table_csv_round_trip_is_byte_exact(table):
 
 
 def test_freeze_makes_every_column_read_only():
+    # _frozen is the rule RunCache applies to the tables it hands between stages
     table = ShapeTable(np.ones((2, 24)) / 24, ["H1", "H2"], [D, D], [1.0, 2.0], [0.5, 1.0])
-    assert table.freeze() is table
+    assert _frozen(table) is table
     for column in (table.values, table.household_ids, table.dates,
                    table.day_total_kwh, table.discretionary_kwh):
         with pytest.raises(ValueError, match="read-only"):
