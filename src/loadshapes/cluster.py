@@ -234,27 +234,17 @@ def _checked_rows(X, name) -> np.ndarray:
     return X
 
 
-def kmeans(X, k, seed=None, n_init=1, rel_tol=DEFAULT_REL_TOL):
-    """Best-of-n_init k-means++ / Lloyd's. Returns (centers, labels, inertia);
+def kmeans(X, k, seed=None):
+    """k-means++ seeding, then Lloyd's. Returns (centers, labels, inertia);
     a numpy Generator as ``seed`` is drawn from, not re-seeded."""
     X = _checked_rows(X, "kmeans")
     if len(X) == 0:
         raise EmptyInputError("kmeans on empty input")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if not 0.0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_init):
-        init = _kmeans_pp_init(X, min(k, len(X)), rng)
-        centers, labels, _ = _lloyd(X, init, rel_tol=rel_tol)
-        inertia = float(((X - centers[labels]) ** 2).sum())
-        if best is None or inertia < best[2]:
-            best = (centers, labels, inertia)
-    return best
+    init = _kmeans_pp_init(X, min(k, len(X)), np.random.default_rng(seed))
+    centers, labels, _ = _lloyd(X, init)
+    return centers, labels, float(((X - centers[labels]) ** 2).sum())
 
 
 @dataclass
@@ -524,5 +514,5 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
         meta=payload.get("meta", {}),
     )
     if model.counts.tolist() != counts:
-        raise CorruptArtifactError(f"{model_path}: label counts disagree with persisted counts")
+        raise CorruptArtifactError(f"{labels_path} and {model_path}: label counts disagree")
     return model

@@ -68,21 +68,21 @@ def parse_fields(cls, raw: dict, error) -> dict:
 
 def _read_lines(path, error) -> dict:
     """``{key: text}`` from the config file at ``path``; a file that cannot
-    be read raises ``error`` naming it."""
+    be read or is not UTF-8 text raises ``error`` naming it."""
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise error(f"{path}: cannot read config file ({exc.strerror})") from exc
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        raise error(f"{path}: cannot read config file ({getattr(exc, 'strerror', exc)})") from exc
     raw: dict = {}
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise error(f"{path}:{line_no}: expected key=value")
-            key, text = (s.strip() for s in line.split("=", 1))
-            raw[key] = text
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{line_no}: expected key=value")
+        key, text = (s.strip() for s in line.split("=", 1))
+        raw[key] = text
     return raw
 
 

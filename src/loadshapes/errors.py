@@ -9,6 +9,13 @@ class HeaderMismatchError(LoadShapesError):
     """CSV header does not match the declared schema."""
 
 
+class MalformedInputError(LoadShapesError):
+    """An input CSV holds a byte that is not UTF-8 or a row csv cannot split."""
+
+    def __init__(self, path, row: int, message):
+        super().__init__(f"{path}:{row}: {message}")
+
+
 class DuplicateRecordError(LoadShapesError):
     """A key that must be unique appeared more than once."""
 

@@ -35,6 +35,7 @@ import mmap
 import operator
 import os
 import pickle
+import re
 import shutil
 import signal
 import tempfile
@@ -49,6 +50,7 @@ from .errors import (
     CorruptArtifactError,
     DuplicateRecordError,
     HeaderMismatchError,
+    MalformedInputError,
     UnknownIndicatorError,
     VersionMismatchError,
 )
@@ -404,9 +406,48 @@ def _write_table(path, header, rows, provenance=None) -> None:
         writer.writerows(rows)
 
 
-def _data_rows(reader, width: int, width_note: str, diagnostics: list, date_col=None):
-    """Yield ``(row_no, row, date)`` for the data rows of the input CSV
-    ``reader``, numbered from 2 (the header is row 1).
+class _Range(io.FileIO):
+    """Bytes ``[start, stop)`` of a file (to its end without ``stop``), unbuffered."""
+
+    def __init__(self, path, start: int, stop=None):
+        super().__init__(path)
+        self.left = (os.fstat(self.fileno()).st_size if stop is None else stop) - self.seek(start)
+
+    def read(self, size=-1) -> bytes:
+        data = super().read(self.left if size < 0 else min(size, self.left))
+        self.left -= len(data)
+        return data
+
+
+def _csv_rows(path, error, start=0, stop=None, first=1):
+    """Yield ``(row_no, cells)`` for the CSV rows in bytes ``[start, stop)``
+    of the UTF-8 file ``path``, numbered from ``first``; a range starts and
+    stops where a row does. The first row that holds a byte that is not
+    UTF-8 or that csv cannot split raises ``error(row_no, message)``: as
+    decoding runs 8 kB ahead of csv, only a failure reads the range again,
+    each bad byte decoded as a lone surrogate, to find that row."""
+    def text(errors):
+        return io.TextIOWrapper(_Range(path, start, stop), "utf-8", errors, newline="")
+
+    try:
+        with text("strict") as lines:
+            yield from enumerate(csv.reader(lines), start=first)
+    except (UnicodeDecodeError, csv.Error):
+        row_no = first - 1
+        try:
+            with text("surrogateescape") as lines:
+                for row_no, cells in enumerate(csv.reader(lines), start=first):
+                    if bad := re.search("[\udc80-\udcff]", ",".join(cells)):
+                        byte = ord(bad[0]) - 0xdc00
+                        raise error(row_no, f"byte {byte:#x} is not UTF-8") from None
+        except csv.Error as exc:
+            raise error(row_no + 1, exc) from None
+        raise  # the file changed between the two reads
+
+
+def _data_rows(rows, width: int, width_note: str, diagnostics: list, date_col=None):
+    """Yield ``(row_no, row, date)`` for the data rows among the ``_csv_rows``
+    pairs ``rows`` of an input CSV.
 
     Blank rows are skipped. A row without ``width`` cells, or without an ISO
     date in column ``date_col`` when one is given, gets a diagnostic
@@ -414,7 +455,7 @@ def _data_rows(reader, width: int, width_note: str, diagnostics: list, date_col=
     date, or None without ``date_col``.
     """
     date = None
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) != width:
@@ -429,60 +470,54 @@ def _data_rows(reader, width: int, width_note: str, diagnostics: list, date_col=
         yield row_no, row, date
 
 
-@contextlib.contextmanager
-def _input_rows(path, header: list[str], width_note: str, diagnostics: list, date_col=None,
-                lines=None):
-    """Open the input CSV ``path``, check that its header is ``header``
-    (cells stripped), and yield ``_data_rows`` over its data rows: those
-    in the lines ``lines(file)`` yields, if ``lines`` is given.
-
-    An empty file or another header raises HeaderMismatchError.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh if lines is None else lines(fh))
-        actual = next(reader, None)
-        if actual is None:
-            raise HeaderMismatchError(f"{path}: file is empty, expected header {header}")
-        if [c.strip() for c in actual] != header:
-            raise HeaderMismatchError(
-                f"{path}: header {actual} does not match schema {header}"
-            )
-        yield _data_rows(reader, len(header), width_note, diagnostics, date_col)
+def _input_rows(path, header: list[str], stop=None):
+    """The ``_csv_rows`` pairs after the header of the input CSV ``path``
+    (before byte ``stop`` if given); an empty file or a header other than
+    ``header`` (cells stripped) raises HeaderMismatchError."""
+    rows = _csv_rows(path, functools.partial(MalformedInputError, path), stop=stop)
+    _, actual = next(rows, (1, None))
+    if actual is None:
+        raise HeaderMismatchError(f"{path}: file is empty, expected header {header}")
+    if [c.strip() for c in actual] != header:
+        raise HeaderMismatchError(
+            f"{path}: header {actual} does not match schema {header}"
+        )
+    return rows
 
 
 @contextlib.contextmanager
 def _artifact_rows(path, header: list[str]):
-    """Open the CSV artifact ``path`` and yield an iterator over its data
-    rows, each checked to hold one cell per ``header`` column.
+    """Yield an iterator over the data rows of the CSV artifact ``path``,
+    each checked to hold one cell per ``header`` column.
 
     A missing or different header, a row with another cell count, and a
     ``ValueError`` (a bad date or number) raised by the ``with`` block while
     it parses a row become a CorruptArtifactError naming the file and the
     1-based data row.
     """
-    width = len(header)
+    def error(row_no, message):
+        where = f"data row {row_no}" if row_no else "header"
+        return CorruptArtifactError(f"{path}: {where}: {message}")
+
+    rows = _csv_rows(path, error, first=0)
+    _, actual = next(rows, (0, None))
+    if actual is None:
+        raise CorruptArtifactError(f"{path}: no header, expected {header}")
+    if actual != header:
+        raise CorruptArtifactError(f"{path}: header {actual}, expected {header}")
     row_no = 0
 
-    def rows(reader):
+    def checked():
         nonlocal row_no
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise CorruptArtifactError(
-                    f"{path}: data row {row_no}: expected {width} cells, got {len(row)}"
-                )
+        for row_no, row in rows:
+            if len(row) != len(header):
+                raise error(row_no, f"expected {len(header)} cells, got {len(row)}")
             yield row
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        actual = next(reader, None)
-        if actual is None:
-            raise CorruptArtifactError(f"{path}: no header, expected {header}")
-        if actual != header:
-            raise CorruptArtifactError(f"{path}: header {actual}, expected {header}")
-        try:
-            yield rows(reader)
-        except ValueError as exc:
-            raise CorruptArtifactError(f"{path}: data row {row_no}: {exc}") from exc
+    try:
+        yield checked()
+    except ValueError as exc:
+        raise error(row_no, exc) from exc
 
 
 def _read_json(path) -> dict:
@@ -530,7 +565,7 @@ def _centroid_json(path, kind: str, version: int):
     payload = _read_json(path)
     found = payload.get("schema_version")
     if found != version:
-        raise VersionMismatchError(f"{kind} schema {found}, supported {version}")
+        raise VersionMismatchError(f"{path}: {kind} schema {found}, supported {version}")
     try:
         ids = _json_array(payload, "ids", np.int64, 1)
         centroids = _json_array(payload, "centroids", float, 2)
@@ -592,12 +627,16 @@ def read_meter_corpus(path, schema: str = "wide", workers: int = 1):
     raise ValueError(f"unknown meter schema '{schema}' (expected wide|long)")
 
 
-def _wide_days(path, rows, seen: set, diagnostics: list, days) -> None:
-    """Append the ids, dates and 24 readings of each row it keeps of the
-    wide file's ``_data_rows`` ``rows`` to the columns ``days``; a key
-    already in ``seen``, to which each is added, raises."""
+def _wide_days(path, rows, seen: set, diagnostics: list, days) -> int:
+    """Append the ids, dates and 24 readings of each data row it keeps of
+    the wide file's ``_csv_rows`` pairs ``rows`` to the columns ``days``; a
+    key already in ``seen``, to which each is added, raises. Returns the
+    number of the last of ``rows``, or 1, the header's, if there is none."""
+    last = 1
+    rows = ((last := row_no, cells) for row_no, cells in rows)  # each sets last as it is read
     household_ids, dates, readings = days
-    for row_no, row, date in rows:
+    for row_no, row, date in _data_rows(rows, len(WIDE_HEADER), "expected 24 hourly columns",
+                                        diagnostics, date_col=1):
         household_id = row[0].strip()
         key = (household_id, date)
         if key in seen:
@@ -622,13 +661,14 @@ def _wide_days(path, rows, seen: set, diagnostics: list, days) -> None:
         household_ids.append(household_id)
         dates.append(date)
         readings.extend(kwh)
+    return last
 
 
 def _read_meter_wide(path, workers: int = 1):
     """With ``workers`` > 1, a file of ``FORK_MIN_BYTES`` or more with no
     ``"`` in its first half is parsed in two ranges, the second in a forked
-    child; this process reads on past the split, as one process would, if
-    the child fails or a key of the second range is in the first."""
+    child; this process reads the second itself, numbering on from its own
+    rows, if the child fails or a key of the second range is in the first."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         fh.seek(size // 2)
@@ -638,40 +678,31 @@ def _read_meter_wide(path, workers: int = 1):
         if wanted > 1:  # a quote could open a field across the split: one C scan, no copy
             with mmap.mmap(fh.fileno(), split, access=mmap.ACCESS_READ) as first:
                 wanted = 1 if first.find(b'"') >= 0 else 2
-    note = "expected 24 hourly columns"
     days = ([], [], array.array("d"))  # ids, dates, every day's 24 readings
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, dt.date]] = set()
+    error = functools.partial(MalformedInputError, path)
     with _forked(wanted) as (shard, shards, results):
-        if shard:  # the rows after the split, numbered from 2 as after a header
-            with open(path, "rb") as fh:
-                fh.seek(split)
-                reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
-                rows = _data_rows(reader, len(WIDE_HEADER), note, diagnostics, date_col=1)
-                _wide_days(path, rows, seen, diagnostics, days)
+        if shard:
+            _wide_days(path, _csv_rows(path, error, split), seen, diagnostics, days)
             shared = {}  # one object per distinct id and date: pickled once, loaded once
             pickle.dump(([[shared.setdefault(v, v) for v in column] for column in days[:2]],
                          diagnostics), results)
             days[2].tofile(results)
         else:
-            def lines(text):  # its lines, none past the split once the child's rows join
-                offset = 0
-                for count, line in enumerate(text):
-                    yield line
-                    offset += len(line.encode())
-                    if offset == split and (child := next(results))[0] == 0:
-                        more, notes = pickle.load(child[1])
-                        if seen.isdisjoint(zip(*more)):
-                            for column, tail in zip(days, more):
-                                column.extend(tail)
-                            while block := child[1].read(1 << 16):  # no second copy of them all
-                                days[2].frombytes(block)
-                            diagnostics.extend(Diagnostic(count + d.row, d.message) for d in notes)
-                            return
-
-            with _input_rows(path, WIDE_HEADER, note, diagnostics, date_col=1,
-                             lines=lines if shards > 1 else None) as rows:
-                _wide_days(path, rows, seen, diagnostics, days)
+            last = _wide_days(path, _input_rows(path, WIDE_HEADER, split if shards > 1 else None),
+                              seen, diagnostics, days)
+            for code, part in results:  # the child's, if one was forked
+                more, notes = pickle.load(part) if code == 0 else (None, None)
+                if more and seen.isdisjoint(zip(*more)):
+                    for column, tail in zip(days, more):
+                        column.extend(tail)
+                    while block := part.read(1 << 16):  # no second copy of them all
+                        days[2].frombytes(block)
+                    diagnostics.extend(Diagnostic(last + d.row, d.message) for d in notes)
+                else:
+                    _wide_days(path, _csv_rows(path, error, split, first=last + 1),
+                               seen, diagnostics, days)
     household_ids, dates, readings = days
     kwh = np.frombuffer(readings, dtype=float).reshape(-1, HOURS_PER_DAY)
     return DayTable(household_ids, dates, kwh), diagnostics
@@ -681,30 +712,30 @@ def _read_meter_long(path):
     diagnostics: list[Diagnostic] = []
     slots: dict[tuple[str, dt.date], np.ndarray] = {}
     filled: set[tuple[str, dt.date, int]] = set()
-    with _input_rows(path, LONG_HEADER, f"expected {len(LONG_HEADER)} columns",
-                     diagnostics, date_col=1) as rows:
-        for row_no, row, date in rows:
-            household_id = row[0].strip()
-            try:
-                hour = int(row[2])
-            except ValueError:
-                diagnostics.append(Diagnostic(row_no, f"bad hour '{row[2]}'"))
-                continue
-            if not 1 <= hour <= HOURS_PER_DAY:
-                diagnostics.append(Diagnostic(row_no, f"hour {hour} outside 1..24"))
-                continue
-            triple = (household_id, date, hour)
-            if triple in filled:
-                raise DuplicateRecordError(
-                    f"{path}:{row_no}: duplicate (household_id, date, hour) {triple}"
-                )
-            filled.add(triple)
-            key = (household_id, date)
-            if key not in slots:
-                slots[key] = np.full(HOURS_PER_DAY, np.nan)
-            slots[key][hour - 1] = _parse_kwh_cell(
-                row[3], row_no, f"hour {hour}", diagnostics
+    rows = _data_rows(_input_rows(path, LONG_HEADER), len(LONG_HEADER),
+                      f"expected {len(LONG_HEADER)} columns", diagnostics, date_col=1)
+    for row_no, row, date in rows:
+        household_id = row[0].strip()
+        try:
+            hour = int(row[2])
+        except ValueError:
+            diagnostics.append(Diagnostic(row_no, f"bad hour '{row[2]}'"))
+            continue
+        if not 1 <= hour <= HOURS_PER_DAY:
+            diagnostics.append(Diagnostic(row_no, f"hour {hour} outside 1..24"))
+            continue
+        triple = (household_id, date, hour)
+        if triple in filled:
+            raise DuplicateRecordError(
+                f"{path}:{row_no}: duplicate (household_id, date, hour) {triple}"
             )
+        filled.add(triple)
+        key = (household_id, date)
+        if key not in slots:
+            slots[key] = np.full(HOURS_PER_DAY, np.nan)
+        slots[key][hour - 1] = _parse_kwh_cell(
+            row[3], row_no, f"hour {hour}", diagnostics
+        )
     days = DayTable(
         [hid for hid, _ in slots],
         [date for _, date in slots],
@@ -741,23 +772,23 @@ def read_weather(path):
     records: list[WeatherDay] = []
     diagnostics: list[Diagnostic] = []
     seen: set[dt.date] = set()
-    with _input_rows(path, WEATHER_HEADER, "expected 2 columns", diagnostics,
-                     date_col=0) as rows:
-        for row_no, row, date in rows:
-            try:
-                temp = float(row[1])
-            except ValueError:
-                diagnostics.append(
-                    Diagnostic(row_no, f"non-numeric temperature '{row[1]}'")
-                )
-                continue
-            if not np.isfinite(temp):
-                diagnostics.append(Diagnostic(row_no, f"non-finite temperature {temp}"))
-                continue
-            if date in seen:
-                raise DuplicateRecordError(f"{path}:{row_no}: duplicate date {date}")
-            seen.add(date)
-            records.append(WeatherDay(date, temp))
+    rows = _data_rows(_input_rows(path, WEATHER_HEADER), len(WEATHER_HEADER),
+                      "expected 2 columns", diagnostics, date_col=0)
+    for row_no, row, date in rows:
+        try:
+            temp = float(row[1])
+        except ValueError:
+            diagnostics.append(
+                Diagnostic(row_no, f"non-numeric temperature '{row[1]}'")
+            )
+            continue
+        if not np.isfinite(temp):
+            diagnostics.append(Diagnostic(row_no, f"non-finite temperature {temp}"))
+            continue
+        if date in seen:
+            raise DuplicateRecordError(f"{path}:{row_no}: duplicate date {date}")
+        seen.add(date)
+        records.append(WeatherDay(date, temp))
     if not records:
         warnings.warn(f"{path}: weather file contains no usable records")
     return records, diagnostics
@@ -777,45 +808,43 @@ def read_survey(path):
     profiles: list[HouseholdProfile] = []
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "household_id":
-            raise HeaderMismatchError(
-                f"{path}: survey header must start with 'household_id'"
+    rows = _csv_rows(path, functools.partial(MalformedInputError, path))
+    _, header = next(rows, (1, None))
+    if not header or header[0].strip() != "household_id":
+        raise HeaderMismatchError(
+            f"{path}: survey header must start with 'household_id'"
+        )
+    columns = [c.strip() for c in header[1:]]
+    unknown = [c for c in columns if c not in INDICATOR_VOCABULARY]
+    if unknown:
+        raise UnknownIndicatorError(
+            f"{path}: unknown indicator column(s) {unknown}; "
+            f"allowed: {list(INDICATOR_VOCABULARY)}"
+        )
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise HeaderMismatchError(f"{path}: survey header repeats column(s) {repeated}")
+    width = len(columns) + 1
+    for row_no, row, _ in _data_rows(rows, width, f"expected {width} columns", diagnostics):
+        household_id = row[0].strip()
+        if household_id in seen:
+            raise DuplicateRecordError(
+                f"{path}:{row_no}: duplicate household_id '{household_id}'"
             )
-        columns = [c.strip() for c in header[1:]]
-        unknown = [c for c in columns if c not in INDICATOR_VOCABULARY]
-        if unknown:
-            raise UnknownIndicatorError(
-                f"{path}: unknown indicator column(s) {unknown}; "
-                f"allowed: {list(INDICATOR_VOCABULARY)}"
-            )
-        repeated = sorted({c for c in columns if columns.count(c) > 1})
-        if repeated:
-            raise HeaderMismatchError(f"{path}: survey header repeats column(s) {repeated}")
-        width = len(columns) + 1
-        for row_no, row, _ in _data_rows(reader, width, f"expected {width} columns",
-                                         diagnostics):
-            household_id = row[0].strip()
-            if household_id in seen:
-                raise DuplicateRecordError(
-                    f"{path}:{row_no}: duplicate household_id '{household_id}'"
-                )
-            seen.add(household_id)
-            indicators: dict[str, bool] = {}
-            for col, cell in zip(columns, row[1:]):
-                text = cell.strip()
-                if text in ("0", "1"):
-                    indicators[col] = text == "1"
-                elif text:
-                    diagnostics.append(
-                        Diagnostic(
-                            row_no,
-                            f"{col}: cell '{text}' not in {{0,1,empty}}, treated as unknown",
-                        )
+        seen.add(household_id)
+        indicators: dict[str, bool] = {}
+        for col, cell in zip(columns, row[1:]):
+            text = cell.strip()
+            if text in ("0", "1"):
+                indicators[col] = text == "1"
+            elif text:
+                diagnostics.append(
+                    Diagnostic(
+                        row_no,
+                        f"{col}: cell '{text}' not in {{0,1,empty}}, treated as unknown",
                     )
-            profiles.append(HouseholdProfile(household_id, indicators))
+                )
+        profiles.append(HouseholdProfile(household_id, indicators))
     return profiles, diagnostics
 
 

@@ -16,6 +16,7 @@ from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import (
     DuplicateRecordError,
     HeaderMismatchError,
+    MalformedInputError,
     UnknownIndicatorError,
 )
 from loadshapes.ingest import (
@@ -578,10 +579,35 @@ DIAGNOSTIC_CASES = {
 
 
 @pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))
-def test_reader_diagnostics_golden(kind, tmp_path):
+# csv ends a row at a lone CR as at an LF; a blank row is still a row
+@pytest.mark.parametrize("newline", ["\n", "\r"], ids=["lf", "cr"])
+def test_reader_diagnostics_golden(kind, newline, tmp_path):
     read, lines, want = DIAGNOSTIC_CASES[kind]
     path = tmp_path / f"{kind}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((newline.join(lines) + newline).encode())
     records, diagnostics = read(path)
     assert [(d.row, d.message) for d in diagnostics] == want
     assert len(records) == {"wide": 2, "long": 1, "weather": 1, "survey": 2}[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))
+@pytest.mark.parametrize("line", [0, 2, 4])  # the header, a blank line, a data row
+def test_a_byte_that_is_not_utf8_names_the_input_file_and_row(kind, line, tmp_path):
+    read, lines, _ = DIAGNOSTIC_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    data = "\n".join(lines).encode().split(b"\n")
+    data[line] = data[line][:3] + b"\xff" + data[line][3:]
+    path.write_bytes(b"\n".join(data) + b"\n")
+    with pytest.raises(MalformedInputError,
+                       match=f"{kind}.csv:{line + 1}: byte 0xff is not UTF-8$"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))
+def test_a_field_past_the_csv_limit_names_the_input_file_and_row(kind, tmp_path):
+    read, lines, _ = DIAGNOSTIC_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    rest = [lines[1]] * (131_072 // len(lines[1]) + 1)
+    path.write_text("\n".join([*lines[:2], '"' + lines[1], *rest]) + "\n")
+    with pytest.raises(MalformedInputError, match=f"{kind}.csv:3: field larger than field limit"):
+        read(path)

@@ -17,7 +17,7 @@ import pytest
 from test_writers import forks as writer_forks  # noqa: F401  (a fixture: forked pids)
 
 from loadshapes import ingest
-from loadshapes.errors import DuplicateRecordError
+from loadshapes.errors import DuplicateRecordError, MalformedInputError
 from loadshapes.ingest import WIDE_HEADER, read_meter_corpus
 
 # 450-byte rows: the file is far longer than the 8 kB that a text file
@@ -111,6 +111,14 @@ def test_a_split_on_the_last_line_reads_in_one_process(forks, tmp_path):
     assert_same(path, forks, forked=0)
 
 
+def test_a_cr_only_file_reads_in_one_process(forks, tmp_path):
+    # no LF to split after; csv ends each row at its CR
+    path = meter(tmp_path, {**defects(3), **defects(300)}, newline="\r")
+    ids, _, _, diagnostics = assert_same(path, forks, forked=0)
+    assert len(ids) == ROWS - 6
+    assert [d.row for d in diagnostics] == [4, 4, 4, 5, 6, 301, 301, 301, 302, 303]
+
+
 def test_a_file_under_the_threshold_reads_in_one_process(forks, monkeypatch, tmp_path):
     path = meter(tmp_path, {**defects(3), **defects(300)})
     monkeypatch.setattr(ingest, "FORK_MIN_BYTES", os.path.getsize(path) + 1)
@@ -148,8 +156,29 @@ def test_a_duplicate_raises_the_serial_error(first, second, forks, tmp_path):
 @pytest.mark.parametrize("at", [5, 390])
 def test_a_byte_that_is_not_utf8_raises_the_serial_error(at, forks, tmp_path):
     path = meter(tmp_path, {at: row(at).replace("H", "H\udcff", 1)})
-    kind, _ = assert_same(path, forks)
-    assert kind is UnicodeDecodeError
+    assert assert_same(path, forks) == (
+        MalformedInputError, f"{path}:{at + 1}: byte 0xff is not UTF-8")
+
+
+def test_a_bad_byte_in_each_range_raises_the_first_ranges_error(forks, tmp_path):
+    path = meter(tmp_path, {at: row(at).replace("H", "H\udcff", 1) for at in (5, 390)})
+    assert assert_same(path, forks) == (
+        MalformedInputError, f"{path}:6: byte 0xff is not UTF-8")
+
+
+def test_a_stray_quote_raises_the_serial_error(forks, tmp_path):
+    # the quote opens a field that runs on past csv's field limit
+    path = meter(tmp_path, {5: '"' + row(5), **defects(300)})
+    assert assert_same(path, forks, forked=0) == (
+        MalformedInputError, f"{path}:6: field larger than field limit (131072)")
+
+
+def test_a_stray_quote_in_the_second_range_gives_the_serial_diagnostics(forks, tmp_path):
+    # the quoted field runs on to the end of the file: one row of too few cells
+    path = meter(tmp_path, {**defects(3), 300: '"' + row(300)})
+    ids, _, _, diagnostics = assert_same(path, forks)
+    assert len(ids) == 299 - 3
+    assert [d.row for d in diagnostics][-1] == 301
 
 
 @pytest.mark.parametrize("at", [5, 390])

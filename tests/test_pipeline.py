@@ -688,6 +688,27 @@ def test_cli_missing_config_file_is_a_config_error(tmp_path, capsys, command):
         RunConfig.from_file(missing)
 
 
+def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\ntheta = 0.3\xff\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "bad.cfg" in err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ConfigError, match="bad.cfg: cannot read config file"):
+        RunConfig.from_file(bad)
+
+
+def test_cli_meter_byte_that_is_not_utf8_fails_ingest_naming_file_and_row(tmp_path, capsys):
+    meter = tmp_path / "meter.csv"
+    hours = ",".join(["0.5"] * 24)
+    meter.write_bytes(f"{','.join(ingest.WIDE_HEADER)}\nH1,2011-06-01,{hours}\n".encode()
+                      + f"H1,2011-06-02,{hours}\n".encode().replace(b"H1", b"H\xff"))
+    assert main(["run", "--meter", str(meter), "--out", str(tmp_path / "out"), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'ingest': {meter}:3: byte 0xff is not UTF-8\n"
+
+
 def test_cli_non_finite_theta_is_a_config_error(tmp_path, capsys):
     code = main(["run", "--meter", "x.csv", "--out", str(tmp_path), "--seed",
                  "1", "--theta", "nan"])

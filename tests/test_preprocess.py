@@ -243,6 +243,7 @@ def _damage_cell(path, row: int, cell: int, text: str) -> None:
     (2, "1.2.3", "could not convert"),
     (10, "", "could not convert"),
     (-1, "0.5", "expected 28 cells, got 29"),
+    (0, '"H', "expected 28 cells, got 1"),  # a stray quote: one field to the end of the file
 ])
 def test_shapes_parse_names_file_and_row_of_a_bad_row(tmp_path, cell, text, message):
     rng = np.random.default_rng(5)
@@ -252,6 +253,36 @@ def test_shapes_parse_names_file_and_row_of_a_bad_row(tmp_path, cell, text, mess
     _damage_cell(path, 3, cell, text)
     with pytest.raises(CorruptArtifactError, match=f"shapes.csv: data row 3: {message}"):
         ShapeTable.read_csv(path)
+
+
+def _shapes_lines(tmp_path, n: int) -> list[bytes]:
+    """The lines of the shapes.csv of ``n`` random days, header first."""
+    table, _ = preprocess_days(days_of(np.random.default_rng(5).uniform(0.3, 3.0, (n, 24))))
+    table.write_csv(tmp_path / "shapes.csv")
+    return (tmp_path / "shapes.csv").read_bytes().split(b"\r\n")
+
+
+# a text file is decoded 8 kB at a time: data row 3 is in the first chunk,
+# which the header read decodes, and rows 36 and 37 in later ones
+@pytest.mark.parametrize("row, where", [(0, "header"), (3, "data row 3"),
+                                        (36, "data row 36"), (37, "data row 37")])
+def test_shapes_parse_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, row, where):
+    lines = _shapes_lines(tmp_path, 40)
+    assert len(b"\r\n".join(lines[:4])) < 8192 < len(b"\r\n".join(lines[:36]))
+    lines[row] = lines[row][:5] + b"\xff" + lines[row][5:]
+    (tmp_path / "shapes.csv").write_bytes(b"\r\n".join(lines))
+    with pytest.raises(CorruptArtifactError,
+                       match=f"shapes.csv: {where}: byte 0xff is not UTF-8$"):
+        ShapeTable.read_csv(tmp_path / "shapes.csv")
+
+
+def test_shapes_parse_names_the_row_of_a_stray_quote_past_the_field_limit(tmp_path):
+    lines = _shapes_lines(tmp_path, 300)
+    lines[5] = b'"' + lines[5]
+    (tmp_path / "shapes.csv").write_bytes(b"\r\n".join(lines))
+    with pytest.raises(CorruptArtifactError,
+                       match=r"shapes.csv: data row 5: field larger than field limit \(131072\)$"):
+        ShapeTable.read_csv(tmp_path / "shapes.csv")
 
 
 # household ids with the characters CSV must quote: comma, quote, CR, LF
