@@ -48,8 +48,8 @@ from .dictionary import (
 from .ingest import (
     INDICATOR_VOCABULARY,
     DayTable,
-    HouseholdProfile,
     SeasonCalendar,
+    Survey,
     WeatherDay,
     read_meter_corpus,
     read_survey,
@@ -86,7 +86,6 @@ __all__ = [
     "DayTable",
     "EntropyReport",
     "GeneratorConfig",
-    "HouseholdProfile",
     "INDICATOR_VOCABULARY",
     "OccurrenceMap",
     "PeakTaxonomy",
@@ -94,6 +93,7 @@ __all__ = [
     "SeasonCalendar",
     "ShapeTable",
     "Stratum",
+    "Survey",
     "SyntheticCorpus",
     "WeatherDay",
     "adaptive_kmeans",

@@ -364,11 +364,12 @@ def _bootstrap_means(rng, groups, n_boot: int) -> list:
     return outs
 
 
-def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
+def characteristic_entropy_delta(entropies: dict, survey, indicator: str,
                                  seed: int = 0) -> CharacteristicDelta:
     """mean(with) - mean(without) entropy plus a percentile bootstrap CI.
 
-    Households with the indicator unknown are excluded from the comparison.
+    Households are taken in ``survey`` order (an ``ingest.Survey``); those
+    with the indicator unknown are excluded from the comparison.
     The bootstrap draws N_BOOT resamples of households (the independent
     sampling unit) in each group separately and gives the 1 - ALPHA
     percentile interval; deterministic for a fixed seed. Resamples are
@@ -377,11 +378,10 @@ def characteristic_entropy_delta(entropies: dict, profiles, indicator: str,
     the block size nor thread timing.
     """
     with_vals, without_vals = [], []
-    for prof in profiles:
-        flag = prof.indicators.get(indicator)
-        if flag is None or prof.household_id not in entropies:
+    for household_id, flag in zip(survey.household_ids.tolist(), survey.flags(indicator)):
+        if flag < 0 or household_id not in entropies:
             continue
-        (with_vals if flag else without_vals).append(entropies[prof.household_id])
+        (with_vals if flag else without_vals).append(entropies[household_id])
     if not with_vals and not without_vals:
         raise EmptyInputError(f"indicator '{indicator}' is absent for all households")
     if len(with_vals) < 2 or len(without_vals) < 2:

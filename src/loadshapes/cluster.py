@@ -39,6 +39,8 @@ DEFAULT_K_INIT = 10
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
 MAX_SPLIT_ROUNDS = 200
+# how far from 1 a centroid row of model.json or dictionary.json may sum
+CENTROID_SUM_TOL = 1e-6
 
 
 def rse(shape, center) -> float:
@@ -232,6 +234,16 @@ def _checked_rows(X, name) -> np.ndarray:
     if len(bad):
         raise ValueError(f"{name}: row {bad[0]} holds a non-finite value")
     return X
+
+
+def _unit_sum_note(ids, centroids) -> str | None:
+    """A note on the row farthest from summing to 1, or None if every row
+    is within CENTROID_SUM_TOL of it."""
+    sums = centroids.sum(axis=1)
+    if np.all(np.abs(sums - 1.0) <= CENTROID_SUM_TOL):  # NaN fails too
+        return None
+    bad = int(np.argmax(np.abs(sums - 1.0)))
+    return f"id {int(ids[bad])} sums to {float(sums[bad])!r}, expected 1 +/- {CENTROID_SUM_TOL}"
 
 
 def kmeans(X, k, seed=None):
@@ -473,10 +485,13 @@ def load_model(model_path, labels_path, table: ShapeTable) -> ClusterModel:
 
     ``table`` holds every labelled shape and may hold more, such as the full
     shape table the model was subsampled from. The model's table is the rows
-    labels.csv names, in labels.csv order. A key the table lacks, or one
-    labels.csv lists twice, raises CorruptArtifactError.
+    labels.csv names, in labels.csv order. A key the table lacks or that
+    labels.csv lists twice, or a centroid that does not sum to 1, raises
+    CorruptArtifactError.
     """
     with _centroid_json(model_path, "model", MODEL_SCHEMA_VERSION) as (payload, ids, centroids):
+        if note := _unit_sum_note(ids, centroids):
+            raise ValueError(f"centroid of {note}")
         theta = float(_json_array(payload, "theta", float, 0))
         counts = _json_array(payload, "counts", np.int64, 1).tolist()
     position = {int(cid): pos for pos, cid in enumerate(ids)}

@@ -2,11 +2,11 @@
 
 One ``key=value`` per line; blank lines and ``#`` comments are skipped.
 Each key names a dataclass field and its text is cast by that field's
-annotation: ``int``, ``float``, ``str``, an ISO ``dt.date``, or a
-comma-separated ``tuple``; ``X | None`` casts as ``X``. A ``dict[str, T]``
-field takes one line per entry, ``<prefix>.<name>=value``, where the prefix
-is the field's ``metadata["key"]`` (the field name by default). A new field
-needs no parser change.
+annotation: ``int``, ``float``, ``str`` or an ISO ``dt.date``; ``X | None``
+casts as ``X``. A ``dict[str, T]`` field takes one line per entry,
+``<prefix>.<name>=value``, where the prefix is the field's
+``metadata["key"]`` (the field name by default). A new field needs no
+parser change.
 
 A field made by ``flag`` is also a command line flag: ``add_flags`` adds it
 as text, and ``config_from`` lays the given flags over the file's lines and
@@ -29,8 +29,6 @@ def flag(default, help: str):
 def _cast(hint, text: str):
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-    if hint is tuple:
-        return tuple(s.strip() for s in text.split(",") if s.strip())
     if hint is dt.date:
         return dt.date.fromisoformat(text)
     return hint(text)
@@ -84,11 +82,6 @@ def _read_lines(path, error) -> dict:
         key, text = (s.strip() for s in line.split("=", 1))
         raw[key] = text
     return raw
-
-
-def read_config(cls, path, error) -> dict:
-    """Constructor arguments for dataclass ``cls`` from the file at ``path``."""
-    return parse_fields(cls, _read_lines(path, error), error)
 
 
 def add_flags(parser, cls) -> None:

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterModel, _pairwise_sq_dists, rse_to_assigned
+from .cluster import ClusterModel, _pairwise_sq_dists, _unit_sum_note, rse_to_assigned
 from .errors import CorruptArtifactError, EmptyInputError
 from .ingest import KeyedTable, _centroid_json, _json_array, _json_digest, _write_json
 from .preprocess import ShapeTable
 
 DICTIONARY_SCHEMA_VERSION = 1
-CENTROID_SUM_TOL = 1e-6
 
 # relative margin, far above the expanded form's rounding (~1e-15), within
 # which _nearest re-ranks candidates by direct differences
@@ -65,13 +64,8 @@ class ClusterDictionary:
         return len(self.values)
 
     def validate(self) -> None:
-        sums = self.values.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= CENTROID_SUM_TOL):  # NaN fails too
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise CorruptArtifactError(
-                f"dictionary shape id {int(self.ids[bad])} sums to {float(sums[bad])!r}, "
-                f"expected 1 +/- {CENTROID_SUM_TOL}"
-            )
+        if note := _unit_sum_note(self.ids, self.values):
+            raise CorruptArtifactError(f"dictionary shape {note}")
         if len(set(self.ids.tolist())) != len(self.ids):
             raise CorruptArtifactError("dictionary ids are not unique")
         order = np.lexsort((self.ids, -self.member_kwh))

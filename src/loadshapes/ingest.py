@@ -3,8 +3,8 @@
 Readers are single-pass and stateless. Each returns ``(records, diagnostics)``
 where diagnostics is a list of :class:`Diagnostic` describing rejected rows or
 cells that were marked missing; the meter readers' records are one
-:class:`DayTable`. Hard schema problems (unreadable file, header mismatch,
-duplicate keys) raise instead.
+:class:`DayTable` and the survey reader's one :class:`Survey`. Hard schema
+problems (unreadable file, header mismatch, duplicate keys) raise instead.
 
 File formats are UTF-8 CSV with ISO-8601 dates:
 
@@ -41,7 +41,7 @@ import signal
 import tempfile
 import threading
 import warnings
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -311,19 +311,26 @@ class WeatherDay:
     avg_temp_f: float
 
 
-@dataclass(frozen=True)
-class HouseholdProfile:
-    """Survey record: indicator -> True/False; absent key means unknown.
-    ``indicators`` is held as a read-only copy, pickled as a plain dict."""
+class Survey:
+    """Survey answers as columns: ``household_ids`` (str objects) and
+    ``indicators``, an (N, 12) int8 matrix in ``INDICATOR_VOCABULARY``
+    order of 1 (true), 0 (false) or -1 (unknown), one row per household."""
 
-    household_id: str
-    indicators: dict[str, bool] = field(default_factory=dict)
+    def __init__(self, household_ids, indicators):
+        self.household_ids = np.asarray(household_ids, dtype=object)
+        self.indicators = np.asarray(indicators, dtype=np.int8)
+        if self.indicators.shape != (len(self.household_ids), len(INDICATOR_VOCABULARY)):
+            raise ValueError(f"indicators: expected shape (N, 12), got {self.indicators.shape}")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indicators", MappingProxyType(dict(self.indicators)))
+    def __len__(self) -> int:
+        return len(self.household_ids)
 
-    def __reduce__(self):
-        return type(self), (self.household_id, dict(self.indicators))
+    def flags(self, indicator: str) -> list:
+        """The ``indicator`` column as a list; UnknownIndicatorError outside the vocabulary."""
+        if indicator not in INDICATOR_VOCABULARY:
+            raise UnknownIndicatorError(
+                f"unknown indicator '{indicator}'; allowed: {list(INDICATOR_VOCABULARY)}")
+        return self.indicators[:, INDICATOR_VOCABULARY.index(indicator)].tolist()
 
 
 _MONTH_SEASON = {
@@ -445,20 +452,25 @@ def _csv_rows(path, error, start=0, stop=None, first=1):
         raise  # the file changed between the two reads
 
 
-def _data_rows(rows, width: int, width_note: str, diagnostics: list, date_col=None):
+def _data_rows(path, rows, width: int, width_note: str, diagnostics: list, date_col=None):
     """Yield ``(row_no, row, date)`` for the data rows among the ``_csv_rows``
-    pairs ``rows`` of an input CSV.
+    pairs ``rows`` of the input CSV ``path``.
 
     Blank rows are skipped. A row without ``width`` cells, or without an ISO
     date in column ``date_col`` when one is given, gets a diagnostic
     (``width_note`` or the bad date) and is skipped; ``date`` is the parsed
-    date, or None without ``date_col``.
+    date, or None without ``date_col``. A row without ``width`` cells that
+    holds a line break, where a stray quote took the rows after it into one
+    field, raises MalformedInputError at the quote's row instead.
     """
     date = None
     for row_no, row in rows:
         if not row:
             continue
         if len(row) != width:
+            if any("\n" in cell or "\r" in cell for cell in row):
+                raise MalformedInputError(
+                    path, row_no, f"a quote opens a field that runs across lines ({width_note})")
             diagnostics.append(Diagnostic(row_no, width_note))
             continue
         if date_col is not None:
@@ -635,8 +647,8 @@ def _wide_days(path, rows, seen: set, diagnostics: list, days) -> int:
     last = 1
     rows = ((last := row_no, cells) for row_no, cells in rows)  # each sets last as it is read
     household_ids, dates, readings = days
-    for row_no, row, date in _data_rows(rows, len(WIDE_HEADER), "expected 24 hourly columns",
-                                        diagnostics, date_col=1):
+    for row_no, row, date in _data_rows(path, rows, len(WIDE_HEADER),
+                                        "expected 24 hourly columns", diagnostics, date_col=1):
         household_id = row[0].strip()
         key = (household_id, date)
         if key in seen:
@@ -712,7 +724,7 @@ def _read_meter_long(path):
     diagnostics: list[Diagnostic] = []
     slots: dict[tuple[str, dt.date], np.ndarray] = {}
     filled: set[tuple[str, dt.date, int]] = set()
-    rows = _data_rows(_input_rows(path, LONG_HEADER), len(LONG_HEADER),
+    rows = _data_rows(path, _input_rows(path, LONG_HEADER), len(LONG_HEADER),
                       f"expected {len(LONG_HEADER)} columns", diagnostics, date_col=1)
     for row_no, row, date in rows:
         household_id = row[0].strip()
@@ -772,7 +784,7 @@ def read_weather(path):
     records: list[WeatherDay] = []
     diagnostics: list[Diagnostic] = []
     seen: set[dt.date] = set()
-    rows = _data_rows(_input_rows(path, WEATHER_HEADER), len(WEATHER_HEADER),
+    rows = _data_rows(path, _input_rows(path, WEATHER_HEADER), len(WEATHER_HEADER),
                       "expected 2 columns", diagnostics, date_col=0)
     for row_no, row, date in rows:
         try:
@@ -800,14 +812,13 @@ def write_weather(records, path) -> None:
 
 
 def read_survey(path):
-    """Read household survey indicators. Returns (profiles, diagnostics).
+    """Read household survey indicators. Returns (:class:`Survey`, diagnostics).
 
     Header columns after household_id must come from the closed indicator
     vocabulary; cells are 1 (true), 0 (false), or empty (unknown).
     """
-    profiles: list[HouseholdProfile] = []
+    flags_of: dict[str, dict[str, int]] = {}  # in file order
     diagnostics: list[Diagnostic] = []
-    seen: set[str] = set()
     rows = _csv_rows(path, functools.partial(MalformedInputError, path))
     _, header = next(rows, (1, None))
     if not header or header[0].strip() != "household_id":
@@ -825,18 +836,18 @@ def read_survey(path):
     if repeated:
         raise HeaderMismatchError(f"{path}: survey header repeats column(s) {repeated}")
     width = len(columns) + 1
-    for row_no, row, _ in _data_rows(rows, width, f"expected {width} columns", diagnostics):
+    for row_no, row, _ in _data_rows(path, rows, width, f"expected {width} columns",
+                                     diagnostics):
         household_id = row[0].strip()
-        if household_id in seen:
+        if household_id in flags_of:
             raise DuplicateRecordError(
                 f"{path}:{row_no}: duplicate household_id '{household_id}'"
             )
-        seen.add(household_id)
-        indicators: dict[str, bool] = {}
+        flags = flags_of[household_id] = dict.fromkeys(INDICATOR_VOCABULARY, -1)
         for col, cell in zip(columns, row[1:]):
             text = cell.strip()
             if text in ("0", "1"):
-                indicators[col] = text == "1"
+                flags[col] = int(text)
             elif text:
                 diagnostics.append(
                     Diagnostic(
@@ -844,16 +855,12 @@ def read_survey(path):
                         f"{col}: cell '{text}' not in {{0,1,empty}}, treated as unknown",
                     )
                 )
-        profiles.append(HouseholdProfile(household_id, indicators))
-    return profiles, diagnostics
+    indicators = np.array([list(flags.values()) for flags in flags_of.values()], dtype=np.int8)
+    return Survey(list(flags_of), indicators.reshape(-1, len(INDICATOR_VOCABULARY))), diagnostics
 
 
-def write_survey(profiles, path) -> None:
+def write_survey(survey: Survey, path) -> None:
     """Write every indicator of the vocabulary: 1, 0, or empty if unknown."""
-    def cell(flag):
-        return "" if flag is None else ("1" if flag else "0")
-
-    _write_table(path, ["household_id", *INDICATOR_VOCABULARY], (
-        [prof.household_id, *(cell(prof.indicators.get(col)) for col in INDICATOR_VOCABULARY)]
-        for prof in profiles
-    ))
+    cells = np.array(["", "0", "1"], dtype=object)[survey.indicators + 1]
+    _write_table(path, ["household_id", *INDICATOR_VOCABULARY],
+                 ([hid, *row] for hid, row in zip(survey.household_ids.tolist(), cells.tolist())))

@@ -23,14 +23,13 @@ parsed again. A stage command makes a cache for its one stage, so it
 parses from disk.
 
 A stage's entry is recorded once its outputs are whole. In a
-``run_pipeline`` call with ``threads`` > 1 and a later selected stage that
-reads shapes, ingest may leave ``shapes.csv`` to a background child; the
-entries of ingest and the stages run beside it are held (they count as
-finished for "run X first") and recorded in stage order once the child is
-joined: before a cached check against an entry whose params match, or at
-the end of the run; a parse meanwhile takes ingest's table, never
-shapes.csv. On any error or interrupt before then, the runner kills and
-reaps the child and removes the outputs of the held stages, which get no entry.
+``run_pipeline`` call with ``threads`` > 1, ingest may leave ``shapes.csv``
+to a background child; the entries of ingest and the stages run beside it
+are held (they count as finished for "run X first") and recorded in stage
+order once the child is joined: before a cached check against an entry
+whose params match, or at the end of the run. On any error or interrupt
+before then, the runner kills and reaps the child and removes the outputs
+of the held stages, which get no entry.
 
 Nothing in the artifacts depends on wall-clock time or the worker count,
 so identical configs and inputs reproduce outputs bit for bit.
@@ -50,7 +49,7 @@ from typing import Callable
 
 from . import analytics, ingest
 from .cluster import DEFAULT_K_INIT, adaptive_kmeans, hierarchical_merge, load_model, save_model
-from .config import flag, read_config
+from .config import flag
 from .dictionary import (
     AssignmentTable,
     assign_all,
@@ -176,12 +175,12 @@ def _analyze(config: RunConfig, out: Path, read: dict, cache: RunCache) -> dict:
 
     deltas = []
     if "survey" in read:
-        profiles, _ = read["survey"]
+        survey, _ = read["survey"]
         for indicator in INDICATOR_VOCABULARY:
             try:
                 deltas.append(
                     analytics.characteristic_entropy_delta(
-                        entropies, profiles, indicator, seed=config.seed
+                        entropies, survey, indicator, seed=config.seed
                     )
                 )
             except EmptyInputError:
@@ -268,7 +267,6 @@ class RunConfig:
     coverage_weight: str = flag("total", "kWh weighting for coverage: total or discretionary")
     meter_schema: str = flag("wide", "meter CSV layout: wide or long")
     k_init: int = flag(DEFAULT_K_INIT, "initial k")
-    stages: tuple = PIPELINE_STAGES
 
     def validate(self) -> None:
         for key, ok, rule in (
@@ -283,7 +281,6 @@ class RunConfig:
             ("coverage_weight", self.coverage_weight in ("total", "discretionary"),
              "total or discretionary"),
             ("meter_schema", self.meter_schema in ("wide", "long"), "wide or long"),
-            ("stages", set(self.stages) <= set(PIPELINE_STAGES), f"among {PIPELINE_STAGES}"),
         ):
             if not ok:
                 raise ConfigError(
@@ -303,17 +300,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"config key 'quartiles': {exc}") from exc
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        """The config in the flat key=value file ``path``."""
-        return cls(**read_config(cls, path, ConfigError))
-
     def effective_params(self) -> dict:
         """All parameters that shape the outputs: every field but the file
-        paths, ``threads`` and ``stages``, in field order, and the subsample
-        algorithm."""
+        paths and ``threads``, in field order, and the subsample algorithm."""
         params = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name not in ("meter", "weather", "survey", "out", "threads", "stages")}
+                  if f.name not in ("meter", "weather", "survey", "out", "threads")}
         return {**params, "subsample_algorithm": SUBSAMPLE_ALGORITHM}
 
 
@@ -604,18 +595,15 @@ stage_analyze = _STAGE_FNS["analyze"]
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
-    """Execute the selected stages in order, skipping cached ones; with
-    ``threads`` > 1, ingest may write ``shapes.csv`` beside the later
-    stages (see the module docstring)."""
+    """Execute every stage in order, skipping cached ones; with ``threads``
+    > 1, ingest may write ``shapes.csv`` beside the later stages (see the
+    module docstring). The stage commands run one stage each."""
     config.validate()
-    selected = [name for name in PIPELINE_STAGES if name in config.stages]
     manifest = Manifest(Path(config.out))
-    overlap = config.threads > 1 and any("shapes" in STAGES[name].reads for name in selected)
-    cache = RunCache(background=overlap)  # this run only
+    cache = RunCache(background=config.threads > 1)  # this run only
     result = RunResult(run_id=run_id_for(config, cache))
     try:
-        for name in selected:
-            result.results.append(_STAGE_FNS[name](config, manifest, cache))
+        result.results = [stage_fn(config, manifest, cache) for stage_fn in _STAGE_FNS.values()]
         cache.join()
         cache.record(manifest)
     except BaseException:

@@ -27,14 +27,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import flag, read_config
+from .config import flag
 from .errors import GeneratorConfigError
 from .ingest import (
     HOURS_PER_DAY,
     INDICATOR_VOCABULARY,
     DayTable,
-    HouseholdProfile,
     KeyedTable,
+    Survey,
     WeatherDay,
     write_meter_corpus,
     write_survey,
@@ -58,7 +58,7 @@ ENTROPY_JITTER = 0.05
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic corpus; ``from_file`` reads a key=value file."""
+    """Knobs for the synthetic corpus."""
 
     archetypes: int = flag(5, "number of planted archetype shapes")
     households: int = flag(100, "number of households")
@@ -98,12 +98,6 @@ class GeneratorConfig:
         unknown = set(self.entropy_bias) - set(INDICATOR_VOCABULARY)
         if unknown:
             raise GeneratorConfigError(f"entropy bias for unknown indicators {unknown}")
-
-    @classmethod
-    def from_file(cls, path) -> "GeneratorConfig":
-        cfg = cls(**read_config(cls, path, GeneratorConfigError))
-        cfg.validate()
-        return cfg
 
 
 def _circular_bump(center, width: float) -> np.ndarray:
@@ -178,7 +172,7 @@ class SyntheticCorpus:
     config: GeneratorConfig
     days: DayTable
     weather: list
-    profiles: list
+    profiles: Survey
     truth: SyntheticTruth
     archetypes: np.ndarray
     target_entropy: np.ndarray
@@ -227,16 +221,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int,
 
     house_ids = np.array([f"H{i:05d}" for i in range(n_house)], dtype=object)
     flags = rng.random((n_house, len(INDICATOR_VOCABULARY))) < 0.5
-    profiles = [
-        HouseholdProfile(
-            hid,
-            {
-                name: bool(flags[i, j])
-                for j, name in enumerate(INDICATOR_VOCABULARY)
-            },
-        )
-        for i, hid in enumerate(house_ids)
-    ]
+    profiles = Survey(house_ids, flags)
 
     jitter = rng.uniform(-ENTROPY_JITTER, ENTROPY_JITTER, n_house)
     targets = np.full(n_house, config.base_entropy) + jitter

@@ -33,8 +33,9 @@ from loadshapes.errors import (
     EmptyInputError,
     NotADistributionError,
     SingletonClusteringError,
+    UnknownIndicatorError,
 )
-from loadshapes.ingest import HouseholdProfile, WeatherDay
+from loadshapes.ingest import INDICATOR_VOCABULARY, Survey, WeatherDay
 
 D = dt.date
 
@@ -332,29 +333,28 @@ def test_occurrence_map_dates_are_the_frames_own_objects():
     assert all(type(d) is dt.date and id(d) in own for d in occ.dates)
 
 
-def profiles_with(indicator, with_ids, without_ids, absent_ids=()):
-    out = []
-    for hid in with_ids:
-        out.append(HouseholdProfile(hid, {indicator: True}))
-    for hid in without_ids:
-        out.append(HouseholdProfile(hid, {indicator: False}))
-    for hid in absent_ids:
-        out.append(HouseholdProfile(hid, {}))
-    return out
+def survey_with(indicator, with_ids, without_ids, absent_ids=()):
+    """A Survey of the households with, without and of unknown ``indicator``,
+    in that order; every other indicator is unknown."""
+    ids = [*with_ids, *without_ids, *absent_ids]
+    flags = np.full((len(ids), len(INDICATOR_VOCABULARY)), -1)
+    flags[:, INDICATOR_VOCABULARY.index(indicator)] = (
+        [1] * len(with_ids) + [0] * len(without_ids) + [-1] * len(absent_ids))
+    return Survey(ids, flags)
 
 
 def test_delta_indicator_true_for_all_rejected():
     entropies = {f"H{i}": 0.5 for i in range(6)}
-    profiles = profiles_with("elderly", [f"H{i}" for i in range(6)], [])
+    survey = survey_with("elderly", [f"H{i}" for i in range(6)], [])
     with pytest.raises(EmptyInputError):
-        characteristic_entropy_delta(entropies, profiles, "elderly")
+        characteristic_entropy_delta(entropies, survey, "elderly")
 
 
 def test_delta_absent_indicator_rejected():
     entropies = {f"H{i}": 0.5 for i in range(6)}
-    profiles = profiles_with("elderly", [], [], absent_ids=[f"H{i}" for i in range(6)])
+    survey = survey_with("elderly", [], [], absent_ids=[f"H{i}" for i in range(6)])
     with pytest.raises(EmptyInputError):
-        characteristic_entropy_delta(entropies, profiles, "elderly")
+        characteristic_entropy_delta(entropies, survey, "elderly")
 
 
 def test_delta_identical_groups_centered_on_zero():
@@ -366,8 +366,8 @@ def test_delta_identical_groups_centered_on_zero():
         entropies[f"О{i}"] = v
         with_ids.append(f"W{i}")
         without_ids.append(f"О{i}")
-    profiles = profiles_with("elderly", with_ids, without_ids)
-    delta = characteristic_entropy_delta(entropies, profiles, "elderly", seed=0)
+    survey = survey_with("elderly", with_ids, without_ids)
+    delta = characteristic_entropy_delta(entropies, survey, "elderly", seed=0)
     assert delta.delta == 0.0
     assert delta.ci_low <= 0.0 <= delta.ci_high
 
@@ -375,14 +375,14 @@ def test_delta_identical_groups_centered_on_zero():
 def test_delta_deterministic_and_excludes_absent():
     rng = np.random.default_rng(43)
     entropies = {f"H{i}": float(rng.uniform(0, 2)) for i in range(40)}
-    profiles = profiles_with(
+    survey = survey_with(
         "electric_dryer",
         [f"H{i}" for i in range(15)],
         [f"H{i}" for i in range(15, 30)],
         absent_ids=[f"H{i}" for i in range(30, 40)],
     )
-    a = characteristic_entropy_delta(entropies, profiles, "electric_dryer", seed=5)
-    b = characteristic_entropy_delta(entropies, profiles, "electric_dryer", seed=5)
+    a = characteristic_entropy_delta(entropies, survey, "electric_dryer", seed=5)
+    b = characteristic_entropy_delta(entropies, survey, "electric_dryer", seed=5)
     assert a == b
     assert a.n_with == 15 and a.n_without == 15  # absent households excluded
 
@@ -399,8 +399,8 @@ def test_delta_ci_width_shrinks_with_group_size(monkeypatch):
             entropies[f"O{i}"] = float(rng.normal(0.8, 0.3))
             with_ids.append(f"W{i}")
             without_ids.append(f"O{i}")
-        profiles = profiles_with("central_ac", with_ids, without_ids)
-        d = characteristic_entropy_delta(entropies, profiles, "central_ac", seed=6)
+        survey = survey_with("central_ac", with_ids, without_ids)
+        d = characteristic_entropy_delta(entropies, survey, "central_ac", seed=6)
         return d.ci_high - d.ci_low
 
     assert width(400) < width(40)
@@ -408,23 +408,30 @@ def test_delta_ci_width_shrinks_with_group_size(monkeypatch):
 
 def _three_and_three():
     entropies = {f"H{i}": float(i) for i in range(6)}
-    profiles = profiles_with("elderly", ["H0", "H1", "H2"], ["H3", "H4", "H5"])
-    return entropies, profiles
+    survey = survey_with("elderly", ["H0", "H1", "H2"], ["H3", "H4", "H5"])
+    return entropies, survey
+
+
+@pytest.mark.parametrize("name", ["children", "Elderly", " elderly", ""])
+def test_delta_indicator_outside_the_vocabulary_is_rejected(name):
+    entropies, survey = _three_and_three()
+    with pytest.raises(UnknownIndicatorError, match=re.escape(str(list(INDICATOR_VOCABULARY)))):
+        characteristic_entropy_delta(entropies, survey, name)
 
 
 def test_delta_with_a_single_resample(monkeypatch):
-    entropies, profiles = _three_and_three()
+    entropies, survey = _three_and_three()
     monkeypatch.setattr(analytics, "N_BOOT", 1)
-    d = characteristic_entropy_delta(entropies, profiles, "elderly")
+    d = characteristic_entropy_delta(entropies, survey, "elderly")
     assert d.ci_low == d.ci_high
 
 
 @pytest.mark.parametrize("name,value", [("n_boot", 100), ("alpha", 0.1)])
 def test_delta_bootstrap_setting_is_no_parameter(name, value):
     """N_BOOT and ALPHA fix the resample count and the interval level."""
-    entropies, profiles = _three_and_three()
+    entropies, survey = _three_and_three()
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-        characteristic_entropy_delta(entropies, profiles, "elderly", **{name: value})
+        characteristic_entropy_delta(entropies, survey, "elderly", **{name: value})
 
 
 def test_delta_golden_values():
@@ -434,8 +441,10 @@ def test_delta_golden_values():
     ids = [f"H{i:03d}" for i in range(685)]
     entropies = {h: float(v) for h, v in zip(ids, rng.uniform(0.5, 2.5, 685))}
     flags = rng.random(685) < 0.44
-    profiles = [HouseholdProfile(h, {"children": bool(f)}) for h, f in zip(ids, flags)]
-    d = characteristic_entropy_delta(entropies, profiles, "children", seed=7)
+    indicators = np.full((685, len(INDICATOR_VOCABULARY)), -1)
+    indicators[:, INDICATOR_VOCABULARY.index("children_in_home")] = flags
+    survey = Survey(ids, indicators)
+    d = characteristic_entropy_delta(entropies, survey, "children_in_home", seed=7)
     assert (d.n_with, d.n_without) == (295, 390)
     assert d.delta == -0.06141351061762035
     assert d.ci_low == -0.14616382855718896

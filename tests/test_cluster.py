@@ -975,6 +975,12 @@ def _edit_json(change):
      r"model.json: malformed value \('ids' has 2 dimensions, not 1\)"),
     ("model.json", _edit_json(lambda m: m.update(counts=[0] * len(m["counts"]))),
      "model.json: label counts disagree"),
+    # a centroid that is no unit-sum shape: the dictionary truncate makes of
+    # it would fail its checks without naming the file
+    ("model.json", _edit_json(lambda m: m["centroids"][1].__setitem__(0, 3.0)),
+     r"model.json: malformed value \(centroid of id \d+ sums to 3\.\d+, expected 1 \+/- 1e-06\)"),
+    ("model.json", _edit_json(lambda m: m["centroids"][0].__setitem__(5, float("nan"))),
+     r"model.json: malformed value \(centroid of id \d+ sums to nan, expected 1"),
     ("labels.csv", _relabel_first_row, "labels.csv and .*model.json: label counts disagree"),
 ])
 def test_load_model_names_the_damaged_file(tmp_path, name, damage, message):

@@ -4,7 +4,6 @@ import datetime as dt
 import pickle
 import tempfile
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,9 +24,9 @@ from loadshapes.ingest import (
     WIDE_HEADER,
     DayTable,
     Diagnostic,
-    HouseholdProfile,
     KeyedTable,
     SeasonCalendar,
+    Survey,
     WeatherDay,
     _frozen,
     _parse_kwh_cell,
@@ -38,6 +37,7 @@ from loadshapes.ingest import (
     write_survey,
     write_weather,
 )
+from loadshapes.pipeline import RunCache
 from loadshapes.preprocess import ShapeTable
 from loadshapes.synthetic import GeneratorConfig, SyntheticTruth, generate_synthetic
 
@@ -317,12 +317,12 @@ def test_frozen_makes_what_it_reaches_read_only_in_place():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     record = WeatherDay(D(2011, 6, 1), 70.0)
-    profile = HouseholdProfile("H1", MappingProxyType({"elderly": True}))
-    rows = _frozen([record, profile])
-    assert rows == (record, profile) and rows[0] is record and rows[1] is profile
-    table = DayTable(["H1"], [D(2011, 6, 1)], np.ones((1, 24)))
-    assert _frozen(table) is table
-    assert not any(column.flags.writeable for column in vars(table).values())
+    rows = _frozen([record])
+    assert rows == (record,) and rows[0] is record
+    for table in (DayTable(["H1"], [D(2011, 6, 1)], np.ones((1, 24))),
+                  Survey(["H1"], [[1] * len(INDICATOR_VOCABULARY)])):
+        assert _frozen(table) is table
+        assert not any(column.flags.writeable for column in vars(table).values())
 
 
 def test_keyed_table_defaults_only_columns_its_file_does_not_hold():
@@ -394,12 +394,12 @@ def test_survey_cell_mapping(tmp_path):
     path.write_text(
         "household_id,elderly,low_income,chronically_ill\nH1,1,0,\n"
     )
-    profiles, diags = read_survey(path)
+    survey, diags = read_survey(path)
     assert diags == []
-    prof = profiles[0]
-    assert prof.indicators.get("elderly") is True
-    assert prof.indicators.get("low_income") is False
-    assert prof.indicators.get("chronically_ill") is None
+    assert survey.household_ids.tolist() == ["H1"]
+    assert [survey.flags(name) for name in ("elderly", "low_income", "chronically_ill",
+                                           "central_ac")] == [[1], [0], [-1], [-1]]
+    assert survey.indicators.dtype == np.int8
 
 
 def test_survey_unknown_column_lists_vocabulary(tmp_path):
@@ -432,41 +432,53 @@ def test_survey_duplicate_household_raises(tmp_path):
 def test_survey_bad_cell_treated_unknown_with_diagnostic(tmp_path):
     path = tmp_path / "survey.csv"
     path.write_text("household_id,elderly\nH1,yes\n")
-    profiles, diags = read_survey(path)
-    assert profiles[0].indicators.get("elderly") is None
+    survey, diags = read_survey(path)
+    assert survey.flags("elderly") == [-1]
     assert len(diags) == 1
 
 
 def test_survey_participant_count_round_trip(tmp_path):
     # the study's survey had 6413 participants; parsing a corpus of that
     # size must preserve the distinct id count
-    profiles = [
-        HouseholdProfile(f"H{i:05d}", {"elderly": bool(i % 2)})
-        for i in range(6413)
-    ]
+    indicators = np.full((6413, len(INDICATOR_VOCABULARY)), -1)
+    indicators[:, INDICATOR_VOCABULARY.index("elderly")] = np.arange(6413) % 2
+    survey = Survey([f"H{i:05d}" for i in range(6413)], indicators)
     path = tmp_path / "survey.csv"
-    write_survey(profiles, path)
+    write_survey(survey, path)
     back, _ = read_survey(path)
-    assert len({p.household_id for p in back}) == 6413
+    assert len(set(back.household_ids)) == 6413
+    assert np.array_equal(back.indicators, indicators)
 
 
-def test_profiles_are_read_only_and_pickle_and_copy(tmp_path):
-    path = tmp_path / "survey.csv"
-    path.write_text("household_id,elderly,low_income\nH1,1,\nH2,0,1\n")
-    read, _ = read_survey(path)
-    drawn = generate_synthetic(GeneratorConfig(households=2, days=3), seed=1,
+def same_survey(a, b) -> bool:
+    return (a.household_ids.tolist() == b.household_ids.tolist()
+            and a.indicators.dtype == b.indicators.dtype == np.int8
+            and np.array_equal(a.indicators, b.indicators))
+
+
+def test_a_survey_round_trips_is_read_only_in_the_run_cache_and_pickles(tmp_path):
+    drawn = generate_synthetic(GeneratorConfig(households=6, days=3), seed=1,
                                include_meter=False).profiles
-    given = {"elderly": True}
-    built = HouseholdProfile("H3", given)
-    given["elderly"] = False  # the record holds its own copy
-    assert built.indicators.get("elderly") is True
-    for profile in [*read, *drawn, built]:
-        with pytest.raises(TypeError):
-            profile.indicators["elderly"] = False
-        for twin in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile),
-                     copy.copy(profile)):
-            assert twin == profile
-            assert isinstance(twin.indicators, MappingProxyType)
+    assert set(np.unique(drawn.indicators)) == {0, 1}
+    drawn.indicators[0, :3] = -1  # unknown answers too
+    path = tmp_path / "survey.csv"
+    write_survey(drawn, path)
+    read, diagnostics = read_survey(path)
+    assert same_survey(read, drawn) and diagnostics == []
+    write_survey(read, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    cached, _ = RunCache().read("survey", [path], lambda: read_survey(path))
+    for column in (cached.household_ids, cached.indicators):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    for twin in (pickle.loads(pickle.dumps(cached)), copy.deepcopy(cached)):
+        assert same_survey(twin, drawn)
+
+
+def test_a_survey_of_another_shape_is_rejected():
+    for indicators in ([[1] * 11], [[1] * 12] * 2, [1] * 12):
+        with pytest.raises(ValueError, match="expected shape"):
+            Survey(["H1"], indicators)
 
 
 def test_season_boundaries():
@@ -601,6 +613,26 @@ def test_a_byte_that_is_not_utf8_names_the_input_file_and_row(kind, line, tmp_pa
     with pytest.raises(MalformedInputError,
                        match=f"{kind}.csv:{line + 1}: byte 0xff is not UTF-8$"):
         read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))
+def test_a_stray_quote_names_the_input_file_and_row(kind, tmp_path):
+    # the quoted field closes at the end of the file, far short of csv's
+    # field limit: the rows after the quote would read as one cell
+    read, lines, _ = DIAGNOSTIC_CASES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([*lines[:2], '"' + lines[1], *lines[1:]]) + "\n")
+    with pytest.raises(MalformedInputError, match=f"{kind}.csv:3: a quote opens a field "
+                       "that runs across lines \\(expected"):
+        read(path)
+
+
+def test_a_quoted_line_break_in_a_row_of_the_right_width_reads(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_text('household_id,elderly\n"H\n1",1\nH2,0\n')
+    survey, diagnostics = read_survey(path)
+    assert survey.household_ids.tolist() == ["H\n1", "H2"] and diagnostics == []
+    assert survey.flags("elderly") == [1, 0]
 
 
 @pytest.mark.parametrize("kind", sorted(DIAGNOSTIC_CASES))

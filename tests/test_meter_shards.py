@@ -173,12 +173,12 @@ def test_a_stray_quote_raises_the_serial_error(forks, tmp_path):
         MalformedInputError, f"{path}:6: field larger than field limit (131072)")
 
 
-def test_a_stray_quote_in_the_second_range_gives_the_serial_diagnostics(forks, tmp_path):
+def test_a_stray_quote_in_the_second_range_raises_the_serial_error(forks, tmp_path):
     # the quoted field runs on to the end of the file: one row of too few cells
     path = meter(tmp_path, {**defects(3), 300: '"' + row(300)})
-    ids, _, _, diagnostics = assert_same(path, forks)
-    assert len(ids) == 299 - 3
-    assert [d.row for d in diagnostics][-1] == 301
+    assert assert_same(path, forks) == (
+        MalformedInputError, f"{path}:301: a quote opens a field that runs across lines "
+        "(expected 24 hourly columns)")
 
 
 @pytest.mark.parametrize("at", [5, 390])

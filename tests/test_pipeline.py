@@ -78,6 +78,11 @@ def smoke_config(paths, out, **kw):
     return RunConfig(**defaults)
 
 
+def read_file(path) -> RunConfig:
+    """The RunConfig that ``run --config path`` reads."""
+    return config_from(RunConfig, argparse.Namespace(config=str(path)), ConfigError)
+
+
 @pytest.fixture(scope="module")
 def smoke_run(smoke_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -157,12 +162,11 @@ def test_invalid_theta_rejected_before_any_work(smoke_corpus, tmp_path):
 
 def test_missing_upstream_artifact_names_producing_stage(smoke_corpus, tmp_path):
     out = tmp_path / "partial"
-    config = smoke_config(
-        smoke_corpus, out, stages=("ingest", "cluster", "truncate")
-    )
+    config = smoke_config(smoke_corpus, out)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_pipeline(config)
+        for stage in (stage_ingest, stage_cluster, stage_truncate):
+            stage(config)
     with pytest.raises(StageError, match="run `assign` first"):
         stage_analyze(smoke_config(smoke_corpus, out))
 
@@ -175,16 +179,17 @@ def test_missing_upstream_artifact_names_producing_stage(smoke_corpus, tmp_path)
 def test_failed_stage_removes_partial_outputs(smoke_corpus, tmp_path):
     out = tmp_path / "broken"
     out.mkdir()
-    config = smoke_config(smoke_corpus, out, stages=("ingest", "cluster"))
+    config = smoke_config(smoke_corpus, out)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_pipeline(config)
+        stage_ingest(config)
+        stage_cluster(config)
     # corrupt shapes.csv so the cluster stage fails mid-flight
     (out / "shapes.csv").write_text("household_id,date\n")
     (out / "model.json").unlink()
     (out / "labels.csv").unlink()
     with pytest.raises(StageError, match="cluster"):
-        run_pipeline(smoke_config(smoke_corpus, out, stages=("cluster",)))
+        stage_cluster(config)
     assert not (out / "model.json").exists()
     assert not (out / "labels.csv").exists()
 
@@ -223,13 +228,13 @@ def test_run_config_from_file(tmp_path):
         "theta=0.25\nseed=11\nsample=500\nout=somewhere\n"
         "quartiles=fixed:68,71,76\n"
     )
-    config = RunConfig.from_file(path)
+    config = read_file(path)
     assert (config.theta, config.seed, config.sample, config.out) == (0.25, 11, 500, "somewhere")
     assert config.quartile_spec() == ("fixed", (68.0, 71.0, 76.0))
 
     (tmp_path / "bad.cfg").write_text("nope=1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
-        RunConfig.from_file(tmp_path / "bad.cfg")
+        read_file(tmp_path / "bad.cfg")
 
 
 def test_manifest_excluded_from_determinism_but_artifacts_match(
@@ -474,11 +479,10 @@ def test_an_interrupt_beside_the_background_write_kills_it_and_a_rerun_is_whole(
     assert _files(out) == whole
 
 
-def test_only_a_run_with_threads_and_a_later_shapes_reader_writes_in_the_background(
+def test_only_a_run_with_threads_writes_in_the_background(
     smoke_corpus, tmp_path, forks, writers
 ):
     _run(smoke_config(smoke_corpus, tmp_path / "one", threads=1))
-    _run(smoke_config(smoke_corpus, tmp_path / "alone", threads=2, stages=("ingest",)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for stage in _STAGE_FNS.values():
@@ -486,7 +490,7 @@ def test_only_a_run_with_threads_and_a_later_shapes_reader_writes_in_the_backgro
     assert writers == []
     _run(smoke_config(smoke_corpus, tmp_path / "two", threads=2))
     assert len(writers) == 1
-    for out in ("alone", "staged", "two"):
+    for out in ("staged", "two"):
         assert filecmp.cmp(tmp_path / "one" / "shapes.csv", tmp_path / out / "shapes.csv",
                            shallow=False), out
 
@@ -533,12 +537,12 @@ def test_a_cut_shapes_csv_is_rebuilt_in_the_background_and_the_rest_stays_cached
     assert [r.status for r in _run(config).results] == ["cached"] * 5
 
 
-def test_a_parse_beside_the_background_write_never_reads_shapes_csv(
+def test_no_parse_runs_beside_the_background_write(
     smoke_corpus, tmp_path, monkeypatch, forks, writers
 ):
-    """While shapes.csv is written, every stage takes ingest's table, so
-    the other parsers run beside the write and only the end of the last
-    selected stage waits for it."""
+    """While shapes.csv is written, a stage that runs takes the objects the
+    run handed on; an artifact is parsed only after a cached check, which
+    waits for the write first, so no parser runs beside it."""
     caches, events = [], []
     init = RunCache.__init__
 
@@ -563,20 +567,20 @@ def test_a_parse_beside_the_background_write_never_reads_shapes_csv(
     parse = ShapeTable._parse_csv
     monkeypatch.setattr(ShapeTable, "_parse_csv",
                         classmethod(event("_parse_csv", lambda cls, path: parse(path))))
-    runs = [(("ingest", "analyze"), {"coverage_weight": "discretionary"},
+    runs = [({"coverage_weight": "discretionary"}, ["ran"] + ["cached"] * 3 + ["ran"],
              ["load_dictionary", "read_csv", "occurrence_map"]),
-            (("ingest", "truncate"), {"truncate_violation": 0.2}, ["load_model", "truncate"])]
+            ({"truncate_violation": 0.2}, ["ran", "cached"] + ["ran"] * 3,
+             ["load_model", "truncate", "occurrence_map"])]
     outs = [tmp_path / "threads1", tmp_path / "threads2"]
     for threads, out in enumerate(outs, start=1):
         _run(smoke_config(smoke_corpus, out, threads=threads))
-        for stages, changed, calls in runs:
+        for changed, statuses, calls in runs:
             (out / "shapes.csv").unlink()
             events.clear()
-            result = _run(smoke_config(smoke_corpus, out, threads=threads, stages=stages,
-                                       **changed))
-            assert [r.status for r in result.results] == ["ran", "ran"]
-            beside = threads == 2  # the parses run while the write does, then one join
-            assert events == [(name, beside) for name in calls] + [("join", True)] * beside
+            result = _run(smoke_config(smoke_corpus, out, threads=threads, **changed))
+            assert [r.status for r in result.results] == statuses
+            # cluster's cached check joins the write before any parse
+            assert events == [("join", True)] * (threads == 2) + [(name, False) for name in calls]
     assert len(writers) == 3
     assert _files(outs[0]) == _files(outs[1])
 
@@ -685,7 +689,7 @@ def test_cli_missing_config_file_is_a_config_error(tmp_path, capsys, command):
     assert err.startswith("configuration error") and "nope.cfg" in err
     assert not (tmp_path / "x").exists()
     with pytest.raises(ConfigError, match="nope.cfg: cannot read config file"):
-        RunConfig.from_file(missing)
+        read_file(missing)
 
 
 def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -696,7 +700,7 @@ def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: ") and "bad.cfg" in err
     assert not (tmp_path / "x").exists()
     with pytest.raises(ConfigError, match="bad.cfg: cannot read config file"):
-        RunConfig.from_file(bad)
+        read_file(bad)
 
 
 def test_cli_meter_byte_that_is_not_utf8_fails_ingest_naming_file_and_row(tmp_path, capsys):
@@ -721,15 +725,6 @@ def test_cli_stage_error_exit_code(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "analyze" in err and "shapes.csv" in err
-
-
-def test_pipeline_stage_selector_subset(smoke_corpus, tmp_path):
-    out = tmp_path / "sel"
-    config = smoke_config(smoke_corpus, out, stages=("ingest",))
-    result = run_pipeline(config)
-    assert [r.stage for r in result.results] == ["ingest"]
-    assert (out / "shapes.csv").exists()
-    assert not (out / "model.json").exists()
 
 
 @pytest.fixture
@@ -842,8 +837,8 @@ def test_truncate_rejects_a_labels_key_listed_twice(smoke_corpus, tmp_path):
     out = tmp_path / "dup"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_pipeline(smoke_config(smoke_corpus, out, sample=300,
-                                  stages=("ingest", "cluster")))
+        stage_ingest(smoke_config(smoke_corpus, out, sample=300))
+        stage_cluster(smoke_config(smoke_corpus, out, sample=300))
     lines = (out / "labels.csv").read_text().splitlines(keepends=True)
     hid, date, cid = lines[1].rstrip("\r\n").split(",")
     twin = next(i for i in range(2, len(lines))
@@ -1051,10 +1046,10 @@ def test_cli_flag_sets_and_flags_over_config_files(tmp_path, monkeypatch, capsys
     assert generated == [GeneratorConfig(households=4, days=3, noise_level=0.01, entropy_bias={
         "elderly": 0.2, "electric_dryer": -0.4})]
 
-    cfg.write_text("theta=0.25\nseed=11\nstages=ingest\n")
+    cfg.write_text("theta=0.25\nseed=11\nsample=500\n")
     args = build_parser().parse_args(["run", "--config", str(cfg), "--theta", "0.5"])
     assert config_from(RunConfig, args, ConfigError) == RunConfig(
-        theta=0.5, seed=11, stages=("ingest",))
+        theta=0.5, seed=11, sample=500)
 
 
 def test_run_config_file_round_trip(tmp_path):
@@ -1063,7 +1058,6 @@ def test_run_config_file_round_trip(tmp_path):
         theta=0.125, merge_violation=0.01, truncate_violation=0.2, sample=777,
         seed=13, threads=2, quartiles="fixed:68,71,76",
         coverage_weight="discretionary", meter_schema="long", k_init=7,
-        stages=("ingest", "cluster"),
     )
     default = RunConfig()
     assert all(getattr(config, f.name) != getattr(default, f.name)
@@ -1071,12 +1065,12 @@ def test_run_config_file_round_trip(tmp_path):
     lines = ["meter=m.csv", "weather=w.csv", "survey=s.csv", "out=results", "theta=0.125",
              "merge_violation=0.01", "truncate_violation=0.2", "sample=777", "seed=13",
              "threads=2", "quartiles=fixed:68,71,76", "coverage_weight=discretionary",
-             "meter_schema=long", "k_init=7", "stages=ingest, cluster"]
+             "meter_schema=long", "k_init=7"]
     assert [line.split("=", 1)[0] for line in lines] == [
         f.name for f in dataclasses.fields(RunConfig)]
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
-    assert RunConfig.from_file(path) == config
+    assert read_file(path) == config
 
 
 @pytest.mark.parametrize("key", ["theta", "merge_violation", "truncate_violation",
@@ -1085,7 +1079,7 @@ def test_run_config_bad_value_names_the_key(tmp_path, key):
     path = tmp_path / "run.cfg"
     path.write_text(f"seed=1\n{key}=abc\n")
     with pytest.raises(ConfigError, match=f"config key '{key}': bad value 'abc'"):
-        RunConfig.from_file(path)
+        read_file(path)
 
 
 def test_a_config_file_skips_blank_and_comment_lines_and_names_a_line_without_a_key(
@@ -1093,7 +1087,7 @@ def test_a_config_file_skips_blank_and_comment_lines_and_names_a_line_without_a_
 ):
     path = tmp_path / "run.cfg"
     path.write_text("# the smoke settings\n\nseed=11\n  # indented\nsample=500\n")
-    assert RunConfig.from_file(path) == RunConfig(seed=11, sample=500)
+    assert read_file(path) == RunConfig(seed=11, sample=500)
     path.write_text("seed=11\n\nsample 500\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"configuration error: {path}:3: expected key=value\n"

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import datetime as dt
 import filecmp
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from loadshapes import config
 from loadshapes.analytics import build_frame, household_entropy
 from loadshapes.cli import main
+from loadshapes.config import config_from
 from loadshapes.dictionary import AssignmentTable
 from loadshapes.errors import CorruptArtifactError, GeneratorConfigError
 from loadshapes.ingest import read_meter_corpus, read_survey, read_weather
+from loadshapes.pipeline import RunConfig
 from loadshapes.preprocess import preprocess_days
 from loadshapes.synthetic import (
     COOLING_ARCHETYPE,
@@ -100,8 +104,8 @@ def test_generated_files_parse_cleanly(tmp_path):
     assert len(days) == 600 and diags == []
     weather, _ = read_weather(paths["weather"])
     assert len(weather) == 20
-    profiles, _ = read_survey(paths["survey"])
-    assert len(profiles) == 30
+    survey, _ = read_survey(paths["survey"])
+    assert len(survey) == 30
     truth = SyntheticTruth.read_csv(paths["truth"])
     assert len(truth.archetype_ids) == 600
     # truth rows align with meter rows
@@ -194,9 +198,9 @@ def test_entropy_bias_lowers_flagged_household_entropy():
                           entropy_bias={"elderly": -0.5})
     corpus = generate_synthetic(cfg, seed=5, include_meter=False)
     ent = household_entropy(truth_frame(corpus))
-    flags = {p.household_id: p.indicators.get("elderly") for p in corpus.profiles}
-    with_vals = [v for h, v in ent.items() if flags[h]]
-    without_vals = [v for h, v in ent.items() if flags[h] is False]
+    flags = dict(zip(corpus.profiles.household_ids, corpus.profiles.flags("elderly")))
+    with_vals = [v for h, v in ent.items() if flags[h] == 1]
+    without_vals = [v for h, v in ent.items() if flags[h] == 0]
     res = stats.ttest_ind(with_vals, without_vals, equal_var=False,
                           alternative="less")
     assert res.pvalue < 0.01
@@ -206,9 +210,7 @@ def test_target_entropy_tracks_bias_exactly():
     cfg = GeneratorConfig(archetypes=5, households=500, days=10,
                           entropy_bias={"electric_dryer": 0.4})
     corpus = generate_synthetic(cfg, seed=21, include_meter=False)
-    flags = np.array(
-        [p.indicators["electric_dryer"] for p in corpus.profiles]
-    )
+    flags = np.array(corpus.profiles.flags("electric_dryer")) == 1
     targets = corpus.target_entropy
     gap = targets[flags].mean() - targets[~flags].mean()
     # jitter is +/-0.05 uniform, so the group gap sits within ~0.01 of 0.4
@@ -222,6 +224,12 @@ def test_outlier_and_fuzz_days_marked_in_truth():
     corpus = generate_synthetic(cfg, seed=11, include_meter=False)
     frac = (corpus.truth.archetype_ids == -1).mean()
     assert frac == pytest.approx(0.25, abs=0.02)
+
+
+def read_file(path) -> GeneratorConfig:
+    """The GeneratorConfig that ``synth --config path`` reads."""
+    return config_from(GeneratorConfig, argparse.Namespace(config=str(path)),
+                       GeneratorConfigError)
 
 
 def test_generator_config_file_round_trip(tmp_path):
@@ -240,7 +248,7 @@ def test_generator_config_file_round_trip(tmp_path):
                     "noise_level=0.125\ntemperature_response=0.5\nbase_entropy=1.1\n"
                     "bias.elderly=-0.25\nbias.central_ac=0.1\n"
                     "outlier_rate=0.2\nfuzz_rate=0.03\nbad_day_rate=0.01\n")
-    assert GeneratorConfig.from_file(path) == cfg
+    assert read_file(path) == cfg
 
 
 # generator values that no flag or config key sets; generate_synthetic reads
@@ -261,7 +269,23 @@ def test_fixed_generator_value_is_no_config_key(tmp_path, name):
     path = tmp_path / "gen.cfg"
     path.write_text(f"households=3\n{name}=1.0\n")
     with pytest.raises(GeneratorConfigError, match=f"unknown config key '{name}'"):
-        GeneratorConfig.from_file(path)
+        read_file(path)
+
+
+def test_stages_is_no_run_config_key(tmp_path, capsys):
+    # run_pipeline always runs every stage; a stage command runs one
+    path = tmp_path / "run.cfg"
+    path.write_text("seed=1\nstages=ingest\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown config key 'stages'\n"
+    assert not (tmp_path / "out").exists()
+    assert "stages" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("cls", [RunConfig, GeneratorConfig])
+def test_a_config_file_is_read_by_config_from_only(cls):
+    assert not hasattr(cls, "from_file")
+    assert not hasattr(config, "read_config")
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_VALUES))
@@ -279,4 +303,4 @@ def test_generator_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "gen.cfg"
     path.write_text("archetypes=5\nwibble=3\n")
     with pytest.raises(GeneratorConfigError, match="wibble"):
-        GeneratorConfig.from_file(path)
+        read_file(path)
